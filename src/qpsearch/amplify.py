@@ -6,23 +6,35 @@ Q = -A S0 A^-1 S_chi, and the two search loops: the original one, which
 cannot terminate when nothing is marked, and the modified one, whose
 (3/4)^u stopping rule guarantees finite termination at an arbitrarily low
 miss probability.
+
+Every operator takes either state form.  The loops run on an IndexState,
+where load, oracle and add only relabel slots: A and A^-1 are both the
+spreading reflection, S_chi multiplies by the problem's sign vector and S0
+negates the zero point's slot.  On a SparseState, the reference simulator,
+the same operators act string by string.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .fixedpoint import negate_bits
 from .ledger import OracleLedger
 from .state import (
+    IndexSpace,
+    IndexState,
     RegisterLayout,
     SparseState,
+    apply_basis_map,
+    apply_phase,
     householder_prepare,
     measure,
 )
+
+State = Union[IndexState, SparseState]
 
 __all__ = [
     "QSearchParams",
@@ -154,47 +166,13 @@ def is_desired(bits: str, layout: RegisterLayout) -> bool:
     return bits[layout.comparison_sign_index] == "1"
 
 
-def desired_probability(state: SparseState) -> float:
+def desired_probability(state: State) -> float:
     """Exact Born probability of measuring a desired string."""
+    if isinstance(state, IndexState):
+        amps = state.amplitudes[state.space.marks < 0]
+        return float(amps @ amps)
     idx = state.layout.comparison_sign_index
     return sum(abs(a) ** 2 for b, a in state.amplitudes.items() if b[idx] == "1")
-
-
-class _CachedMap:
-    """Memoized classical bijection: reachable supports are tiny, so each
-    basis string's image is computed once per operator instance."""
-
-    __slots__ = ("fn", "cache")
-
-    def __init__(self, fn: Callable[[str], str]):
-        self.fn = fn
-        self.cache: Dict[str, str] = {}
-
-    def __call__(self, bits: str) -> str:
-        img = self.cache.get(bits)
-        if img is None:
-            img = self.fn(bits)
-            self.cache[bits] = img
-        return img
-
-    def apply(self, amps: Dict[str, complex], scale: complex = 1.0) -> Dict[str, complex]:
-        cache = self.cache
-        try:
-            if scale == 1.0:
-                new = {cache[b]: a for b, a in amps.items()}
-            else:
-                new = {cache[b]: a * scale for b, a in amps.items()}
-        except KeyError:
-            fn = self.fn
-            for b in amps:
-                if b not in cache:
-                    cache[b] = fn(b)
-            return self.apply(amps, scale)
-        if len(new) != len(amps):
-            from .state import _report_collision
-
-            _report_collision(amps, self)
-        return new
 
 
 class PreparationOperator:
@@ -203,16 +181,19 @@ class PreparationOperator:
     Applied to |0>|0>|0>, A yields (1/sqrt(N)) sum_j |x_j>|f_j>|f_j - f_k>
     with the subtraction in d-bit two's complement.  Every application of A
     or its inverse uses the oracle once and is counted as one quantum call.
+    The oracle is read once per candidate, at construction, to lay out the
+    problem's ``space``.
     """
 
     __slots__ = (
         "problem",
         "layout",
+        "space",
         "_load",
         "_spread",
-        "_oracle_then_add",
-        "_unadd_then_oracle",
-        "_oracle_values",
+        "_oracle_xor",
+        "_add",
+        "_add_inv",
     )
 
     def __init__(self, problem: SearchProblem):
@@ -230,7 +211,7 @@ class PreparationOperator:
             u = values.get(x)
             if u is None:
                 fx = oracle(x)
-                if len(fx) != vb or any(ch not in "01" for ch in fx):
+                if len(fx) != vb or fx.strip("01"):
                     raise ValueError(
                         f"oracle returned {fx!r}, expected {vb}-bit string"
                     )
@@ -259,36 +240,52 @@ class PreparationOperator:
             c = (int(b[pb + vb :], 2) - v) & mask
             return b[: pb + vb] + format(c, f"0{vb}b")
 
-        self._load = _CachedMap(load)
+        self._load = load
         self._spread = householder_prepare(problem.points)
-        # Adjacent bijections fused into single passes for the hot loop.
-        self._oracle_then_add = _CachedMap(lambda b: add(oracle_xor(b)))
-        self._unadd_then_oracle = _CachedMap(lambda b: oracle_xor(add_inv(b)))
-        self._oracle_values = values
+        self._oracle_xor = oracle_xor
+        self._add = add
+        self._add_inv = add_inv
+        units = [value_units(x) for x in problem.points]
+        self.space = IndexSpace(
+            layout, problem.points, units, [(u + neg_units) & mask for u in units]
+        )
 
     def apply(
-        self, state: SparseState, ledger: Optional[OracleLedger] = None, scale: complex = 1.0
-    ) -> SparseState:
-        """Apply A; ``scale`` folds an overall phase into the final pass."""
-        amps = self._load.apply(state.amplitudes)
-        state = self._spread(SparseState._raw(self.layout, amps))
-        amps = self._oracle_then_add.apply(state.amplitudes, scale)
+        self, state: State, ledger: Optional[OracleLedger] = None, scale: complex = 1.0
+    ) -> State:
+        """Apply A; ``scale`` multiplies in an overall phase."""
+        if isinstance(state, IndexState):
+            state = self._spread(state)
+            if scale != 1.0:
+                state = IndexState(state.space, state.amplitudes * scale)
+        else:
+            state = apply_basis_map(state, self._load)
+            state = self._spread(state)
+            state = apply_basis_map(state, self._oracle_xor)
+            state = apply_basis_map(state, self._add)
+            if scale != 1.0:
+                state = apply_phase(state, lambda b: True, scale)
         if ledger is not None:
             ledger.quantum_calls += 1
-        return SparseState._raw(self.layout, amps)
+        return state
 
     def apply_inverse(
-        self, state: SparseState, ledger: Optional[OracleLedger] = None
-    ) -> SparseState:
+        self, state: State, ledger: Optional[OracleLedger] = None
+    ) -> State:
         """Apply A^-1: the four sub-operators inverted, in reverse order."""
-        amps = self._unadd_then_oracle.apply(state.amplitudes)
-        state = self._spread(SparseState._raw(self.layout, amps))
-        amps = self._load.apply(state.amplitudes)
+        if isinstance(state, IndexState):
+            state = self._spread(state)
+        else:
+            state = apply_basis_map(state, self._add_inv)
+            state = apply_basis_map(state, self._oracle_xor)
+            state = self._spread(state)
+            state = apply_basis_map(state, self._load)
         if ledger is not None:
             ledger.quantum_calls += 1
-        return SparseState._raw(self.layout, amps)
+        return state
 
     def prepare_from_zero(self, ledger: Optional[OracleLedger] = None) -> SparseState:
+        """A|0>|0>|0> on the reference simulator."""
         return self.apply(SparseState.zero(self.layout), ledger)
 
 
@@ -297,8 +294,15 @@ def build_a_operator(problem: SearchProblem) -> PreparationOperator:
     return PreparationOperator(problem)
 
 
-def apply_S0(state: SparseState) -> SparseState:
-    """Flip the sign of the all-zeros basis string, leave the rest alone."""
+def apply_S0(state: State) -> State:
+    """Flip the sign of the all-zeros basis string, leave the rest alone.
+
+    On an IndexState that string is the zero point's slot as read before A.
+    """
+    if isinstance(state, IndexState):
+        amps = state.amplitudes.copy()
+        amps[state.space.zero] = -amps[state.space.zero]
+        return IndexState(state.space, amps)
     zero = state.layout.zero_string()
     if zero not in state.amplitudes:
         return state
@@ -307,23 +311,25 @@ def apply_S0(state: SparseState) -> SparseState:
     return SparseState._raw(state.layout, new)
 
 
-def apply_Schi(state: SparseState) -> SparseState:
+def apply_Schi(state: State) -> State:
     """Flip the sign of strings whose comparison register decodes negative.
 
     Equality with the incumbent is not an improvement, so f_j = f_k stays
-    unmarked.
+    unmarked.  On an IndexState the slots are read as prepared by A.
     """
+    if isinstance(state, IndexState):
+        return IndexState(state.space, state.amplitudes * state.space.marks)
     idx = state.layout.comparison_sign_index
     new = {b: (-a if b[idx] == "1" else a) for b, a in state.amplitudes.items()}
     return SparseState._raw(state.layout, new)
 
 
 def apply_Q(
-    state: SparseState,
+    state: State,
     problem: SearchProblem,
     ledger: Optional[OracleLedger] = None,
     ops: Optional[PreparationOperator] = None,
-) -> SparseState:
+) -> State:
     """One amplification iterate: S_chi, A^-1, S0, A, global phase -1.
 
     Assumes the state lies in the subspace reachable from A|0> (not
@@ -355,8 +361,8 @@ def _run_search(
         ledger = OracleLedger()
     start = ledger.copy()
     ops = PreparationOperator(problem)
-    layout = problem.layout
-    sign_idx = layout.comparison_sign_index
+    zero = IndexState.zero(ops.space)
+    sign_idx = problem.layout.comparison_sign_index
     n = problem.n_points
     u_limit = params.u_limit
 
@@ -367,7 +373,7 @@ def _run_search(
     u = 0
     q_apps = 0
     ledger.qsearch_rounds += 1
-    state = ops.prepare_from_zero(ledger)
+    state = ops.apply(zero, ledger)
     measured = measure(state, rng)
     desired = measured[sign_idx] == "1"
     if on_round is not None:
@@ -389,7 +395,7 @@ def _run_search(
         if m * m > n:
             u += 1
         ledger.qsearch_rounds += 1
-        state = ops.prepare_from_zero(ledger)
+        state = ops.apply(zero, ledger)
         j = int(rng.integers(1, m + 1))
         for _ in range(j):
             state = apply_Q(state, problem, ledger, ops)

@@ -23,9 +23,15 @@ from .amplify import (
     build_a_operator,
     make_planted_problem,
 )
-from .fixedpoint import FixedPointFormat
+from .fixedpoint import EncodingError, FixedPointFormat, FixedPointOverflowError
 from .objectives import UnknownObjectiveError, make_objective, objective_names
-from .pattern import GpsConfig, PatternBasis, gps_run
+from .pattern import (
+    GpsConfig,
+    MeshExhaustedError,
+    NotPositiveSpanningError,
+    PatternBasis,
+    gps_run,
+)
 from .quantum_step import compare_backends
 from .state import sample_counts
 
@@ -71,6 +77,16 @@ COMPARE_DEFAULTS = {
 
 class ConfigError(Exception):
     pass
+
+
+# Refusals of an input: one line on stderr and exit code 2, not a traceback.
+LIBRARY_ERRORS = (
+    ConfigError,
+    FixedPointOverflowError,
+    EncodingError,
+    MeshExhaustedError,
+    NotPositiveSpanningError,
+)
 
 
 def _load_config(path: Optional[str], defaults: dict, overrides: dict) -> dict:
@@ -388,7 +404,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except LIBRARY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -240,6 +240,11 @@ def poll_set(state: MeshState, directions: np.ndarray) -> List[np.ndarray]:
     d = np.asarray(directions, dtype=float)
     if not positive_spanning_check(d):
         raise NotPositiveSpanningError("poll directions must positively span R^n")
+    return _poll_points(state, d)
+
+
+def _poll_points(state: MeshState, d: np.ndarray) -> List[np.ndarray]:
+    # Unchecked: for direction sets already known to span, such as a basis's.
     return [state.iterate + state.mesh_size * d[:, i] for i in range(d.shape[1])]
 
 
@@ -253,8 +258,11 @@ def poll_step(
     """Opportunistic poll: evaluate candidates in column order, return the
     first strict improvement; None declares the iterate a mesh local
     optimizer."""
-    dirs = basis.directions if directions is None else directions
-    for y in poll_set(state, dirs):
+    if directions is None:
+        points = _poll_points(state, basis.directions)  # checked by PatternBasis
+    else:
+        points = poll_set(state, directions)
+    for y in points:
         ledger.classical_calls += 1
         fy = objective(y)
         if fy < state.incumbent_value:
@@ -455,7 +463,9 @@ def gps_run(
                     {
                         "type": "poll-candidates",
                         "iteration": state.iteration,
-                        "points": [y.tolist() for y in poll_set(state, basis.directions)],
+                        "points": [
+                            y.tolist() for y in _poll_points(state, basis.directions)
+                        ],
                     }
                 )
             outcome = poll_step(state, basis, objective, ledger)

@@ -1,21 +1,32 @@
-"""Exact sparse simulation of the three-register search state.
+"""Exact simulation of the three-register search state, in two forms.
 
-States are finite maps from full-width basis bitstrings to complex
-amplitudes.  Everything reachable during amplitude amplification has support
-bounded by the number of searched points plus one, so memory stays O(N)
-instead of 2**(total qubits).
+``IndexState`` is what the search loop runs on.  Every state the loop can
+reach lies in the span of N + 1 fixed basis strings of one search problem:
+the N candidates, each with its value and comparison registers, and the
+all-zeros string.  An ``IndexState`` holds one real float64 amplitude per
+slot of that ``IndexSpace`` and names the full-width string of a slot only
+when a measurement returns it.
+
+``SparseState`` is the reference simulator: a finite map from full-width
+basis bitstrings to complex amplitudes, on which reversible basis maps,
+phases and the preparation reflection act string by string.  It accepts any
+basis string, so the tests drive it to check the index-space engine
+amplitude by amplitude.  Its support stays bounded by the number of searched
+points plus one, so memory is O(N) instead of 2**(total qubits).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "RegisterLayout",
     "SparseState",
+    "IndexSpace",
+    "IndexState",
     "CollisionError",
     "EmptyTargetsError",
     "NormalizationError",
@@ -152,6 +163,84 @@ class SparseState:
         return f"SparseState({entries}{more})"
 
 
+class IndexSpace:
+    """The slots of one search problem's state vector.
+
+    Slot j < N is candidate j, in problem order; one more slot follows for
+    the all-zeros point string unless that string is itself a candidate.
+    ``zero`` is the slot of the all-zeros point.  A slot stands for two basis
+    strings, one on each side of the preparation A: before it the point alone
+    with zero value and comparison registers, after it
+    ``x_j || f_j || (f_j - f_k) mod 2^d``.  A moves no amplitude off these
+    slots, so the loop's operators act on them as O(N) vector operations.
+    After A the zero point's slot holds no amplitude beyond rounding and is
+    never measured.
+    """
+
+    __slots__ = (
+        "layout",
+        "points",
+        "values",
+        "comparisons",
+        "zero",
+        "size",
+        "order",
+        "marks",
+    )
+
+    def __init__(
+        self,
+        layout: RegisterLayout,
+        points: Sequence[str],
+        values: Sequence[int],
+        comparisons: Sequence[int],
+    ):
+        n = len(points)
+        zero = "0" * layout.point_bits
+        self.layout = layout
+        self.points = list(points)
+        self.values = list(values)  # f_j in register units
+        self.comparisons = list(comparisons)  # (f_j - f_k) mod 2^d
+        self.zero = self.points.index(zero) if zero in self.points else n
+        self.size = max(n, self.zero + 1)
+        # Measurement visits candidates in sorted string order; point parts
+        # are distinct, so this is the order of the full-width strings.
+        self.order = np.array(sorted(range(n), key=self.points.__getitem__), dtype=np.intp)
+        # S_chi as a sign vector: -1 where the comparison register is negative.
+        sign_bit = 1 << (layout.comparison_bits - 1)
+        self.marks = np.ones(self.size)
+        self.marks[:n][(np.array(self.comparisons, dtype=np.int64) & sign_bit) != 0] = -1.0
+
+    def basis_string(self, slot: int) -> str:
+        """Full-width string of a candidate slot after the preparation A."""
+        bits = self.layout.value_bits
+        return (
+            self.points[slot]
+            + format(self.values[slot], f"0{bits}b")
+            + format(self.comparisons[slot], f"0{bits}b")
+        )
+
+
+class IndexState:
+    """Real amplitudes over an IndexSpace, one float64 per slot."""
+
+    __slots__ = ("space", "amplitudes")
+
+    def __init__(self, space: IndexSpace, amplitudes: np.ndarray):
+        self.space = space
+        self.amplitudes = amplitudes
+
+    @classmethod
+    def zero(cls, space: IndexSpace) -> "IndexState":
+        amplitudes = np.zeros(space.size)
+        amplitudes[space.zero] = 1.0
+        return cls(space, amplitudes)
+
+    @property
+    def layout(self) -> RegisterLayout:
+        return self.space.layout
+
+
 def _finalize(
     amps: Dict[str, complex], width: int, validate_keys: bool = False
 ) -> Dict[str, complex]:
@@ -230,18 +319,13 @@ class HouseholderPrepare:
 
     Realized as the reflection I - 2|w><w| with |w> proportional to
     |psi_targets> - |0...0>; acts as the identity on the value and
-    comparison registers.
+    comparison registers.  ``points`` lists the support of |w> in index
+    order (the targets, then the all-zeros string unless it is one of them)
+    and ``vector`` holds its coefficients in that order, so on an IndexState
+    built over the same targets the reflection is ``v - 2 (w . v) w``.
     """
 
-    __slots__ = (
-        "point_width",
-        "w",
-        "is_identity",
-        "_w_keys",
-        "_w_vals",
-        "_suffix_cache",
-        "_key_cache",
-    )
+    __slots__ = ("point_width", "w", "points", "vector", "is_identity")
 
     def __init__(self, targets: Iterable[str]):
         targets = list(targets)
@@ -250,7 +334,7 @@ class HouseholderPrepare:
         width = len(targets[0])
         seen = set()
         for t in targets:
-            if len(t) != width or any(ch not in "01" for ch in t):
+            if len(t) != width or t.strip("01"):
                 raise ValueError(f"invalid target string {t!r}")
             if t in seen:
                 raise ValueError(f"duplicate target string {t!r}")
@@ -269,27 +353,10 @@ class HouseholderPrepare:
             self.is_identity = False
             scale = 1.0 / math.sqrt(norm_sq)
             self.w = {b: c * scale for b, c in w.items() if c != 0.0}
-        self._w_keys = list(self.w)
-        self._w_vals = np.array([self.w[x] for x in self._w_keys])
-        # The reachable basis is tiny: memoize, per full-width string, the
-        # suffix it contributes to (None when its point part misses |w>),
-        # and per suffix the aligned full-width key list.
-        self._suffix_cache: Dict[str, object] = {}
-        self._key_cache: Dict[str, list] = {}
+        self.points = list(self.w)
+        self.vector = np.array([self.w[x] for x in self.points])
 
-    def _keys_for(self, suffix: str) -> list:
-        keys = self._key_cache.get(suffix)
-        if keys is None:
-            keys = [x + suffix for x in self._w_keys]
-            self._key_cache[suffix] = keys
-        return keys
-
-    def _classify(self, bits: str):
-        suffix = bits[self.point_width :] if bits[: self.point_width] in self.w else None
-        self._suffix_cache[bits] = suffix
-        return suffix
-
-    def __call__(self, state: SparseState) -> SparseState:
+    def __call__(self, state):
         if state.layout.point_bits != self.point_width:
             raise ValueError(
                 f"operator built for {self.point_width}-bit point register, "
@@ -297,39 +364,36 @@ class HouseholderPrepare:
             )
         if self.is_identity:
             return state
+        w = self.vector
+        if isinstance(state, IndexState):
+            v = state.amplitudes
+            v = v - (2.0 * v.dot(w)) * w
+            norm_sq = v.dot(v)
+            if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+                raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
+            return IndexState(state.space, v)
         amps = state.amplitudes
-        cache = self._suffix_cache
-        classify = self._classify
-        missing = "\0"
-        # Entries whose point part overlaps |w>, grouped by register suffix;
-        # the rest pass through untouched.
-        suffixes = set()
-        passthrough = {}
+        pw = self.point_width
+        # Entries whose point part overlaps |w>, grouped by register suffix
+        # in first-seen order; the rest pass through untouched.
+        suffixes: Dict[str, None] = {}
+        new = {}
         for b, a in amps.items():
-            suffix = cache.get(b, missing)
-            if suffix is missing:
-                suffix = classify(b)
-            if suffix is None:
-                passthrough[b] = a
+            if b[:pw] in self.w:
+                suffixes[b[pw:]] = None
             else:
-                suffixes.add(suffix)
-        new = passthrough
-        norm_sq = sum(
-            a.real * a.real + a.imag * a.imag if isinstance(a, complex) else a * a
-            for a in passthrough.values()
-        )
-        w_vals = self._w_vals
+                new[b] = a
+        norm_sq = sum(abs(a) ** 2 for a in new.values())
         thresh = PRUNE_THRESHOLD * PRUNE_THRESHOLD
         for suffix in suffixes:
-            keys = self._keys_for(suffix)
+            keys = [x + suffix for x in self.points]
             vec = np.array([amps.get(k, 0j) for k in keys])
-            vec -= (2.0 * (w_vals @ vec)) * w_vals
+            vec -= (2.0 * (w @ vec)) * w
             mags = vec.real**2 + vec.imag**2
             norm_sq += float(mags.sum())
-            vals = vec.tolist()
-            for i, m in enumerate(mags.tolist()):
+            for key, a, m in zip(keys, vec.tolist(), mags.tolist()):
                 if m >= thresh:
-                    new[keys[i]] = vals[i]
+                    new[key] = a
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
         return SparseState._raw(state.layout, new)
@@ -340,13 +404,31 @@ def householder_prepare(targets: Iterable[str]) -> HouseholderPrepare:
     return HouseholderPrepare(targets)
 
 
-def measure(state: SparseState, rng: np.random.Generator) -> str:
+def measure(state, rng: np.random.Generator) -> str:
     """Born-rule measurement in the computational basis.
 
-    The draw is fully determined by ``rng``; support strings are visited in
-    sorted order so results are reproducible regardless of construction
-    history.
+    The draw is fully determined by ``rng``: one ``rng.random()`` scaled by
+    the norm, then support strings accumulated in sorted order, so results
+    are reproducible regardless of construction history.  On an IndexState
+    the candidates are read as prepared by A; amplitudes below the pruning
+    threshold, which a SparseState drops, are skipped, and only the measured
+    candidate's full-width string is built.
     """
+    if isinstance(state, IndexState):
+        space = state.space
+        n = len(space.points)
+        probs = state.amplitudes[:n] ** 2
+        probs[probs < PRUNE_THRESHOLD * PRUNE_THRESHOLD] = 0.0
+        # Sequential sums (cumsum), in slot order as the sparse map adds them.
+        norm_sq = float(probs.cumsum()[-1])
+        if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
+            raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")
+        r = rng.random() * norm_sq
+        sorted_probs = probs[space.order]
+        k = int(sorted_probs.cumsum().searchsorted(r, side="right"))
+        if k == n:  # r landed on the floating-point boundary
+            k = int(sorted_probs.nonzero()[0][-1])
+        return space.basis_string(int(space.order[k]))
     norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
     if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
         raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")

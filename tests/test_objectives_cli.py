@@ -149,6 +149,19 @@ def test_run_config_file_errors(tmp_path, capsys):
     assert "objektive" in capsys.readouterr().err
 
 
+def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
+    # rosenbrock(2, 2) = 401 does not fit the default 16/10 register, which
+    # the quantum step needs for the incumbent's value.
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"objective": "rosenbrock", "initial_point": [2, 2]}))
+    code = run_cli("run", "--config", str(cfg), "--backend", "quantum",
+                   "--output", str(tmp_path / "t.jsonl"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 401") and "does not fit" in err
+    assert err.count("\n") == 1
+
+
 def test_demo_amplify_exact_rotation(capsys):
     assert run_cli(
         "demo-amplify", "--n-points", "4", "--n-marked", "1",

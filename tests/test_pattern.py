@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpsearch.fixedpoint import EncodingError, FixedPointFormat
+from qpsearch import pattern
 from qpsearch.ledger import OracleLedger
 from qpsearch.pattern import (
     DimensionMismatchError,
@@ -297,6 +298,21 @@ def test_gps_run_constant_objective_contracts_every_iteration():
     sizes = [r.mesh_size for r in run.records]
     assert sizes == [0.5 * 2**-k for k in range(len(sizes))]
     assert run.final_state.mesh_size < 1e-2
+
+
+def test_gps_run_polls_without_rechecking_the_basis(monkeypatch):
+    # PatternBasis checked its directions once; polls and poll events trust it.
+    basis = PatternBasis.coordinate(2)
+    calls = []
+    monkeypatch.setattr(
+        pattern, "positive_spanning_check", lambda d: calls.append(d) or True
+    )
+    events = []
+    run = gps_run(lambda x: 1.0, basis, quadratic_config(), "classical", [0.5, 0.5],
+                  event_sink=events.append)
+    assert any(e["type"] == "poll-candidates" for e in events)
+    assert all(r.outcome == "mesh-local-optimizer" for r in run.records)
+    assert calls == []
 
 
 def test_gps_run_record_update_consistency():
