@@ -70,6 +70,8 @@ from .state import (
     CollisionError,
     EmptyTargetsError,
     HouseholderPrepare,
+    IndexSpace,
+    IndexState,
     NormalizationError,
     RegisterLayout,
     SparseState,

@@ -356,7 +356,7 @@ class HouseholderPrepare:
         self.points = list(self.w)
         self.vector = np.array([self.w[x] for x in self.points])
 
-    def __call__(self, state):
+    def __call__(self, state: SparseState | IndexState) -> SparseState | IndexState:
         if state.layout.point_bits != self.point_width:
             raise ValueError(
                 f"operator built for {self.point_width}-bit point register, "
@@ -404,7 +404,7 @@ def householder_prepare(targets: Iterable[str]) -> HouseholderPrepare:
     return HouseholderPrepare(targets)
 
 
-def measure(state, rng: np.random.Generator) -> str:
+def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:
     """Born-rule measurement in the computational basis.
 
     The draw is fully determined by ``rng``: one ``rng.random()`` scaled by
