@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Optional
 
@@ -82,6 +83,7 @@ class ConfigError(Exception):
 # Refusals of an input: one line on stderr and exit code 2, not a traceback.
 LIBRARY_ERRORS = (
     ConfigError,
+    UnknownObjectiveError,
     FixedPointOverflowError,
     EncodingError,
     MeshExhaustedError,
@@ -89,8 +91,23 @@ LIBRARY_ERRORS = (
 )
 
 
-def _load_config(path: Optional[str], defaults: dict, overrides: dict) -> dict:
+@contextmanager
+def _refuse_bad_values():
+    """Turn a constructor's refusal of a configured value into ConfigError.
+
+    Wraps only the building of config objects, before any output is
+    written, so a ValueError raised while running stays a traceback.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """The defaults, updated by the --config file, then by every flag given."""
     config = dict(defaults)
+    path = args.config
     if path:
         try:
             with open(path) as fh:
@@ -110,9 +127,14 @@ def _load_config(path: Optional[str], defaults: dict, overrides: dict) -> dict:
                 f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
             )
         config.update(loaded)
-    for key, value in overrides.items():
+    for key in defaults:
+        value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    with _refuse_bad_values():
+        for key in ("dimension", "trials"):
+            if int(config[key]) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {config[key]}")
     return config
 
 
@@ -138,7 +160,12 @@ def _build_gps_config(config: dict) -> GpsConfig:
 
 
 def _open_output(path: Optional[str]):
-    return open(path, "w") if path else sys.stdout
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from None
 
 
 def _write_record(fh, record: dict) -> None:
@@ -146,37 +173,29 @@ def _write_record(fh, record: dict) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in RUN_DEFAULTS
-        if hasattr(args, key)
-    }
-    config = _load_config(args.config, RUN_DEFAULTS, overrides)
-    n = int(config["dimension"])
-    try:
+    config = _load_config(args, RUN_DEFAULTS)
+    with _refuse_bad_values():
+        n = int(config["dimension"])
+        initial_point = config["initial_point"]
+        if initial_point is None:
+            initial_point = [0.75] * n
+        if len(initial_point) != n:
+            raise ConfigError(
+                f"initial_point has {len(initial_point)} coordinates, dimension is {n}"
+            )
+        if config["backend"] not in ("classical", "quantum"):
+            raise ConfigError(f"unknown search backend {config['backend']!r}")
         objective = make_objective(config["objective"], n)
-    except UnknownObjectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    initial_point = config["initial_point"]
-    if initial_point is None:
-        initial_point = [0.75] * n
-    if len(initial_point) != n:
-        print(
-            f"error: initial_point has {len(initial_point)} coordinates, "
-            f"dimension is {n}",
-            file=sys.stderr,
-        )
-        return 2
-    basis = PatternBasis.coordinate(n)
-    params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
-    trials = int(config["trials"])
+        basis = PatternBasis.coordinate(n)
+        params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
+        gps_configs = [
+            _build_gps_config({**config, "seed": int(config["seed"]) + trial})
+            for trial in range(int(config["trials"]))
+        ]
 
     fh = _open_output(config["output"])
     try:
-        for trial in range(trials):
-            seed = int(config["seed"]) + trial
-            gps_config = _build_gps_config({**config, "seed": seed})
+        for trial, gps_config in enumerate(gps_configs):
             sink = None
             if config["emit_rounds"]:
 
@@ -193,20 +212,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 event_sink=sink,
             )
             for record in run.records:
-                _write_record(
-                    fh,
-                    {
-                        "type": "iteration",
-                        "trial": trial,
-                        "iteration": record.iteration,
-                        "iterate": record.iterate.tolist(),
-                        "value": record.value,
-                        "mesh_size": record.mesh_size,
-                        "outcome": record.outcome,
-                        **record.ledger_snapshot.as_dict(),
-                    },
-                )
-            resolved = {**config, "seed": seed, "initial_point": list(initial_point)}
+                _write_record(fh, {**record.as_record(), "trial": trial})
+            resolved = {
+                **config,
+                "seed": gps_config.rng_seed,
+                "initial_point": list(initial_point),
+            }
             resolved.pop("output")  # not experiment-defining; keeps traces comparable
             _write_record(
                 fh,
@@ -230,12 +241,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_demo_amplify(args: argparse.Namespace) -> int:
     n, t = args.n_points, args.n_marked
-    if t > n:
-        print("error: marked count cannot exceed point count", file=sys.stderr)
-        return 2
-    if n & (n - 1):
-        print("error: point count must be a power of 2", file=sys.stderr)
-        return 2
+    if n < 1 or n & (n - 1):
+        raise ConfigError("point count must be a power of 2")
+    if not 0 <= t <= n:
+        raise ConfigError(f"marked count must lie in [0, {n}], got {t}")
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     problem, _ = make_planted_problem(n, t, rng=rng)
     ops = build_a_operator(problem)
@@ -258,41 +269,33 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in COMPARE_DEFAULTS
-        if hasattr(args, key)
-    }
-    config = _load_config(args.config, COMPARE_DEFAULTS, overrides)
-    n = int(config["dimension"])
-    basis = PatternBasis.coordinate(n)
-    gps_config = _build_gps_config(
-        {
-            **config,
-            "expansion_factor": 1.0,
-            "contraction_factor": 0.5,
-            "mesh_size_tolerance": 1e-6,
-            "max_iterations": 1,
-            "max_oracle_calls": None,
-        }
-    )
-    params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
-    objective = None
-    if config["objective"] is not None:
-        try:
+    config = _load_config(args, COMPARE_DEFAULTS)
+    with _refuse_bad_values():
+        n = int(config["dimension"])
+        basis = PatternBasis.coordinate(n)
+        gps_config = _build_gps_config(
+            {
+                **config,
+                "expansion_factor": 1.0,
+                "contraction_factor": 0.5,
+                "mesh_size_tolerance": 1e-6,
+                "max_iterations": 1,
+                "max_oracle_calls": None,
+            }
+        )
+        params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
+        objective = None
+        if config["objective"] is not None:
             objective = make_objective(config["objective"], n)
-        except UnknownObjectiveError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    planted = config["planted_t"]
-    seeds = [int(config["seed"]) + i for i in range(int(config["trials"]))]
+        planted = config["planted_t"]
+        if planted is not None:
+            planted = int(planted)
+            n_points = gps_config.search_points_count
+            if not 0 <= planted <= n_points:
+                raise ConfigError(f"planted_t must lie in [0, {n_points}], got {planted}")
+        seeds = [int(config["seed"]) + i for i in range(int(config["trials"]))]
     report = compare_backends(
-        objective,
-        basis,
-        gps_config,
-        params,
-        seeds,
-        planted_t=None if planted is None else int(planted),
+        objective, basis, gps_config, params, seeds, planted_t=planted
     )
 
     fh = _open_output(config["output"])

@@ -7,7 +7,7 @@ by construction and must never touch the quantum counters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 __all__ = ["OracleLedger"]
 
@@ -20,29 +20,14 @@ class OracleLedger:
     q_applications: int = 0
 
     def copy(self) -> "OracleLedger":
-        return OracleLedger(
-            self.classical_calls,
-            self.quantum_calls,
-            self.qsearch_rounds,
-            self.q_applications,
-        )
+        return replace(self)
 
     def delta_since(self, earlier: "OracleLedger") -> "OracleLedger":
-        return OracleLedger(
-            self.classical_calls - earlier.classical_calls,
-            self.quantum_calls - earlier.quantum_calls,
-            self.qsearch_rounds - earlier.qsearch_rounds,
-            self.q_applications - earlier.q_applications,
-        )
+        return OracleLedger(*(a - b for a, b in zip(astuple(self), astuple(earlier))))
 
     @property
     def total_calls(self) -> int:
         return self.classical_calls + self.quantum_calls
 
     def as_dict(self) -> dict:
-        return {
-            "classical_calls": self.classical_calls,
-            "quantum_calls": self.quantum_calls,
-            "qsearch_rounds": self.qsearch_rounds,
-            "q_applications": self.q_applications,
-        }
+        return asdict(self)

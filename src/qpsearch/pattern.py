@@ -37,6 +37,7 @@ __all__ = [
     "poll_set",
     "poll_step",
     "select_search_points",
+    "search_candidates_record",
     "update_mesh",
     "classical_search_step",
     "gps_run",
@@ -191,6 +192,8 @@ class GpsConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.mesh_size_tolerance <= 0:
             raise ValueError("mesh_size_tolerance must be positive")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -211,6 +214,19 @@ class IterationRecord:
     mesh_size: float
     outcome: str  # search-success | poll-success | mesh-local-optimizer
     ledger_snapshot: OracleLedger
+
+    def as_record(self) -> dict:
+        """The ``iteration`` trace event: the snapshot's fields plus its
+        ledger counts."""
+        return {
+            "type": "iteration",
+            "iteration": self.iteration,
+            "iterate": self.iterate.tolist(),
+            "value": self.value,
+            "mesh_size": self.mesh_size,
+            "outcome": self.outcome,
+            **self.ledger_snapshot.as_dict(),
+        }
 
 
 @dataclass
@@ -253,16 +269,11 @@ def poll_step(
     basis: PatternBasis,
     objective: Objective,
     ledger: OracleLedger,
-    directions: Optional[np.ndarray] = None,
 ) -> Optional[ImprovedPoint]:
     """Opportunistic poll: evaluate candidates in column order, return the
     first strict improvement; None declares the iterate a mesh local
     optimizer."""
-    if directions is None:
-        points = _poll_points(state, basis.directions)  # checked by PatternBasis
-    else:
-        points = poll_set(state, directions)
-    for y in points:
+    for y in _poll_points(state, basis.directions):  # checked by PatternBasis
         ledger.classical_calls += 1
         fy = objective(y)
         if fy < state.incumbent_value:
@@ -291,16 +302,16 @@ def select_search_points(
     state: MeshState,
     basis: PatternBasis,
     config: GpsConfig,
-    rng: np.random.Generator,
 ) -> Tuple[List[str], Dict[str, np.ndarray]]:
     """Pick N distinct encodable mesh points around the incumbent.
 
     Combination vectors z are drawn uniformly from {0..search_radius}^p
-    minus zero; colliding or out-of-range draws are topped up by enumerating
-    small z systematically.  The incumbent itself is excluded.  Returns the
-    encoded point strings in selection order plus the bits -> coordinates
-    map.
+    minus zero, from a generator seeded by (rng_seed, iteration, 0);
+    colliding or out-of-range draws are topped up by enumerating small z
+    systematically.  The incumbent itself is excluded.  Returns the encoded
+    point strings in selection order plus the bits -> coordinates map.
     """
+    rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
     n_wanted = config.search_points_count
     cap = config.search_radius
@@ -338,6 +349,17 @@ def select_search_points(
         )
     bits_list = list(found.keys())[:n_wanted]
     return bits_list, {b: found[b] for b in bits_list}
+
+
+def search_candidates_record(
+    iteration: int, bits_list: Sequence[str], coords: Dict[str, np.ndarray]
+) -> dict:
+    """The ``search-candidates`` trace event of either search backend."""
+    return {
+        "type": "search-candidates",
+        "iteration": iteration,
+        "points": [coords[b].tolist() for b in bits_list],
+    }
 
 
 def update_mesh(
@@ -429,18 +451,9 @@ def gps_run(
             break
 
         if search_backend == "classical":
-            select_rng = np.random.default_rng(
-                [config.rng_seed, state.iteration, 0]
-            )
-            bits, coords = select_search_points(state, basis, config, select_rng)
+            bits, coords = select_search_points(state, basis, config)
             if event_sink is not None:
-                event_sink(
-                    {
-                        "type": "search-candidates",
-                        "iteration": state.iteration,
-                        "points": [coords[b].tolist() for b in bits],
-                    }
-                )
+                event_sink(search_candidates_record(state.iteration, bits, coords))
             outcome = classical_search_step(
                 [coords[b] for b in bits], objective, state.incumbent_value, ledger
             )
@@ -481,17 +494,7 @@ def gps_run(
         )
         records.append(record)
         if event_sink is not None:
-            event_sink(
-                {
-                    "type": "iteration",
-                    "iteration": record.iteration,
-                    "iterate": record.iterate.tolist(),
-                    "value": record.value,
-                    "mesh_size": record.mesh_size,
-                    "outcome": record.outcome,
-                    **record.ledger_snapshot.as_dict(),
-                }
-            )
+            event_sink(record.as_record())
         state = update_mesh(state, outcome, config)
 
     return GpsRun(records, stop, state, ledger)

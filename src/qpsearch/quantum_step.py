@@ -10,8 +10,8 @@ two's-complement overflow inside the comparison register.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .pattern import (
     MeshState,
     PatternBasis,
     classical_search_step,
+    search_candidates_record,
     select_search_points,
 )
 from .state import RegisterLayout
@@ -90,24 +91,22 @@ def quantum_search_step(
     ledger: OracleLedger,
     event_sink: Optional[Callable[[dict], None]] = None,
     compute_t: bool = False,
+    candidates: Optional[Tuple[List[str], Dict[str, np.ndarray]]] = None,
 ) -> Optional[ImprovedPoint]:
     """Search N mesh points with the finite-termination quantum loop.
 
-    The incumbent's value is reused from the mesh state (no oracle call);
-    on a successful measurement the decoded point is re-checked classically
-    and only a strict improvement is accepted.  Returns None on failure,
-    after which the caller polls.
+    The points are ``candidates`` as returned by ``select_search_points``,
+    which is called here when they are not given.  The incumbent's value is
+    reused from the mesh state (no oracle call); on a successful measurement
+    the decoded point is re-checked classically and only a strict
+    improvement is accepted.  Returns None on failure, after which the
+    caller polls.
     """
-    select_rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
-    bits_list, coords = select_search_points(state, basis, config, select_rng)
+    if candidates is None:
+        candidates = select_search_points(state, basis, config)
+    bits_list, coords = candidates
     if event_sink is not None:
-        event_sink(
-            {
-                "type": "search-candidates",
-                "iteration": state.iteration,
-                "points": [coords[b].tolist() for b in bits_list],
-            }
-        )
+        event_sink(search_candidates_record(state.iteration, bits_list, coords))
     problem = _build_problem(
         bits_list, coords, state.incumbent_value, objective, config
     )
@@ -118,18 +117,7 @@ def quantum_search_step(
         iteration = state.iteration
 
         def on_round(rec):
-            event_sink(
-                {
-                    "type": "qsearch-round",
-                    "iteration": iteration,
-                    "l": rec.l,
-                    "m": rec.m,
-                    "j": rec.j,
-                    "u": rec.u,
-                    "measured": rec.measured,
-                    "desired": rec.desired,
-                }
-            )
+            event_sink({"type": "qsearch-round", "iteration": iteration, **asdict(rec)})
 
     outcome = modified_qsearch(
         problem, params, rng=qsearch_rng, ledger=ledger, on_round=on_round
@@ -187,9 +175,6 @@ class ComparisonReport:
     tau: float
     summary: dict
 
-    def as_dict(self) -> dict:
-        return {"tau": self.tau, "summary": self.summary}
-
 
 def compare_backends(
     objective: Optional[Callable[[np.ndarray], float]],
@@ -225,10 +210,7 @@ def compare_backends(
         else:
             incumbent = 0.0
         state = MeshState(x0, cfg.initial_mesh_size, incumbent, 0)
-
-        # Same selection the quantum step will re-derive internally.
-        select_rng = np.random.default_rng([cfg.rng_seed, 0, 0])
-        bits_list, coords = select_search_points(state, basis, cfg, select_rng)
+        bits_list, coords = select_search_points(state, basis, cfg)
 
         if planted_t is not None:
             plant_rng = np.random.default_rng([cfg.rng_seed, 0, 2])
@@ -260,7 +242,6 @@ def compare_backends(
         )
 
         quantum_ledger = OracleLedger()
-        events: List[dict] = []
         q_outcome = quantum_search_step(
             state,
             basis,
@@ -268,9 +249,8 @@ def compare_backends(
             params,
             step_objective,
             quantum_ledger,
-            event_sink=events.append,
+            candidates=(bits_list, coords),
         )
-        step_event = next(e for e in events if e["type"] == "quantum-search-step")
 
         rows.append(
             ComparisonRow(
@@ -282,8 +262,10 @@ def compare_backends(
                 quantum_calls=quantum_ledger.quantum_calls,
                 quantum_recheck_calls=quantum_ledger.classical_calls,
                 quantum_success=q_outcome is not None,
-                qsearch_rounds=step_event["rounds"],
-                q_applications=step_event["q_applications"],
+                # The ledger also counts the first measurement; the row
+                # counts while-loop rounds only.
+                qsearch_rounds=quantum_ledger.qsearch_rounds - 1,
+                q_applications=quantum_ledger.q_applications,
             )
         )
 

@@ -148,6 +148,11 @@ def test_run_config_file_errors(tmp_path, capsys):
     assert run_cli("run", "--config", str(unknown)) == 2
     assert "objektive" in capsys.readouterr().err
 
+    backend = tmp_path / "backend.json"
+    backend.write_text(json.dumps({"backend": "warp"}))
+    assert run_cli("run", "--config", str(backend)) == 2
+    assert capsys.readouterr().err == "error: unknown search backend 'warp'\n"
+
 
 def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
     # rosenbrock(2, 2) = 401 does not fit the default 16/10 register, which
@@ -160,6 +165,38 @@ def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: 401") and "does not fit" in err
     assert err.count("\n") == 1
+
+
+REFUSED = [
+    ["run", "--search-points-count", "3"],
+    ["compare", "--search-points-count", "3"],
+    ["run", "--max-iterations", "0"],
+    ["run", "--tau", "2"],
+    ["run", "--c", "2.5"],
+    ["run", "--dimension", "0"],
+    ["run", "--objective", "rosenbrock", "--dimension", "3"],
+    ["run", "--seed", "-1"],
+    ["run", "--output", "missing-dir/x.jsonl"],
+    ["compare", "--planted-t", "300", "--search-points-count", "256"],
+    ["compare", "--planted-t", "-1"],
+    ["compare", "--trials", "0"],
+    ["compare", "--seed", "-1"],
+    ["demo-amplify", "--n-marked", "-1"],
+    ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
+    ["demo-amplify", "--trials", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, capsys):
+    if "--output" in argv:
+        argv = [str(tmp_path / a) if a.startswith("missing-dir/") else a for a in argv]
+    elif argv[0] != "demo-amplify":
+        argv = argv + ["--output", str(tmp_path / "out.jsonl")]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # refused before any output is opened
 
 
 def test_demo_amplify_exact_rotation(capsys):

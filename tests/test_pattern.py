@@ -169,7 +169,7 @@ def test_select_search_points_contract():
         fixed_point_format=FixedPointFormat(12, 4),
     )
     state = MeshState(np.array([0.5, -0.25]), 0.25, 1.0)
-    bits, coords = select_search_points(state, basis, config, np.random.default_rng(0))
+    bits, coords = select_search_points(state, basis, config)
     assert len(bits) == 16 and len(set(bits)) == 16
     xk_bits = "".join(
         format(int(c * 16) & 0xFFF, "012b") for c in state.iterate
@@ -196,14 +196,14 @@ def test_select_search_points_exhaustion():
     )
     state = MeshState(np.array([0.0]), 1.0, 0.0)
     with pytest.raises(MeshExhaustedError):
-        select_search_points(state, basis, config, np.random.default_rng(0))
+        select_search_points(state, basis, config)
     config2 = GpsConfig(
         initial_mesh_size=1.0,
         search_points_count=2,
         search_radius=1,
         fixed_point_format=FixedPointFormat(8, 0),
     )
-    bits, coords = select_search_points(state, basis, config2, np.random.default_rng(0))
+    bits, coords = select_search_points(state, basis, config2)
     assert sorted(coords[b][0] for b in bits) == [-1.0, 1.0]
 
 
@@ -217,7 +217,7 @@ def test_select_search_points_off_grid_mesh():
     )
     state = MeshState(np.array([0.0]), 0.125, 0.0)
     with pytest.raises(EncodingError):
-        select_search_points(state, basis, config, np.random.default_rng(0))
+        select_search_points(state, basis, config)
 
 
 def test_update_mesh():

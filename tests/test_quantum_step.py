@@ -1,7 +1,10 @@
 """Search-step binding: recheck gate, accounting, backend comparison."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qpsearch import quantum_step
 from qpsearch.amplify import QSearchParams
 from qpsearch.fixedpoint import FixedPointFormat
 from qpsearch.ledger import OracleLedger
@@ -11,6 +14,7 @@ from qpsearch.pattern import (
     PatternBasis,
     gps_run,
     poll_step,
+    select_search_points,
 )
 from qpsearch.quantum_step import compare_backends, quantum_search_step
 
@@ -129,6 +133,87 @@ def test_step_event_contents():
     assert step["result"] == ("found" if out is not None else "failure")
     delta = step["ledger_delta"]
     assert delta["quantum_calls"] == delta["qsearch_rounds"] + 2 * delta["q_applications"]
+
+
+@st.composite
+def planted_tables(draw):
+    """Value tables that reach past the register on both sides, so some
+    values saturate and some differences to the incumbent wrap; halves add
+    rounding ties.  The incumbent itself fits the register."""
+    n_points = draw(st.sampled_from([4, 8, 16]))
+    fmt = FixedPointFormat(draw(st.sampled_from([4, 6])), 0)
+    reach = 2 * (fmt.max_units + 1)
+    half_units = st.integers(-2 * reach, 2 * reach).map(lambda k: k / 2)
+    values = draw(st.lists(half_units, min_size=n_points, max_size=n_points))
+    incumbent = draw(
+        st.integers(2 * fmt.min_units + 1, 2 * fmt.max_units - 1).map(lambda k: k / 2)
+    )
+    return n_points, fmt, values, incumbent, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_tables())
+def test_step_never_accepts_a_non_improvement(table):
+    n_points, fmt, values, incumbent, seed = table
+    basis = PatternBasis.coordinate(2)
+    config = step_config(
+        search_points_count=n_points, search_radius=3, fixed_point_format=fmt,
+        rng_seed=seed,
+    )
+    state = MeshState(np.zeros(2), 1.0, incumbent)
+    bits_list, coords = select_search_points(state, basis, config)
+    by_point = {tuple(coords[b]): v for b, v in zip(bits_list, values)}
+    ledger = OracleLedger()
+    events = []
+    out = quantum_search_step(
+        state, basis, config, QSearchParams(c=1.5, tau=0.2),
+        lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
+        candidates=(bits_list, coords),
+    )
+    result = events[-1]["result"]
+    if out is None:
+        assert result in ("rejected", "failure")
+    else:
+        assert result == "found"
+        assert out.value == by_point[tuple(out.point)] < incumbent
+    assert ledger.classical_calls == (0 if result == "failure" else 1)
+
+
+def test_step_given_candidates_matches_own_selection():
+    basis = PatternBasis.coordinate(2)
+    config = step_config(rng_seed=5)
+    state = MeshState(np.array([3.0, 2.0]), 1.0, sphere([3.0, 2.0]), iteration=2)
+    runs = []
+    for candidates in (None, select_search_points(state, basis, config)):
+        ledger = OracleLedger()
+        events = []
+        out = quantum_search_step(
+            state, basis, config, PARAMS, sphere, ledger,
+            event_sink=events.append, compute_t=True, candidates=candidates,
+        )
+        runs.append(((out.point.tolist(), out.value) if out else None, events, ledger))
+    assert runs[0] == runs[1]
+
+
+def test_compare_trial_selects_once(monkeypatch):
+    calls = []
+    select = quantum_step.select_search_points
+
+    def counting_select(*args, **kwargs):
+        calls.append(args)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(quantum_step, "select_search_points", counting_select)
+    config = step_config(
+        search_points_count=16,
+        search_radius=6,
+        fixed_point_format=FixedPointFormat(8, 0),
+    )
+    seeds = range(6)
+    compare_backends(
+        None, PatternBasis.coordinate(2), config, PARAMS, seeds=seeds, planted_t=1
+    )
+    assert len(calls) == len(seeds)
 
 
 def test_step_reproducible_for_fixed_seed():
