@@ -347,6 +347,55 @@ def apply_Q(
     return state
 
 
+# Bytes of checkpointed states one _Orbit keeps; about 127 states at N=1024.
+_ORBIT_BUDGET = 1 << 20
+
+
+class _Orbit:
+    """The states Q^k A|0> of one problem, each simulated once.
+
+    A round of either loop measures Q^j A|0> for a fresh j.  Every kept state
+    came from the same ``apply_Q`` call on the same input as in a round that
+    starts again from A|0>, so it is bit-identical to that round's state.
+    Every ``stride``-th state is kept, as is the furthest one reached; when
+    the kept checkpoints outgrow _ORBIT_BUDGET bytes, every other one is
+    dropped and the stride doubles.  Kept arrays are read-only.
+    """
+
+    __slots__ = ("problem", "ops", "stride", "kept", "far", "far_k")
+
+    def __init__(self, problem: SearchProblem):
+        self.problem = problem
+        self.ops = ops = PreparationOperator(problem)
+        self.stride = 1
+        self.far = _frozen(ops.apply(IndexState.zero(ops.space)))
+        self.far_k = 0
+        self.kept = [self.far]  # kept[i] is Q^(i * stride) A|0>
+
+    def at(self, j: int) -> IndexState:
+        if j >= self.far_k:
+            k, state = self.far_k, self.far
+        else:
+            k = j - j % self.stride
+            state = self.kept[k // self.stride]
+        while k < j:
+            state = _frozen(apply_Q(state, self.problem, None, self.ops))
+            k += 1
+            if k > self.far_k and k % self.stride == 0:
+                self.kept.append(state)
+                if len(self.kept) * state.amplitudes.nbytes > _ORBIT_BUDGET:
+                    del self.kept[1::2]
+                    self.stride *= 2
+        if j > self.far_k:
+            self.far, self.far_k = state, j
+        return state
+
+
+def _frozen(state: IndexState) -> IndexState:
+    state.amplitudes.flags.writeable = False
+    return state
+
+
 def _run_search(
     problem: SearchProblem,
     params: QSearchParams,
@@ -360,31 +409,29 @@ def _run_search(
     if ledger is None:
         ledger = OracleLedger()
     start = ledger.copy()
-    ops = PreparationOperator(problem)
-    zero = IndexState.zero(ops.space)
+    orbit = _Orbit(problem)
     sign_idx = problem.layout.comparison_sign_index
     n = problem.n_points
     u_limit = params.u_limit
 
-    def finish(result: Optional[str], l: int, u: int, q_apps: int) -> QSearchOutcome:
-        return QSearchOutcome(result, l, u, q_apps, ledger.delta_since(start))
-
-    l = 0
-    u = 0
-    q_apps = 0
-    ledger.qsearch_rounds += 1
-    state = ops.apply(zero, ledger)
-    measured = measure(state, rng)
-    desired = measured[sign_idx] == "1"
-    if on_round is not None:
-        on_round(RoundRecord(0, 0, 0, 0, measured, desired))
-    if desired:
-        return finish(measured, l, u, q_apps)
-
+    # Round 0 measures A|0> itself.
+    l = m = j = u = q_apps = 0
     while True:
+        # The ledger counts each round as prepared afresh: A, then j iterates
+        # of two oracle calls each.
+        ledger.qsearch_rounds += 1
+        ledger.quantum_calls += 1 + 2 * j
+        ledger.q_applications += j
+        q_apps += j
+        measured = measure(orbit.at(j), rng)
+        desired = measured[sign_idx] == "1"
+        if on_round is not None:
+            on_round(RoundRecord(l, m, j, u, measured, desired))
+        if desired:
+            return QSearchOutcome(measured, l, u, q_apps, ledger.delta_since(start))
         if finite:
             if u >= u_limit:
-                return finish(None, l, u, q_apps)
+                return QSearchOutcome(None, l, u, q_apps, ledger.delta_since(start))
         elif l >= params.max_total_rounds:
             raise SafetyCapReachedError(
                 f"no desired state found in {l} rounds; with zero marked "
@@ -394,18 +441,7 @@ def _run_search(
         m = math.ceil(params.c**l)
         if m * m > n:
             u += 1
-        ledger.qsearch_rounds += 1
-        state = ops.apply(zero, ledger)
         j = int(rng.integers(1, m + 1))
-        for _ in range(j):
-            state = apply_Q(state, problem, ledger, ops)
-        q_apps += j
-        measured = measure(state, rng)
-        desired = measured[sign_idx] == "1"
-        if on_round is not None:
-            on_round(RoundRecord(l, m, j, u, measured, desired))
-        if desired:
-            return finish(measured, l, u, q_apps)
 
 
 def qsearch(

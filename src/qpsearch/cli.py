@@ -159,17 +159,22 @@ def _build_gps_config(config: dict) -> GpsConfig:
     )
 
 
-def _open_output(path: Optional[str]):
+def _line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _write_output(path: Optional[str], lines: list) -> None:
+    """Write a command's JSON lines once it has produced all of them, so a
+    run refused midway leaves no partial file behind."""
     if not path:
-        return sys.stdout
+        sys.stdout.writelines(lines)
+        return
     try:
-        return open(path, "w")
+        fh = open(path, "w")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from None
-
-
-def _write_record(fh, record: dict) -> None:
-    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with fh:
+        fh.writelines(lines)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -193,49 +198,43 @@ def cmd_run(args: argparse.Namespace) -> int:
             for trial in range(int(config["trials"]))
         ]
 
-    fh = _open_output(config["output"])
-    try:
-        for trial, gps_config in enumerate(gps_configs):
-            sink = None
-            if config["emit_rounds"]:
+    lines = []
+    for trial, gps_config in enumerate(gps_configs):
+        sink = None
+        if config["emit_rounds"]:
 
-                def sink(event, _trial=trial):
-                    if event["type"] in ("qsearch-round", "quantum-search-step"):
-                        _write_record(fh, {"trial": _trial, **event})
-            run = gps_run(
-                objective,
-                basis,
-                gps_config,
-                config["backend"],
-                initial_point,
-                qsearch_params=params,
-                event_sink=sink,
-            )
-            for record in run.records:
-                _write_record(fh, {**record.as_record(), "trial": trial})
-            resolved = {
-                **config,
-                "seed": gps_config.rng_seed,
-                "initial_point": list(initial_point),
-            }
-            resolved.pop("output")  # not experiment-defining; keeps traces comparable
-            _write_record(
-                fh,
-                {
-                    "type": "summary",
-                    "trial": trial,
-                    "final_iterate": run.final_state.iterate.tolist(),
-                    "final_value": run.final_state.incumbent_value,
-                    "final_mesh_size": run.final_state.mesh_size,
-                    "iterations": len(run.records),
-                    "stop_reason": run.stop_reason,
-                    **run.ledger.as_dict(),
-                    "config": resolved,
-                },
-            )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+            def sink(event, _trial=trial):
+                if event["type"] in ("qsearch-round", "quantum-search-step"):
+                    lines.append(_line({"trial": _trial, **event}))
+        run = gps_run(
+            objective,
+            basis,
+            gps_config,
+            config["backend"],
+            initial_point,
+            qsearch_params=params,
+            event_sink=sink,
+        )
+        lines.extend(_line({**rec.as_record(), "trial": trial}) for rec in run.records)
+        resolved = {
+            **config,
+            "seed": gps_config.rng_seed,
+            "initial_point": list(initial_point),
+        }
+        resolved.pop("output")  # not experiment-defining; keeps traces comparable
+        summary = {
+            "type": "summary",
+            "trial": trial,
+            "final_iterate": run.final_state.iterate.tolist(),
+            "final_value": run.final_state.incumbent_value,
+            "final_mesh_size": run.final_state.mesh_size,
+            "iterations": len(run.records),
+            "stop_reason": run.stop_reason,
+            **run.ledger.as_dict(),
+            "config": resolved,
+        }
+        lines.append(_line(summary))
+    _write_output(config["output"], lines)
     return 0
 
 
@@ -298,16 +297,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         objective, basis, gps_config, params, seeds, planted_t=planted
     )
 
-    fh = _open_output(config["output"])
-    try:
-        for row in report.rows:
-            _write_record(fh, {"type": "trial", **asdict(row)})
-        _write_record(
-            fh, {"type": "report", "tau": report.tau, **report.summary}
-        )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_output(
+        config["output"],
+        [_line({"type": "trial", **asdict(row)}) for row in report.rows]
+        + [_line({"type": "report", "tau": report.tau, **report.summary})],
+    )
 
     s = report.summary
     print(

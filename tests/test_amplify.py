@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qpsearch import amplify
 from qpsearch.amplify import (
     DomainError,
     PreparationOperator,
@@ -24,7 +25,7 @@ from qpsearch.amplify import (
 )
 from qpsearch.fixedpoint import FixedPointFormat, encode_scalar
 from qpsearch.ledger import OracleLedger
-from qpsearch.state import RegisterLayout, SparseState
+from qpsearch.state import IndexState, RegisterLayout, SparseState, measure
 
 
 def small_problem(values, incumbent, d=4, point_width=None):
@@ -361,3 +362,123 @@ def test_qsearch_params_validation():
         QSearchParams(tau=0.0)
     with pytest.raises(ValueError):
         QSearchParams(tau=1.5)
+
+
+# Orbit reuse: one simulation of Q^k A|0> per search problem.
+
+
+def _fresh_iterate(problem, ops, j):
+    state = ops.apply(IndexState.zero(ops.space))
+    for _ in range(j):
+        state = apply_Q(state, problem, ops=ops)
+    return state
+
+
+def _orbit_cases():
+    for n in (16, 64, 1024):
+        for t in sorted({0, 1, n // 4}):
+            yield n, t
+
+
+@pytest.mark.parametrize("n,t", list(_orbit_cases()))
+def test_orbit_states_equal_fresh_iterates(n, t, monkeypatch):
+    problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
+    orbit = amplify._Orbit(problem)
+    ops = orbit.ops
+    # Room for four states, so the walk drops checkpoints and doubles stride.
+    monkeypatch.setattr(amplify, "_ORBIT_BUDGET", 4 * 8 * ops.space.size)
+    # Up, down, repeated, past the furthest state, and between checkpoints.
+    js = [0, 3, 9, 9, 2, 40, 40, 1, 39, 17, 64, 0, 63, 33, 5]
+    for j in js:
+        state = orbit.at(j)
+        assert np.array_equal(state.amplitudes, _fresh_iterate(problem, ops, j).amplitudes), j
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0  # kept arrays are read-only
+    assert orbit.stride > 1 and orbit.far_k == max(js)
+
+
+def _recomputing_search(problem, params, rng, finite):
+    """The search loop as the paper states it: every round prepares A|0> and
+    applies Q j times to it afresh."""
+    ledger = OracleLedger()
+    records = []
+    ops = build_a_operator(problem)
+    zero = IndexState.zero(ops.space)
+    sign_idx = problem.layout.comparison_sign_index
+    l = u = q_apps = 0
+    ledger.qsearch_rounds += 1
+    measured = measure(ops.apply(zero, ledger), rng)
+    records.append(amplify.RoundRecord(0, 0, 0, 0, measured, measured[sign_idx] == "1"))
+    while not records[-1].desired:
+        if finite and u >= params.u_limit:
+            return None, l, u, q_apps, ledger, records
+        if not finite and l >= params.max_total_rounds:
+            return "cap", l, u, q_apps, ledger, records
+        l += 1
+        m = math.ceil(params.c**l)
+        if m * m > problem.n_points:
+            u += 1
+        ledger.qsearch_rounds += 1
+        state = ops.apply(zero, ledger)
+        j = int(rng.integers(1, m + 1))
+        for _ in range(j):
+            state = apply_Q(state, problem, ledger, ops)
+        q_apps += j
+        measured = measure(state, rng)
+        records.append(amplify.RoundRecord(l, m, j, u, measured, measured[sign_idx] == "1"))
+    return measured, l, u, q_apps, ledger, records
+
+
+# The original loop ends only when something is marked.
+LOOP_CASES = [(16, 0, True)] + [
+    (n, t, finite) for n, t in [(16, 1), (64, 1), (64, 16), (256, 2)] for finite in (True, False)
+]
+
+
+@pytest.mark.parametrize("n,t,finite", LOOP_CASES)
+def test_search_loops_equal_recomputing_reference(n, t, finite, monkeypatch):
+    problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n * t + 1))
+    params = QSearchParams(c=1.5, tau=0.05)
+    search = modified_qsearch if finite else qsearch
+    # Room for eight states: rounds behind the furthest one start from a
+    # thinned checkpoint.
+    monkeypatch.setattr(amplify, "_ORBIT_BUDGET", 8 * 8 * (n + 1))
+    for seed in range(6):
+        records = []
+        ledger = OracleLedger()
+        out = search(problem, params, rng=np.random.default_rng(seed), ledger=ledger,
+                     on_round=records.append)
+        expected = _recomputing_search(problem, params, np.random.default_rng(seed), finite)
+        assert (out.result, out.rounds_executed, out.u_rounds, out.q_applications) == expected[:4]
+        assert ledger == out.ledger_delta == expected[4]
+        assert records == expected[5]
+
+
+def test_qsearch_safety_cap_equals_recomputing_reference():
+    problem, _ = make_planted_problem(8, 0)
+    params = QSearchParams(max_total_rounds=12)
+    records = []
+    ledger = OracleLedger()
+    with pytest.raises(SafetyCapReachedError):
+        qsearch(problem, params, rng=np.random.default_rng(3), ledger=ledger,
+                on_round=records.append)
+    expected = _recomputing_search(problem, params, np.random.default_rng(3), False)
+    assert expected[0] == "cap"
+    assert ledger == expected[4] and records == expected[5]
+
+
+def test_orbit_checkpoints_stay_within_budget(monkeypatch):
+    problem, _ = make_planted_problem(1024, 0)
+    seen = []
+    at = amplify._Orbit.at
+
+    def checked_at(orbit, j):
+        state = at(orbit, j)
+        seen.append((len(orbit.kept) * state.amplitudes.nbytes, orbit.stride))
+        return state
+
+    monkeypatch.setattr(amplify._Orbit, "at", checked_at)
+    out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0))
+    assert out.result is None
+    assert max(kept for kept, _ in seen) <= amplify._ORBIT_BUDGET
+    assert max(stride for _, stride in seen) > 1  # the budget was reached

@@ -176,6 +176,8 @@ REFUSED = [
     ["run", "--dimension", "0"],
     ["run", "--objective", "rosenbrock", "--dimension", "3"],
     ["run", "--seed", "-1"],
+    # Mesh points off the register grid surface only midway through the run.
+    ["run", "--initial-mesh-size", "0.3", "--backend", "classical"],
     ["run", "--output", "missing-dir/x.jsonl"],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
@@ -197,6 +199,16 @@ def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # refused before any output is opened
+
+
+def test_run_refused_midway_leaves_existing_output_untouched(tmp_path, capsys):
+    out = tmp_path / "trace.jsonl"
+    out.write_text("earlier trace\n")
+    argv = ["run", "--initial-mesh-size", "0.3", "--backend", "classical"]
+    assert run_cli(*argv, "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coordinate 0 = 1.65 is not on the 2^-10 grid\n"
+    assert out.read_text() == "earlier trace\n"
 
 
 def test_demo_amplify_exact_rotation(capsys):
