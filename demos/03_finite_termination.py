@@ -41,7 +41,7 @@ for r in records:
 print(f"outcome: {'found' if outcome.succeeded else 'Failure'} after "
       f"{outcome.rounds_executed} rounds, {outcome.q_applications} iterates of Q\n")
 
-# Note the small cap: the cap bounds rounds, and round cost grows like c^l.
+# Note the small cap: it bounds rounds, and a round's oracle calls grow like c^l.
 print("original loop on the same problem (round cap 12):")
 try:
     qsearch(problem, QSearchParams(c=1.5, max_total_rounds=12), rng=np.random.default_rng(0))

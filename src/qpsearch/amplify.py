@@ -347,53 +347,42 @@ def apply_Q(
     return state
 
 
-# Bytes of checkpointed states one _Orbit keeps; about 127 states at N=1024.
-_ORBIT_BUDGET = 1 << 20
+# Below this length of Q A|0> - (A|0> . Q A|0>) A|0>, nothing or everything
+# is marked and Q A|0> = +-A|0>.  For 0 < t < N the length is sin 2theta
+# >= 2 sqrt(N - 1) / N, so the cut-off sits far from any problem with a plane.
+_NO_PLANE = 1e-9
 
 
-class _Orbit:
-    """The states Q^k A|0> of one problem, each simulated once.
+def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
+    """The iterates Q^j A|0> of one problem, from A|0> and Q A|0> alone.
 
-    A round of either loop measures Q^j A|0> for a fresh j.  Every kept state
-    came from the same ``apply_Q`` call on the same input as in a round that
-    starts again from A|0>, so it is bit-identical to that round's state.
-    Every ``stride``-th state is kept, as is the furthest one reached; when
-    the kept checkpoints outgrow _ORBIT_BUDGET bytes, every other one is
-    dropped and the stride doubles.  Kept arrays are read-only.
+    Q rotates the plane of A|0>'s marked and unmarked parts by a fixed angle
+    phi (Brassard, Hoyer, Mosca and Tapp 2002), so with e the unit vector of
+    that plane orthogonal to A|0>, Q^j A|0> = cos(j phi) A|0> + sin(j phi) e.
+    Without a plane Q A|0> is +-A|0>, and iterate j is A|0> or -A|0> by the
+    parity of j (cos(j pi) drifts off +-1 at large j).  A|0> and e are
+    read-only, so the j = 0 state handed out cannot be written.
     """
+    ops = PreparationOperator(problem)
+    start = ops.apply(IndexState.zero(ops.space))
+    psi0 = start.amplitudes
+    psi0.flags.writeable = False
+    psi1 = apply_Q(start, problem, None, ops).amplitudes
+    x = float(psi0 @ psi1)
+    r = psi1 - x * psi0
+    s = float(np.linalg.norm(r))
+    if s <= _NO_PLANE:
+        flips = x < 0
+        return lambda j: IndexState(ops.space, -psi0) if flips and j % 2 else start
+    phi, e = math.atan2(s, x), r / s
+    e.flags.writeable = False
 
-    __slots__ = ("problem", "ops", "stride", "kept", "far", "far_k")
+    def iterate(j: int) -> IndexState:
+        if j == 0:
+            return start
+        return IndexState(ops.space, math.cos(j * phi) * psi0 + math.sin(j * phi) * e)
 
-    def __init__(self, problem: SearchProblem):
-        self.problem = problem
-        self.ops = ops = PreparationOperator(problem)
-        self.stride = 1
-        self.far = _frozen(ops.apply(IndexState.zero(ops.space)))
-        self.far_k = 0
-        self.kept = [self.far]  # kept[i] is Q^(i * stride) A|0>
-
-    def at(self, j: int) -> IndexState:
-        if j >= self.far_k:
-            k, state = self.far_k, self.far
-        else:
-            k = j - j % self.stride
-            state = self.kept[k // self.stride]
-        while k < j:
-            state = _frozen(apply_Q(state, self.problem, None, self.ops))
-            k += 1
-            if k > self.far_k and k % self.stride == 0:
-                self.kept.append(state)
-                if len(self.kept) * state.amplitudes.nbytes > _ORBIT_BUDGET:
-                    del self.kept[1::2]
-                    self.stride *= 2
-        if j > self.far_k:
-            self.far, self.far_k = state, j
-        return state
-
-
-def _frozen(state: IndexState) -> IndexState:
-    state.amplitudes.flags.writeable = False
-    return state
+    return iterate
 
 
 def _run_search(
@@ -409,7 +398,7 @@ def _run_search(
     if ledger is None:
         ledger = OracleLedger()
     start = ledger.copy()
-    orbit = _Orbit(problem)
+    iterate = _plane(problem)
     sign_idx = problem.layout.comparison_sign_index
     n = problem.n_points
     u_limit = params.u_limit
@@ -423,7 +412,7 @@ def _run_search(
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
         q_apps += j
-        measured = measure(orbit.at(j), rng)
+        measured = measure(iterate(j), rng)
         desired = measured[sign_idx] == "1"
         if on_round is not None:
             on_round(RoundRecord(l, m, j, u, measured, desired))
@@ -441,6 +430,11 @@ def _run_search(
         m = math.ceil(params.c**l)
         if m * m > n:
             u += 1
+        if m + 1 > 1 << 63:  # rng.integers draws int64s
+            raise (DomainError if finite else SafetyCapReachedError)(
+                f"no desired state found; round {l} would draw j from [1, {m}], "
+                f"past numpy's int64 range (c={params.c}, tau={params.tau})"
+            )
         j = int(rng.integers(1, m + 1))
 
 

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .amplify import (
+    DomainError,
     QSearchParams,
     analytic_success_probability,
     apply_Q,
@@ -70,7 +71,7 @@ COMPARE_DEFAULTS = {
     "tau": 0.01,
     "seed": 0,
     "trials": 50,
-    "planted_t": 1,
+    "planted_t": None,  # 1 unless an objective is given
     "objective": None,
     "output": None,
 }
@@ -83,6 +84,7 @@ class ConfigError(Exception):
 # Refusals of an input: one line on stderr and exit code 2, not a traceback.
 LIBRARY_ERRORS = (
     ConfigError,
+    DomainError,
     UnknownObjectiveError,
     FixedPointOverflowError,
     EncodingError,
@@ -284,11 +286,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
         objective = None
-        if config["objective"] is not None:
-            objective = make_objective(config["objective"], n)
         planted = config["planted_t"]
-        if planted is not None:
-            planted = int(planted)
+        if config["objective"] is not None:
+            if planted is not None:
+                raise ConfigError("give an objective or planted_t, not both")
+            objective = make_objective(config["objective"], n)
+        else:
+            planted = 1 if planted is None else int(planted)
             n_points = gps_config.search_points_count
             if not 0 <= planted <= n_points:
                 raise ConfigError(f"planted_t must lie in [0, {n_points}], got {planted}")

@@ -26,6 +26,7 @@ from qpsearch.amplify import (
 from qpsearch.fixedpoint import FixedPointFormat, encode_scalar
 from qpsearch.ledger import OracleLedger
 from qpsearch.state import IndexState, RegisterLayout, SparseState, measure
+from test_index_engine import _build_cases
 
 
 def small_problem(values, incumbent, d=4, point_width=None):
@@ -364,7 +365,7 @@ def test_qsearch_params_validation():
         QSearchParams(tau=1.5)
 
 
-# Orbit reuse: one simulation of Q^k A|0> per search problem.
+# The orbit Q^j A|0> of one problem, read off the plane of A|0> and Q A|0>.
 
 
 def _fresh_iterate(problem, ops, j):
@@ -375,26 +376,34 @@ def _fresh_iterate(problem, ops, j):
 
 
 def _orbit_cases():
+    yield 1, 0
+    yield 1, 1
     for n in (16, 64, 1024):
-        for t in sorted({0, 1, n // 4}):
+        for t in sorted({0, 1, n // 4, n}):
             yield n, t
 
 
+def _check_orbit(problem):
+    iterate = amplify._plane(problem)
+    ops = build_a_operator(problem)
+    # Up, down, repeated, and on both sides of every earlier j.
+    for j in [0, 3, 9, 9, 2, 40, 40, 1, 39, 17, 64, 0, 63, 33, 5]:
+        state = iterate(j)
+        fresh = _fresh_iterate(problem, ops, j)
+        assert np.max(np.abs(state.amplitudes - fresh.amplitudes)) <= 1e-12, j
+    with pytest.raises(ValueError):
+        iterate(0).amplitudes[0] = 0.0  # A|0> is handed out read-only
+
+
 @pytest.mark.parametrize("n,t", list(_orbit_cases()))
-def test_orbit_states_equal_fresh_iterates(n, t, monkeypatch):
+def test_orbit_states_equal_fresh_iterates(n, t):
     problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
-    orbit = amplify._Orbit(problem)
-    ops = orbit.ops
-    # Room for four states, so the walk drops checkpoints and doubles stride.
-    monkeypatch.setattr(amplify, "_ORBIT_BUDGET", 4 * 8 * ops.space.size)
-    # Up, down, repeated, past the furthest state, and between checkpoints.
-    js = [0, 3, 9, 9, 2, 40, 40, 1, 39, 17, 64, 0, 63, 33, 5]
-    for j in js:
-        state = orbit.at(j)
-        assert np.array_equal(state.amplitudes, _fresh_iterate(problem, ops, j).amplitudes), j
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0  # kept arrays are read-only
-    assert orbit.stride > 1 and orbit.far_k == max(js)
+    _check_orbit(problem)
+
+
+@pytest.mark.parametrize("name,problem", list(_build_cases()))
+def test_orbit_states_equal_fresh_iterates_search_step(name, problem):
+    _check_orbit(problem)
 
 
 def _recomputing_search(problem, params, rng, finite):
@@ -436,13 +445,10 @@ LOOP_CASES = [(16, 0, True)] + [
 
 
 @pytest.mark.parametrize("n,t,finite", LOOP_CASES)
-def test_search_loops_equal_recomputing_reference(n, t, finite, monkeypatch):
+def test_search_loops_equal_recomputing_reference(n, t, finite):
     problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n * t + 1))
     params = QSearchParams(c=1.5, tau=0.05)
     search = modified_qsearch if finite else qsearch
-    # Room for eight states: rounds behind the furthest one start from a
-    # thinned checkpoint.
-    monkeypatch.setattr(amplify, "_ORBIT_BUDGET", 8 * 8 * (n + 1))
     for seed in range(6):
         records = []
         ledger = OracleLedger()
@@ -467,18 +473,33 @@ def test_qsearch_safety_cap_equals_recomputing_reference():
     assert ledger == expected[4] and records == expected[5]
 
 
-def test_orbit_checkpoints_stay_within_budget(monkeypatch):
+def test_search_applies_q_once_per_problem(monkeypatch):
+    calls = []
+    counted = amplify.apply_Q
+
+    def counting_apply_Q(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(amplify, "apply_Q", counting_apply_Q)
     problem, _ = make_planted_problem(1024, 0)
-    seen = []
-    at = amplify._Orbit.at
+    ledger = OracleLedger()
+    out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0), ledger=ledger)
+    assert out.result is None and ledger.q_applications > 1000
+    assert len(calls) == 1
 
-    def checked_at(orbit, j):
-        state = at(orbit, j)
-        seen.append((len(orbit.kept) * state.amplitudes.nbytes, orbit.stride))
-        return state
 
-    monkeypatch.setattr(amplify._Orbit, "at", checked_at)
-    out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0))
-    assert out.result is None
-    assert max(kept for kept, _ in seen) <= amplify._ORBIT_BUDGET
-    assert max(stride for _, stride in seen) > 1  # the budget was reached
+@pytest.mark.parametrize(
+    "search,tau,error",
+    [(qsearch, 0.01, SafetyCapReachedError), (modified_qsearch, 1e-14, DomainError)],
+)
+def test_search_stops_before_j_leaves_int64(search, tau, error):
+    """With nothing marked, M = ceil(1.5^l) outgrows numpy's int64 draw at
+    l = 108: before the default round cap of 10,000, and before u reaches
+    ln(1e-14)/ln(3/4) = 112.05 (u counts from l = 4 at N = 16)."""
+    problem, _ = make_planted_problem(16, 0)
+    records = []
+    with pytest.raises(error, match=r"round 108 .*c=1\.5, tau="):
+        search(problem, QSearchParams(tau=tau), rng=np.random.default_rng(0),
+               on_round=records.append)
+    assert records[-1].l == 107 and not records[-1].desired

@@ -183,6 +183,11 @@ REFUSED = [
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
     ["compare", "--seed", "-1"],
+    ["compare", "--objective", "sphere", "--planted-t", "1"],
+    # With nothing to find, M outgrows the 64-bit draw of j before u reaches
+    # ln(1e-14)/ln(3/4).
+    ["run", "--objective", "step", "--initial-mesh-size", "0.25", "--tau", "1e-14",
+     "--max-iterations", "3"],
     ["demo-amplify", "--n-marked", "-1"],
     ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
     ["demo-amplify", "--trials", "0"],
@@ -255,6 +260,24 @@ def test_compare_report(tmp_path, capsys):
     assert report["mean_quantum_calls"] < report["mean_classical_calls"] * 2
     err = capsys.readouterr().err
     assert "miss rate" in err
+
+
+def test_compare_counts_t_from_the_objective(tmp_path):
+    # From the origin, sphere's minimum, no candidate improves.
+    out = tmp_path / "sphere.jsonl"
+    assert run_cli("compare", "--objective", "sphere", "--trials", "3",
+                   "--output", str(out)) == 0
+    rows = [r for r in read_jsonl(out) if r["type"] == "trial"]
+    assert [r["t"] for r in rows] == [0, 0, 0]
+    assert not any(r["quantum_success"] for r in rows)
+    # An objective alone runs exactly as with planted_t cleared.
+    argv = ["compare", "--objective", "rosenbrock", "--search-points-count", "64",
+            "--search-radius", "4", "--trials", "4"]
+    config = tmp_path / "unplanted.json"
+    config.write_text(json.dumps({"planted_t": None}))
+    assert run_cli(*argv, "--output", str(tmp_path / "a.jsonl")) == 0
+    assert run_cli(*argv, "--config", str(config), "--output", str(tmp_path / "b.jsonl")) == 0
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 def test_list_objectives(capsys):
