@@ -55,6 +55,7 @@ __all__ = [
     "is_desired",
     "make_planted_problem",
     "failure_round_bound",
+    "last_failing_round",
 ]
 
 
@@ -480,6 +481,30 @@ def failure_round_bound(n_points: int, params: QSearchParams) -> int:
         + math.ceil(params.u_limit)
         + 1
     )
+
+
+def last_failing_round(n_points: int, params: QSearchParams) -> int:
+    """The round at which a finite search over N points that finds nothing
+    gives up.
+
+    Runs the loop's own schedule, M = ceil(c^l) with u advancing while
+    M^2 > N, and raises DomainError if a round before that one would draw j
+    past numpy's int64 range, so that a tau no failing search can reach is
+    refused before anything is evaluated.
+    """
+    l = u = 0
+    while u < params.u_limit:
+        l += 1
+        m = math.ceil(params.c**l)
+        if m * m > n_points:
+            u += 1
+        if m + 1 > 1 << 63:  # as in _run_search
+            raise DomainError(
+                f"tau={params.tau} is out of reach at N={n_points}: a search "
+                f"that finds nothing would reach round {l} and draw j from "
+                f"[1, {m}], past numpy's int64 range (c={params.c})"
+            )
+    return l
 
 
 def analytic_success_probability(n: int, t: int, j: int) -> float:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .fixedpoint import (
-    FixedPointFormat,
-    FixedPointOverflowError,
-    encode_point_exact,
-)
+from .amplify import QSearchParams, last_failing_round
+from .fixedpoint import FixedPointFormat, encode_point_exact
 from .ledger import OracleLedger
 
 __all__ = [
@@ -306,9 +304,13 @@ def select_search_points(
     """Pick N distinct encodable mesh points around the incumbent.
 
     Combination vectors z are drawn uniformly from {0..search_radius}^p
-    minus zero, from a generator seeded by (rng_seed, iteration, 0);
-    colliding or out-of-range draws are topped up by enumerating small z
-    systematically.  The incumbent itself is excluded.  Returns the encoded
+    minus zero, at most 50*N of them, from a generator seeded by
+    (rng_seed, iteration, 0); if they yield fewer than N points, small z are
+    enumerated systematically.  The incumbent itself is excluded.  z is
+    drawn in chunks and each chunk is checked as an array, but points are
+    taken in draw order up to the N-th, so the result is that of drawing
+    and encoding one z at a time: the first off-grid point reached raises
+    EncodingError and out-of-range points are skipped.  Returns the encoded
     point strings in selection order plus the bits -> coordinates map.
     """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
@@ -316,39 +318,63 @@ def select_search_points(
     n_wanted = config.search_points_count
     cap = config.search_radius
     p = basis.num_directions
-    xk_bits = encode_point_exact(state.iterate, fmt)
+    encode_point_exact(state.iterate, fmt)  # the incumbent's grid and range check
+    scale = 1 << fmt.frac_bits
+    # A point's key is the bytes of its int64 unit row, exact at any width.
+    incumbent_key = (state.iterate * scale).astype(np.int64).tobytes()
+    found: Dict[bytes, np.ndarray] = {}
 
-    found: Dict[str, np.ndarray] = {}
+    def take(z: np.ndarray) -> None:
+        # Add the new points of the z rows in order until there are N.
+        with np.errstate(over="ignore"):  # an infinite coordinate is out of range
+            y = state.iterate + state.mesh_size * (z.astype(float) @ basis.directions.T)
+            scaled = y * scale
+        off_grid = scaled != np.floor(scaled)
+        bad = off_grid | (scaled < fmt.min_units) | (scaled > fmt.max_units)
+        # encode_point_exact stops at a row's first bad coordinate: off the
+        # grid it raises, out of range the row is skipped.
+        raises = off_grid[np.arange(len(z)), bad.argmax(axis=1)]
+        end = int(raises.argmax()) if raises.any() else len(z)
+        keep = ~bad[:end].any(axis=1) & z[:end].any(axis=1)
+        units = np.where(bad, 0, scaled).astype(np.int64)
+        for i in np.flatnonzero(keep):
+            key = units[i].tobytes()
+            if key != incumbent_key and key not in found:
+                found[key] = y[i]
+                if len(found) == n_wanted:
+                    return
+        if end < len(z):
+            encode_point_exact(y[end], fmt)  # raises the off-grid EncodingError
 
-    def consider(z) -> None:
-        y = state.iterate + state.mesh_size * (basis.directions @ np.asarray(z, dtype=float))
-        try:
-            bits = encode_point_exact(y, fmt)
-        except FixedPointOverflowError:
-            return  # candidate falls outside the register range; skip it
-        if bits != xk_bits and bits not in found:
-            found[bits] = y
-
+    chunk = max(n_wanted, 64)
     max_draws = 50 * n_wanted
     draws = 0
     while len(found) < n_wanted and draws < max_draws:
-        z = rng.integers(0, cap + 1, size=p)
-        draws += 1
-        if not z.any():
-            continue
-        consider(z)
+        k = min(chunk, max_draws - draws)
+        take(rng.integers(0, cap + 1, size=(k, p)))
+        draws += k
+    d = fmt.total_bits
+    width = basis.dimension * d
     if len(found) < n_wanted:
-        for z in _small_z_enumeration(p, cap):
-            consider(z)
-            if len(found) >= n_wanted:
-                break
+        if n_wanted > 2**width - 1:
+            raise MeshExhaustedError(
+                f"{n_wanted} points requested, but a point register of {width} "
+                f"bits holds only {2**width - 1} besides the incumbent"
+            )
+        small_z = _small_z_enumeration(p, cap)
+        while len(found) < n_wanted and (block := list(islice(small_z, chunk))):
+            take(np.array(block))
     if len(found) < n_wanted:
         raise MeshExhaustedError(
             f"only {len(found)} distinct representable mesh points exist, "
             f"{n_wanted} requested"
         )
-    bits_list = list(found.keys())[:n_wanted]
-    return bits_list, {b: found[b] for b in bits_list}
+    points = np.array(list(found.values()))
+    units = (points * scale).astype(np.int64)
+    digits = (units[:, :, None] >> np.arange(d - 1, -1, -1)) & 1
+    text = (digits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    bits_list = [text[k * width : (k + 1) * width] for k in range(n_wanted)]
+    return bits_list, dict(zip(bits_list, points))
 
 
 def search_candidates_record(
@@ -419,9 +445,8 @@ def gps_run(
         from .quantum_step import quantum_search_step
 
         if qsearch_params is None:
-            from .amplify import QSearchParams
-
             qsearch_params = QSearchParams()
+        last_failing_round(config.search_points_count, qsearch_params)
 
     x0 = np.asarray(initial_point, dtype=float)
     if x0.shape != (basis.dimension,):

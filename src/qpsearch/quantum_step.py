@@ -18,6 +18,7 @@ import numpy as np
 from .amplify import (
     QSearchParams,
     SearchProblem,
+    last_failing_round,
     modified_qsearch,
 )
 from .fixedpoint import encode_scalar, encode_scalar_saturating
@@ -196,6 +197,7 @@ def compare_backends(
     """
     if planted_t is None and objective is None:
         raise ValueError("need an objective unless planting marked points")
+    last_failing_round(config.search_points_count, params)
     n = basis.dimension
     if initial_point is None:
         initial_point = np.zeros(n)

@@ -19,6 +19,7 @@ from qpsearch.amplify import (
     desired_probability,
     failure_round_bound,
     is_desired,
+    last_failing_round,
     make_planted_problem,
     modified_qsearch,
     qsearch,
@@ -503,3 +504,20 @@ def test_search_stops_before_j_leaves_int64(search, tau, error):
         search(problem, QSearchParams(tau=tau), rng=np.random.default_rng(0),
                on_round=records.append)
     assert records[-1].l == 107 and not records[-1].desired
+
+
+def test_last_failing_round_refuses_an_unreachable_tau():
+    """At N = 16, c = 1.5 the last round of a failing search is l = 3 + the
+    rounds u needs; past l = 107 the j draw leaves int64."""
+    assert last_failing_round(16, QSearchParams(tau=2e-13)) == 105
+    with pytest.raises(DomainError, match=r"tau=5e-14 .* round 108 "):
+        last_failing_round(16, QSearchParams(tau=5e-14))
+
+
+@pytest.mark.parametrize("n,tau", [(1, 0.5), (16, 0.01), (16, 2e-13), (1024, 1e-6)])
+def test_last_failing_round_is_where_a_failing_search_stops(n, tau):
+    params = QSearchParams(tau=tau)
+    problem, _ = make_planted_problem(n, 0)
+    out = modified_qsearch(problem, params, rng=np.random.default_rng(0))
+    assert out.result is None
+    assert out.rounds_executed == last_failing_round(n, params)

@@ -178,6 +178,8 @@ REFUSED = [
     ["run", "--seed", "-1"],
     # Mesh points off the register grid surface only midway through the run.
     ["run", "--initial-mesh-size", "0.3", "--backend", "classical"],
+    # Every mesh point overflows to infinity, out of the register's range.
+    ["run", "--initial-mesh-size", "1e308", "--backend", "classical"],
     ["run", "--output", "missing-dir/x.jsonl"],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
@@ -188,6 +190,11 @@ REFUSED = [
     # ln(1e-14)/ln(3/4).
     ["run", "--objective", "step", "--initial-mesh-size", "0.25", "--tau", "1e-14",
      "--max-iterations", "3"],
+    # 256 points cannot fit in an 8-bit point register besides the incumbent;
+    # refused before the small-z top-up walks 41^4 combinations.
+    ["run", "--backend", "classical", "--config",
+     '{"dimension": 2, "initial_point": [0, 0], "total_bits": 4, "frac_bits": 0, '
+     '"initial_mesh_size": 1, "search_radius": 40, "search_points_count": 256}'],
     ["demo-amplify", "--n-marked", "-1"],
     ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
     ["demo-amplify", "--trials", "0"],
@@ -195,7 +202,12 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
-def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, capsys):
+def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, tmp_path_factory, capsys):
+    if "--config" in argv:  # the config file lives outside the output directory
+        at = argv.index("--config") + 1
+        config = tmp_path_factory.mktemp("config") / "config.json"
+        config.write_text(argv[at])
+        argv = argv[:at] + [str(config)] + argv[at + 1 :]
     if "--output" in argv:
         argv = [str(tmp_path / a) if a.startswith("missing-dir/") else a for a in argv]
     elif argv[0] != "demo-amplify":

@@ -4,8 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qpsearch.fixedpoint import EncodingError, FixedPointFormat
+from qpsearch.fixedpoint import (
+    EncodingError,
+    FixedPointFormat,
+    FixedPointOverflowError,
+    encode_point_exact,
+)
 from qpsearch import pattern
 from qpsearch.ledger import OracleLedger
 from qpsearch.pattern import (
@@ -220,6 +227,147 @@ def test_select_search_points_off_grid_mesh():
         select_search_points(state, basis, config)
 
 
+def reference_select_search_points(state, basis, config):
+    """The per-point selection loop that the array version replaced: draw one
+    z at a time and encode its point with encode_point_exact."""
+    rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
+    fmt = config.fixed_point_format
+    n_wanted = config.search_points_count
+    cap = config.search_radius
+    p = basis.num_directions
+    xk_bits = encode_point_exact(state.iterate, fmt)
+    found = {}
+
+    def consider(z):
+        y = state.iterate + state.mesh_size * (
+            basis.directions @ np.asarray(z, dtype=float)
+        )
+        try:
+            bits = encode_point_exact(y, fmt)
+        except FixedPointOverflowError:
+            return
+        if bits != xk_bits and bits not in found:
+            found[bits] = y
+
+    draws = 0
+    while len(found) < n_wanted and draws < 50 * n_wanted:
+        z = rng.integers(0, cap + 1, size=p)
+        draws += 1
+        if z.any():
+            consider(z)
+    if len(found) < n_wanted:
+        for z in pattern._small_z_enumeration(p, cap):
+            consider(z)
+            if len(found) >= n_wanted:
+                break
+    if len(found) < n_wanted:
+        raise MeshExhaustedError(
+            f"only {len(found)} distinct representable mesh points exist, "
+            f"{n_wanted} requested"
+        )
+    bits_list = list(found)[:n_wanted]
+    return bits_list, {b: found[b] for b in bits_list}
+
+
+def _selection_outcome(select, state, basis, config):
+    try:
+        bits, coords = select(state, basis, config)
+    except (EncodingError, FixedPointOverflowError, MeshExhaustedError) as exc:
+        return type(exc), str(exc)
+    return bits, [coords[b].tobytes() for b in bits]
+
+
+@st.composite
+def selection_cases(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.just(32) | st.integers(2, 32))  # n >= 2 at 32 bits: n*d > 63
+    q = draw(st.integers(0, d - 1))
+    fmt = FixedPointFormat(d, q)
+    if draw(st.booleans()):
+        basis = PatternBasis.coordinate(n)
+    else:  # dyadic, not the identity: powers of 2 on and below the diagonal
+        g = np.diag([2.0 ** draw(st.integers(-2, 2)) for _ in range(n)])
+        for i in range(1, n):
+            g[i, i - 1] = draw(st.sampled_from([-0.5, 0.25, 1.0]))
+        eye = np.eye(n, dtype=int)
+        basis = PatternBasis(g, np.hstack([eye, -eye]))
+    p = basis.num_directions
+    # (cap + 1)^p <= 2e5 keeps the reference's walk of every small z short.
+    cap = draw(st.integers(1, max(c for c in range(1, 450) if (c + 1) ** p <= 2e5)))
+    capacity = 2 ** (n * d) - 1
+    n_points = 2 ** draw(st.integers(0, min(8, capacity.bit_length() - 1)))
+    # Dyadic meshes land on the grid unless finer than 2^-q; 0.375 and 0.3
+    # times a power of 2 can leave it.
+    mesh = draw(st.sampled_from([1.0, 1.0, 0.375, 0.3])) * 2.0 ** draw(
+        st.integers(-q - 2, 3)
+    )
+    # The range edges, and one past the top, where the incumbent overflows.
+    edge = [fmt.min_units, fmt.min_units + 1, 0, fmt.max_units, fmt.max_units + 1]
+    units = [
+        draw(st.sampled_from(edge) | st.integers(fmt.min_units, fmt.max_units))
+        for _ in range(n)
+    ]
+    state = MeshState(
+        np.array([math.ldexp(u, -q) for u in units]),
+        mesh,
+        0.0,
+        draw(st.integers(0, 10**6)),
+    )
+    config = GpsConfig(
+        initial_mesh_size=mesh,
+        search_points_count=n_points,
+        search_radius=cap,
+        fixed_point_format=fmt,
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    return state, basis, config
+
+
+def _mixed_steps_case(scales, iterate, seed):
+    # Steps of 0.25 leave the 0.5 grid and unit steps from 63.5 leave the
+    # range, so rows can break both ways: encode_point_exact stops at a row's
+    # first bad coordinate, raising off the grid and skipping out of range.
+    eye = np.eye(2, dtype=int)
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_radius=8,
+        fixed_point_format=FixedPointFormat(8, 1),
+        rng_seed=seed,
+    )
+    basis = PatternBasis(np.diag(scales), np.hstack([eye, -eye]))
+    return MeshState(np.array(iterate), 1.0, 0.0), basis, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_cases())
+@example(_mixed_steps_case((0.25, 1.0), (0.0, 63.5), seed=3))
+@example(_mixed_steps_case((1.0, 0.25), (63.5, 0.0), seed=0))
+def test_select_search_points_equals_per_point_reference(case):
+    state, basis, config = case
+    assert _selection_outcome(
+        select_search_points, state, basis, config
+    ) == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+def test_select_search_points_refuses_more_points_than_the_register_holds(
+    monkeypatch,
+):
+    def no_top_up(p, cap):
+        raise AssertionError("walked the small-z top-up")
+
+    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    basis = PatternBasis.coordinate(3)
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=4096,
+        search_radius=40,
+        fixed_point_format=FixedPointFormat(4, 0),
+    )
+    state = MeshState(np.zeros(3), 1.0, 0.0)
+    with pytest.raises(MeshExhaustedError, match="point register of 12 bits holds only 4095 "):
+        select_search_points(state, basis, config)
+
+
 def test_update_mesh():
     config = GpsConfig(expansion_factor=2.0, contraction_factor=0.5)
     state = MeshState(np.array([1.0]), 1.0, 5.0, iteration=3)
@@ -365,6 +513,24 @@ def test_gps_run_validation():
         gps_run(lambda x: 0.0, basis, quadratic_config(), "classical", [0.0])
     with pytest.raises(EncodingError):
         gps_run(lambda x: 0.0, basis, quadratic_config(), "classical", [0.3, 0.0])
+
+
+def test_gps_run_refuses_an_unreachable_tau_before_evaluating():
+    from qpsearch.amplify import DomainError, QSearchParams
+
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return float(x @ x)
+
+    with pytest.raises(DomainError):
+        gps_run(
+            counting, PatternBasis.coordinate(2),
+            quadratic_config(search_points_count=16), "quantum",
+            [0.5, 0.5], qsearch_params=QSearchParams(tau=5e-14),
+        )
+    assert calls == []
 
 
 def test_gps_config_validation():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpsearch import quantum_step
-from qpsearch.amplify import QSearchParams
+from qpsearch.amplify import DomainError, QSearchParams
 from qpsearch.fixedpoint import FixedPointFormat
 from qpsearch.ledger import OracleLedger
 from qpsearch.pattern import (
@@ -214,6 +214,22 @@ def test_compare_trial_selects_once(monkeypatch):
         None, PatternBasis.coordinate(2), config, PARAMS, seeds=seeds, planted_t=1
     )
     assert len(calls) == len(seeds)
+
+
+def test_compare_refuses_an_unreachable_tau_before_evaluating():
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return sphere(x)
+
+    config = step_config(search_points_count=16, fixed_point_format=FixedPointFormat(8, 0))
+    with pytest.raises(DomainError, match="tau=5e-14 is out of reach at N=16"):
+        compare_backends(
+            counting, PatternBasis.coordinate(2), config, QSearchParams(tau=5e-14),
+            seeds=[0],
+        )
+    assert calls == []
 
 
 def test_step_reproducible_for_fixed_seed():
