@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,16 +124,23 @@ class RoundRecord:
 
 class SearchProblem:
     """One search-step instance: N candidate points, the incumbent's encoded
-    value, and the classical function the quantum oracle lifts."""
+    value, and the values f_j of the candidates that the quantum oracle lifts.
 
-    __slots__ = ("points", "incumbent_value_bits", "oracle", "layout")
+    The values come either as a string oracle, read once per candidate when
+    ``units`` is first needed, or as ``units``, the candidates' unsigned
+    register units in problem order, from which the string oracle is built
+    only if something asks for it.
+    """
+
+    __slots__ = ("points", "incumbent_value_bits", "layout", "_oracle", "_units")
 
     def __init__(
         self,
         points: Sequence[str],
         incumbent_value_bits: str,
-        oracle: Callable[[str], str],
+        oracle: Optional[Callable[[str], str]],
         layout: RegisterLayout,
+        units: Optional[np.ndarray] = None,
     ):
         points = list(points)
         if not points:
@@ -151,14 +158,51 @@ class SearchProblem:
                 f"incumbent value width {len(incumbent_value_bits)} != "
                 f"{layout.value_bits}"
             )
+        if units is not None:
+            units = np.asarray(units, dtype=np.int64)
+            in_range = (units >= 0) & (units < 1 << layout.value_bits)
+            if units.shape != (len(points),) or not in_range.all():
+                raise ValueError(
+                    f"need one {layout.value_bits}-bit unsigned value per point"
+                )
+        elif oracle is None:
+            raise ValueError("need an oracle or the values' units")
         self.points = points
         self.incumbent_value_bits = incumbent_value_bits
-        self.oracle = oracle
         self.layout = layout
+        self._oracle = oracle
+        self._units = units
 
     @property
     def n_points(self) -> int:
         return len(self.points)
+
+    @property
+    def units(self) -> np.ndarray:
+        """f_j of each candidate, in problem order, as unsigned units."""
+        if self._units is None:
+            vb = self.layout.value_bits
+            units = []
+            for x in self.points:
+                fx = self._oracle(x)
+                if len(fx) != vb or fx.strip("01"):
+                    raise ValueError(
+                        f"oracle returned {fx!r}, expected {vb}-bit string"
+                    )
+                units.append(int(fx, 2))
+            self._units = np.array(units, dtype=np.int64)
+        return self._units
+
+    @property
+    def oracle(self) -> Callable[[str], str]:
+        """f as a map from point strings to value strings."""
+        if self._oracle is None:
+            vb = self.layout.value_bits
+            table = {
+                x: format(u, f"0{vb}b") for x, u in zip(self.points, self._units.tolist())
+            }
+            self._oracle = table.__getitem__
+        return self._oracle
 
 
 def is_desired(bits: str, layout: RegisterLayout) -> bool:
@@ -182,8 +226,8 @@ class PreparationOperator:
     Applied to |0>|0>|0>, A yields (1/sqrt(N)) sum_j |x_j>|f_j>|f_j - f_k>
     with the subtraction in d-bit two's complement.  Every application of A
     or its inverse uses the oracle once and is counted as one quantum call.
-    The oracle is read once per candidate, at construction, to lay out the
-    problem's ``space``.
+    The problem's ``space`` is laid out from its candidates' value units.
+    Only on a SparseState is f read as the problem's string oracle.
     """
 
     __slots__ = (
@@ -204,21 +248,9 @@ class PreparationOperator:
         pb, vb = layout.point_bits, layout.value_bits
         mask = (1 << vb) - 1
         neg_units = int(negate_bits(problem.incumbent_value_bits), 2)
-
-        oracle = problem.oracle
-        values: Dict[str, int] = {}
-
-        def value_units(x: str) -> int:
-            u = values.get(x)
-            if u is None:
-                fx = oracle(x)
-                if len(fx) != vb or fx.strip("01"):
-                    raise ValueError(
-                        f"oracle returned {fx!r}, expected {vb}-bit string"
-                    )
-                u = int(fx, 2)
-                values[x] = u
-            return u
+        units = problem.units
+        self.space = IndexSpace(layout, problem.points, units, (units + neg_units) & mask)
+        self._spread = householder_prepare(problem.points)
 
         def load(b: str) -> str:
             # XOR the comparison register with |-f_k|'s bit pattern.
@@ -227,7 +259,7 @@ class PreparationOperator:
 
         def oracle_xor(b: str) -> str:
             # |x>|v>|c> -> |x>|v XOR f(x)>|c>: self-inverse lift of f.
-            v = int(b[pb : pb + vb], 2) ^ value_units(b[:pb])
+            v = int(b[pb : pb + vb], 2) ^ int(problem.oracle(b[:pb]), 2)
             return b[:pb] + format(v, f"0{vb}b") + b[pb + vb :]
 
         def add(b: str) -> str:
@@ -242,14 +274,9 @@ class PreparationOperator:
             return b[: pb + vb] + format(c, f"0{vb}b")
 
         self._load = load
-        self._spread = householder_prepare(problem.points)
         self._oracle_xor = oracle_xor
         self._add = add
         self._add_inv = add_inv
-        units = [value_units(x) for x in problem.points]
-        self.space = IndexSpace(
-            layout, problem.points, units, [(u + neg_units) & mask for u in units]
-        )
 
     def apply(
         self, state: State, ledger: Optional[OracleLedger] = None, scale: complex = 1.0

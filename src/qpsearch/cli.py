@@ -192,6 +192,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         if config["backend"] not in ("classical", "quantum"):
             raise ConfigError(f"unknown search backend {config['backend']!r}")
+        if args.count_marked and config["backend"] != "quantum":
+            raise ConfigError("--count-marked needs the quantum backend")
         objective = make_objective(config["objective"], n)
         basis = PatternBasis.coordinate(n)
         params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
@@ -216,6 +218,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             initial_point,
             qsearch_params=params,
             event_sink=sink,
+            compute_t=args.count_marked,
         )
         lines.extend(_line({**rec.as_record(), "trial": trial}) for rec in run.records)
         resolved = {
@@ -363,6 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const=True,
         help="also write per-round search records into the trace",
+    )
+    run.add_argument(
+        "--count-marked",
+        dest="count_marked",
+        action="store_true",
+        help="with --emit-rounds, add the true marked count t to each "
+        "quantum-search-step record (quantum backend only)",
     )
     run.add_argument("--output", help="trace file (line-delimited JSON)")
     run.set_defaults(func=cmd_run)

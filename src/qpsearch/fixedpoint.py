@@ -20,6 +20,7 @@ __all__ = [
     "EncodingError",
     "encode_scalar",
     "encode_scalar_saturating",
+    "encode_units_saturating",
     "decode_scalar",
     "encode_point",
     "decode_point",
@@ -89,13 +90,34 @@ def _check_bits(bits: str) -> str:
     return bits
 
 
-def _round_half_away(x: float) -> int:
-    # Nearest integer, ties away from zero (round() would use banker's rounding).
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
 def _units_to_bits(units: int, width: int) -> str:
     return format(units & ((1 << width) - 1), f"0{width}b")
+
+
+def encode_units_saturating(
+    values: Sequence[float], fmt: FixedPointFormat
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Signed register units of real values, clamped to the format's range.
+
+    This is the package's one rounding rule: scale by 2**frac_bits, round to
+    the nearest integer with ties away from zero, then clamp.  Returns the
+    int64 units and a mask of the values that were clamped.  Finite values
+    of any magnitude saturate; an infinity raises OverflowError and NaN
+    ValueError, as converting them to an integer does.
+    """
+    x = np.asarray(values, dtype=float)
+    finite = np.isfinite(x)
+    if not finite.all():
+        v = float(x[~finite][0])
+        error = ValueError if math.isnan(v) else OverflowError
+        raise error(f"cannot encode {v} in {fmt.total_bits}-bit format")
+    # Values more than one unit past the range saturate whatever their size;
+    # clipping them first keeps the scaling finite.
+    x = np.clip(x, fmt.min_value - 1.0, fmt.max_value + 1.0)
+    scaled = x * (1 << fmt.frac_bits)
+    rounded = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    clamped = np.clip(rounded, fmt.min_units, fmt.max_units)
+    return clamped.astype(np.int64), clamped != rounded
 
 
 def encode_scalar(value: float, fmt: FixedPointFormat) -> str:
@@ -105,13 +127,13 @@ def encode_scalar(value: float, fmt: FixedPointFormat) -> str:
     point, ties away from zero.  Raises FixedPointOverflowError when the
     rounded value is outside the representable range.
     """
-    units = _round_half_away(value * (1 << fmt.frac_bits))
-    if not fmt.min_units <= units <= fmt.max_units:
+    units, saturated = encode_units_saturating([value], fmt)
+    if saturated[0]:
         raise FixedPointOverflowError(
             f"{value} does not fit in {fmt.total_bits}-bit format "
             f"(range [{fmt.min_value}, {fmt.max_value}])"
         )
-    return _units_to_bits(units, fmt.total_bits)
+    return _units_to_bits(int(units[0]), fmt.total_bits)
 
 
 def encode_scalar_saturating(value: float, fmt: FixedPointFormat) -> Tuple[str, bool]:
@@ -121,9 +143,8 @@ def encode_scalar_saturating(value: float, fmt: FixedPointFormat) -> Tuple[str, 
     occurred.  Intended for objective values whose range is not known up
     front; points are always encoded strictly.
     """
-    units = _round_half_away(value * (1 << fmt.frac_bits))
-    clamped = min(max(units, fmt.min_units), fmt.max_units)
-    return _units_to_bits(clamped, fmt.total_bits), clamped != units
+    units, saturated = encode_units_saturating([value], fmt)
+    return _units_to_bits(int(units[0]), fmt.total_bits), bool(saturated[0])
 
 
 def decode_scalar(bits: str, fmt: FixedPointFormat) -> float:

@@ -432,12 +432,15 @@ def gps_run(
     initial_point: Sequence[float],
     qsearch_params=None,
     event_sink: Optional[Callable[[dict], None]] = None,
+    compute_t: bool = False,
 ) -> GpsRun:
     """Run the outer loop until the mesh is finer than the tolerance, the
     iteration cap is hit, or the oracle budget runs out.
 
     Each iteration tries the chosen search backend first and polls only on
-    search failure.  The trace's incumbent values are non-increasing.
+    search failure.  The trace's incumbent values are non-increasing.  With
+    ``compute_t`` each quantum search step's event reports its true marked
+    count t.
     """
     if search_backend not in ("classical", "quantum"):
         raise ValueError(f"unknown search backend {search_backend!r}")
@@ -491,6 +494,7 @@ def gps_run(
                 objective,
                 ledger,
                 event_sink=event_sink,
+                compute_t=compute_t,
             )
 
         if outcome is not None:

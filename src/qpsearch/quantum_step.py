@@ -21,7 +21,7 @@ from .amplify import (
     last_failing_round,
     modified_qsearch,
 )
-from .fixedpoint import encode_scalar, encode_scalar_saturating
+from .fixedpoint import encode_scalar_saturating, encode_units_saturating
 from .ledger import OracleLedger
 from .pattern import (
     GpsConfig,
@@ -49,38 +49,35 @@ def _build_problem(
     objective: Callable[[np.ndarray], float],
     config: GpsConfig,
 ) -> SearchProblem:
+    """The search problem over the selected candidates, in selection order.
+
+    The objective is called once per candidate.  These evaluations simulate
+    the oracle F and are not ledgered classical calls.  Values, the
+    incumbent's among them, saturate at the register's ends: an improving
+    candidate above the register maximum goes unmarked, and the classical
+    recheck after measurement rejects any mark the saturation or a wrapped
+    difference gets wrong.
+    """
     fmt = config.fixed_point_format
     d = fmt.total_bits
     n = len(coords[bits_list[0]])
     layout = RegisterLayout(point_bits=n * d, value_bits=d, comparison_bits=d)
-    incumbent_bits = encode_scalar(incumbent_value, fmt)
-    cache: Dict[str, str] = {}
-
-    def oracle(point_bits: str) -> str:
-        v = cache.get(point_bits)
-        if v is None:
-            # Simulation vehicle for F, not a ledgered classical call; values
-            # that overflow the register saturate and are caught by the
-            # classical recheck after measurement.
-            v, _ = encode_scalar_saturating(
-                float(objective(coords[point_bits])), fmt
-            )
-            cache[point_bits] = v
-        return v
-
-    return SearchProblem(bits_list, incumbent_bits, oracle, layout)
+    incumbent_bits, _ = encode_scalar_saturating(incumbent_value, fmt)
+    values = np.fromiter(
+        (float(objective(coords[b])) for b in bits_list), float, len(bits_list)
+    )
+    units, _ = encode_units_saturating(values, fmt)
+    return SearchProblem(
+        bits_list, incumbent_bits, None, layout, units=units & ((1 << d) - 1)
+    )
 
 
 def _marked_count(problem: SearchProblem) -> int:
     """Brute-force count of marked points (test/report mode only)."""
-    mask = (1 << problem.layout.value_bits) - 1
+    d = problem.layout.value_bits
+    mask = (1 << d) - 1
     neg = -int(problem.incumbent_value_bits, 2) & mask
-    count = 0
-    for x in problem.points:
-        diff = (int(problem.oracle(x), 2) + neg) & mask
-        if diff >> (problem.layout.value_bits - 1):
-            count += 1
-    return count
+    return int(np.count_nonzero(((problem.units + neg) & mask) >> (d - 1)))
 
 
 def quantum_search_step(
@@ -216,16 +213,13 @@ def compare_backends(
 
         if planted_t is not None:
             plant_rng = np.random.default_rng([cfg.rng_seed, 0, 2])
-            marked = set(
-                int(i)
-                for i in plant_rng.choice(len(bits_list), size=planted_t, replace=False)
-            )
-            marked_bits = {bits_list[i] for i in marked}
-            lookup = {b: (-1.0 if b in marked_bits else 1.0) for b in bits_list}
-            by_key = {tuple(coords[b]): v for b, v in lookup.items()}
+            marked = plant_rng.choice(len(bits_list), size=planted_t, replace=False)
+            # Keyed by each candidate's float64 coordinate bytes: the step
+            # objective is only ever called with the arrays that coords holds.
+            by_key = {coords[bits_list[i]].tobytes(): -1.0 for i in marked}
 
             def step_objective(x, _table=by_key):
-                return _table.get(tuple(x), 1.0)
+                return _table.get(x.tobytes(), 1.0)
 
             t = planted_t
         else:

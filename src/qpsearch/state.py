@@ -192,15 +192,15 @@ class IndexSpace:
         self,
         layout: RegisterLayout,
         points: Sequence[str],
-        values: Sequence[int],
-        comparisons: Sequence[int],
+        values: np.ndarray,
+        comparisons: np.ndarray,
     ):
         n = len(points)
         zero = "0" * layout.point_bits
         self.layout = layout
         self.points = list(points)
-        self.values = list(values)  # f_j in register units
-        self.comparisons = list(comparisons)  # (f_j - f_k) mod 2^d
+        self.values = np.asarray(values, dtype=np.int64)  # f_j in register units
+        self.comparisons = np.asarray(comparisons, dtype=np.int64)  # (f_j - f_k) mod 2^d
         self.zero = self.points.index(zero) if zero in self.points else n
         self.size = max(n, self.zero + 1)
         # Measurement visits candidates in sorted string order; point parts
@@ -209,15 +209,15 @@ class IndexSpace:
         # S_chi as a sign vector: -1 where the comparison register is negative.
         sign_bit = 1 << (layout.comparison_bits - 1)
         self.marks = np.ones(self.size)
-        self.marks[:n][(np.array(self.comparisons, dtype=np.int64) & sign_bit) != 0] = -1.0
+        self.marks[:n][(self.comparisons & sign_bit) != 0] = -1.0
 
     def basis_string(self, slot: int) -> str:
         """Full-width string of a candidate slot after the preparation A."""
         bits = self.layout.value_bits
         return (
             self.points[slot]
-            + format(self.values[slot], f"0{bits}b")
-            + format(self.comparisons[slot], f"0{bits}b")
+            + format(int(self.values[slot]), f"0{bits}b")
+            + format(int(self.comparisons[slot]), f"0{bits}b")
         )
 
 
@@ -325,36 +325,54 @@ class HouseholderPrepare:
     built over the same targets the reflection is ``v - 2 (w . v) w``.
     """
 
-    __slots__ = ("point_width", "w", "points", "vector", "is_identity")
+    __slots__ = ("point_width", "points", "vector", "is_identity", "_w")
 
     def __init__(self, targets: Iterable[str]):
         targets = list(targets)
         if not targets:
             raise EmptyTargetsError("need at least one target string")
         width = len(targets[0])
-        seen = set()
-        for t in targets:
-            if len(t) != width or t.strip("01"):
-                raise ValueError(f"invalid target string {t!r}")
-            if t in seen:
-                raise ValueError(f"duplicate target string {t!r}")
-            seen.add(t)
+        distinct = set(targets)
+        if (
+            len(distinct) != len(targets)
+            or set(map(len, targets)) != {width}
+            # Deleting the 0s and 1s leaves a byte iff some target has another
+            # character.
+            or "".join(targets).encode().translate(None, b"01")
+        ):
+            _reject_targets(targets, width)
         self.point_width = width
         zero = "0" * width
         coeff = 1.0 / math.sqrt(len(targets))
-        w: Dict[str, float] = {t: coeff for t in targets}
-        w[zero] = w.get(zero, 0.0) - 1.0
-        norm_sq = sum(c * c for c in w.values())
+        if zero in distinct:
+            points = targets
+            w = np.full(len(points), coeff)
+            w[points.index(zero)] -= 1.0
+        else:
+            points = targets + [zero]
+            w = np.full(len(points), coeff)
+            w[-1] = -1.0
+        # Summed in order, as adding up the coefficients one by one would.
+        norm_sq = float((w * w).cumsum()[-1])
+        self._w = None
         if norm_sq < 1e-30:
             # psi_targets == |0...0>: the reflection degenerates to identity.
             self.is_identity = True
-            self.w = {}
+            self.points = []
+            self.vector = np.array([])
         else:
+            # Only the zero point's coefficient can vanish, and only when it
+            # is the sole target, which is the identity case above.
             self.is_identity = False
-            scale = 1.0 / math.sqrt(norm_sq)
-            self.w = {b: c * scale for b, c in w.items() if c != 0.0}
-        self.points = list(self.w)
-        self.vector = np.array([self.w[x] for x in self.points])
+            self.points = points
+            self.vector = w * (1.0 / math.sqrt(norm_sq))
+
+    @property
+    def w(self) -> Dict[str, float]:
+        """The coefficients of |w> by point string, built on first use."""
+        if self._w is None:
+            self._w = dict(zip(self.points, self.vector.tolist()))
+        return self._w
 
     def __call__(self, state: SparseState | IndexState) -> SparseState | IndexState:
         if state.layout.point_bits != self.point_width:
@@ -374,12 +392,13 @@ class HouseholderPrepare:
             return IndexState(state.space, v)
         amps = state.amplitudes
         pw = self.point_width
+        support = self.w
         # Entries whose point part overlaps |w>, grouped by register suffix
         # in first-seen order; the rest pass through untouched.
         suffixes: Dict[str, None] = {}
         new = {}
         for b, a in amps.items():
-            if b[:pw] in self.w:
+            if b[:pw] in support:
                 suffixes[b[pw:]] = None
             else:
                 new[b] = a
@@ -397,6 +416,17 @@ class HouseholderPrepare:
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
         return SparseState._raw(state.layout, new)
+
+
+def _reject_targets(targets: Sequence[str], width: int) -> None:
+    # Raise for the first target, in order, that is malformed or repeated.
+    seen = set()
+    for t in targets:
+        if len(t) != width or t.strip("01"):
+            raise ValueError(f"invalid target string {t!r}")
+        if t in seen:
+            raise ValueError(f"duplicate target string {t!r}")
+        seen.add(t)
 
 
 def householder_prepare(targets: Iterable[str]) -> HouseholderPrepare:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpsearch.fixedpoint import (
     EncodingError,
@@ -15,6 +17,7 @@ from qpsearch.fixedpoint import (
     encode_point_exact,
     encode_scalar,
     encode_scalar_saturating,
+    encode_units_saturating,
     is_exactly_representable,
     negate_bits,
     sign_bit,
@@ -157,3 +160,71 @@ def test_exact_representability():
         encode_point_exact([0.3], F42)
     with pytest.raises(FixedPointOverflowError):
         encode_point_exact([1000.0], F42)
+
+
+def reference_units_saturating(value, fmt):
+    """The scalar rule the vectorized encoder replaced: scale, round half
+    away from zero, clamp.  Raises where converting to an integer does."""
+    x = value * (1 << fmt.frac_bits)
+    units = math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    clamped = min(max(units, fmt.min_units), fmt.max_units)
+    return clamped, clamped != units
+
+
+@st.composite
+def formats_and_values(draw):
+    d = draw(st.integers(2, 32))
+    fmt = FixedPointFormat(d, draw(st.integers(0, d - 1)))
+    # Grid points and exact .5 ties between them, out to four times the
+    # range on either side, plus arbitrary finite floats.
+    near = st.integers(4 * fmt.min_units, 4 * fmt.max_units)
+    on_grid = near.map(lambda k: math.ldexp(k, -fmt.frac_bits))
+    ties = near.map(lambda k: math.ldexp(k + 0.5, -fmt.frac_bits))
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.one_of(on_grid, ties, anything), min_size=1, max_size=20))
+    return fmt, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(formats_and_values())
+@example((FixedPointFormat(4, 1), [1.25, -1.25, 3.75, -4.25, 3.74, 0.0, -0.0]))
+@example((FixedPointFormat(32, 31), [1e308, -1e308, 0.9999999997, -1.0000000001]))
+def test_vectorized_encoder_matches_the_scalar_rule(case):
+    fmt, values = case
+    units, saturated = encode_units_saturating(values, fmt)
+    assert units.dtype == np.int64 and units.shape == saturated.shape == (len(values),)
+    for v, u, sat in zip(values, units.tolist(), saturated.tolist()):
+        assert encode_scalar_saturating(v, fmt) == (
+            format(u & ((1 << fmt.total_bits) - 1), f"0{fmt.total_bits}b"), sat
+        )
+        try:
+            expected = reference_units_saturating(v, fmt)
+        except OverflowError:
+            # Finite, but its scaled value overflowed to infinity in the old
+            # rule; it now saturates like every other value past the range.
+            assert math.isinf(v * (1 << fmt.frac_bits))
+            expected = (fmt.max_units if v > 0 else fmt.min_units), True
+        assert (u, sat) == expected, v
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("fmt", [F40, FixedPointFormat(32, 31), FixedPointFormat(18, 8)])
+def test_vectorized_encoder_refuses_non_finite_values(bad, fmt):
+    with pytest.raises(Exception) as scalar_reference:
+        reference_units_saturating(bad, fmt)
+    error = type(scalar_reference.value)
+    assert error is (ValueError if math.isnan(bad) else OverflowError)
+    for values in ([bad], [1.0, bad, 2.0], [0.5] * 7 + [bad]):
+        with pytest.raises(error):
+            encode_units_saturating(values, fmt)
+    with pytest.raises(error):
+        encode_scalar_saturating(bad, fmt)
+    with pytest.raises(error):
+        encode_scalar(bad, fmt)
+    # A batch raises for its first non-finite value.
+    other = ValueError if error is OverflowError else OverflowError
+    mixed = [bad, math.nan if other is ValueError else math.inf]
+    with pytest.raises(error):
+        encode_units_saturating(mixed, fmt)
+    with pytest.raises(other):
+        encode_units_saturating(mixed[::-1], fmt)

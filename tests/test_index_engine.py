@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpsearch.amplify import (
+    QSearchParams,
     SearchProblem,
     analytic_success_probability,
     apply_Q,
@@ -12,9 +13,10 @@ from qpsearch.amplify import (
     desired_probability,
     make_planted_problem,
 )
-from qpsearch.fixedpoint import FixedPointFormat, encode_point_exact
-from qpsearch.pattern import GpsConfig
-from qpsearch.quantum_step import _build_problem, _marked_count
+from qpsearch.fixedpoint import FixedPointFormat, encode_point_exact, encode_scalar_saturating
+from qpsearch.ledger import OracleLedger
+from qpsearch.pattern import GpsConfig, MeshState, PatternBasis
+from qpsearch.quantum_step import _build_problem, _marked_count, quantum_search_step
 from qpsearch.state import IndexState, RegisterLayout, measure
 
 TOL = 1e-12
@@ -26,16 +28,21 @@ def _planted_cases():
             yield n, t
 
 
-def _grid_problem(objective, incumbent_point, fmt):
-    """A _build_problem instance over the 5x5 grid of spacing 1/4 around the
-    origin, the all-zeros point string among its candidates."""
+def _grid_candidates(fmt):
+    """The 5x5 grid of spacing 1/4 around the origin, the all-zeros point
+    string among its candidates."""
     ticks = (-0.5, -0.25, 0.0, 0.25, 0.5)
     coords = {}
     for a in ticks:
         for b in ticks:
             y = np.array([a, b])
             coords[encode_point_exact(y, fmt)] = y
-    bits_list = list(coords)
+    return list(coords), coords
+
+
+def _grid_problem(objective, incumbent_point, fmt):
+    """A _build_problem instance over the grid of _grid_candidates."""
+    bits_list, coords = _grid_candidates(fmt)
     config = GpsConfig(fixed_point_format=fmt, search_points_count=32)
     incumbent = float(objective(np.asarray(incumbent_point)))
     return _build_problem(bits_list, coords, incumbent, objective, config)
@@ -133,3 +140,100 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     for j, value in enumerate(values):
         if low <= value - incumbent <= high:
             assert (marks[j] == -1.0) == (value < incumbent), (value, incumbent)
+
+
+def _assert_same_layout(array_built, string_built):
+    a, b = build_a_operator(array_built).space, build_a_operator(string_built).space
+    n = array_built.n_points
+    assert a.points == b.points
+    for field in ("values", "comparisons", "marks", "order"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert (a.zero, a.size) == (b.zero, b.size)
+    assert [a.basis_string(i) for i in range(n)] == [b.basis_string(i) for i in range(n)]
+    assert [array_built.oracle(x) for x in a.points] == [
+        string_built.oracle(x) for x in b.points
+    ]
+    assert _marked_count(array_built) == _marked_count(string_built)
+
+
+def _signed(x):
+    # Values of both signs, from -4 to 1, inside format 8/4's range.
+    return 10.0 * float(np.dot(x, x)) - 4.0
+
+
+# The problems of _build_cases, plus one whose values have both signs.
+AGREEMENT_CASES = [
+    ("zero-candidate", _sphere, [0.25, 0.25]),
+    ("saturated", _steep, [0.25, 0.0]),
+    ("both-signs", _signed, [0.25, 0.0]),
+]
+
+
+@pytest.mark.parametrize("name,objective,incumbent_point", AGREEMENT_CASES)
+def test_array_build_matches_string_oracle_build(name, objective, incumbent_point):
+    fmt = FixedPointFormat(8, 4)
+    problem = _grid_problem(objective, incumbent_point, fmt)
+    bits_list, coords = _grid_candidates(fmt)
+    assert problem.points == bits_list
+    if name == "both-signs":
+        assert (problem.units >> 7).any() and not (problem.units >> 7).all()
+
+    # The per-candidate string oracle that _build_problem used to hand over.
+    def oracle(x):
+        return encode_scalar_saturating(float(objective(coords[x])), fmt)[0]
+
+    string_built = SearchProblem(
+        bits_list, problem.incumbent_value_bits, oracle, problem.layout
+    )
+    _assert_same_layout(problem, string_built)
+
+
+@pytest.mark.parametrize("n,t", list(_planted_cases()))
+def test_array_build_matches_string_oracle_build_planted(n, t):
+    string_built, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
+    units = [int(string_built.oracle(x), 2) for x in string_built.points]
+    array_built = SearchProblem(
+        string_built.points, string_built.incumbent_value_bits, None,
+        string_built.layout, units=np.array(units),
+    )
+    _assert_same_layout(array_built, string_built)
+
+
+def test_build_calls_the_objective_once_per_candidate():
+    calls = []
+
+    def counting(x):
+        calls.append(x.tobytes())
+        return _sphere(x)
+
+    fmt = FixedPointFormat(8, 4)
+    problem = _grid_problem(counting, [0.25, 0.25], fmt)
+    bits_list, coords = _grid_candidates(fmt)
+    # The incumbent's own evaluation, then each candidate in problem order.
+    assert calls[1:] == [coords[b].tobytes() for b in bits_list]
+    for _ in range(2):
+        build_a_operator(problem).prepare_from_zero()
+    _marked_count(problem)
+    assert len(calls) == 1 + problem.n_points
+
+    calls.clear()
+    config = GpsConfig(fixed_point_format=fmt, search_points_count=16, search_radius=2)
+    ledger = OracleLedger()
+    state = MeshState(np.array([0.25, 0.25]), 0.25, _sphere(np.array([0.25, 0.25])))
+    quantum_search_step(state, PatternBasis.coordinate(2), config,
+                        QSearchParams(tau=0.05), counting, ledger)
+    # One call per candidate, plus the recheck of a measured candidate.
+    assert len(calls) == 16 + ledger.classical_calls
+
+
+def test_search_problem_needs_units_that_fit_the_value_register():
+    layout = RegisterLayout(4, 4, 4)
+    points = ["0001", "0010"]
+    for bad in ([1], [1, 16], [-1, 2], [[1, 2]]):
+        with pytest.raises(ValueError, match="4-bit unsigned value per point"):
+            SearchProblem(points, "0000", None, layout, units=np.array(bad))
+    with pytest.raises(ValueError):
+        SearchProblem(points, "0000", None, layout)
+    problem = SearchProblem(points, "0000", None, layout, units=np.array([15, 3]))
+    assert [problem.oracle(x) for x in points] == ["1111", "0011"]
+    assert _marked_count(problem) == 1

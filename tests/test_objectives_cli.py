@@ -155,16 +155,57 @@ def test_run_config_file_errors(tmp_path, capsys):
 
 
 def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
-    # rosenbrock(2, 2) = 401 does not fit the default 16/10 register, which
-    # the quantum step needs for the incumbent's value.
-    cfg = tmp_path / "overflow.json"
-    cfg.write_text(json.dumps({"objective": "rosenbrock", "initial_point": [2, 2]}))
-    code = run_cli("run", "--config", str(cfg), "--backend", "quantum",
-                   "--output", str(tmp_path / "t.jsonl"))
+    # Mesh size 0.3 puts the quantum step's candidates off the default 2^-10
+    # grid, which select_search_points refuses with an EncodingError.
+    out = tmp_path / "t.jsonl"
+    code = run_cli("run", "--backend", "quantum", "--initial-mesh-size", "0.3",
+                   "--output", str(out))
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 401") and "does not fit" in err
+    assert err.startswith("error: coordinate") and "is not on the 2^-10 grid" in err
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
+def test_run_finishes_from_an_incumbent_the_register_cannot_hold(tmp_path, backend):
+    # rosenbrock(2, 2) = 401 is far above the default 16/10 register's
+    # maximum of 31.999; the quantum step saturates the incumbent's value.
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"objective": "rosenbrock", "initial_point": [2, 2]}))
+    out = tmp_path / "t.jsonl"
+    assert run_cli("run", "--config", str(cfg), "--backend", backend,
+                   "--output", str(out)) == 0
+    records = read_jsonl(out)
+    summary = records[-1]
+    assert summary["type"] == "summary"
+    assert summary["stop_reason"] == "mesh-tolerance"
+    values = [r["value"] for r in records[:-1]] + [summary["final_value"]]
+    assert values[0] == 401.0
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    rosen = make_objective("rosenbrock", 2)
+    assert summary["final_value"] == rosen(np.array(summary["final_iterate"]))
+
+
+def test_run_count_marked_reports_t(tmp_path, capsys):
+    args = ["run", "--objective", "sphere", "--seed", "7", "--tau", "0.05",
+            "--max-iterations", "6", "--emit-rounds"]
+    plain, counted = tmp_path / "plain.jsonl", tmp_path / "counted.jsonl"
+    assert run_cli(*args, "--output", str(plain)) == 0
+    assert run_cli(*args, "--count-marked", "--output", str(counted)) == 0
+    plain_records, counted_records = read_jsonl(plain), read_jsonl(counted)
+    assert len(plain_records) == len(counted_records)
+    steps = 0
+    for a, b in zip(plain_records, counted_records):
+        if b["type"] == "quantum-search-step":
+            steps += 1
+            t = b.pop("t")
+            assert (1 if b["result"] == "found" else 0) <= t <= b["n_points"]
+        assert a == b  # t is the only addition; the summary's config is unchanged
+    assert steps > 0
+    assert "count_marked" not in counted_records[-1]["config"]
+    assert run_cli("run", "--backend", "classical", "--count-marked") == 2
+    assert capsys.readouterr().err == "error: --count-marked needs the quantum backend\n"
 
 
 REFUSED = [

@@ -136,18 +136,21 @@ def test_step_event_contents():
 
 
 @st.composite
-def planted_tables(draw):
+def planted_tables(draw, incumbent_above=False):
     """Value tables that reach past the register on both sides, so some
     values saturate and some differences to the incumbent wrap; halves add
-    rounding ties.  The incumbent itself fits the register."""
+    rounding ties.  The incumbent itself fits the register, or with
+    ``incumbent_above`` lies above its maximum, out to twice the reach."""
     n_points = draw(st.sampled_from([4, 8, 16]))
     fmt = FixedPointFormat(draw(st.sampled_from([4, 6])), 0)
     reach = 2 * (fmt.max_units + 1)
     half_units = st.integers(-2 * reach, 2 * reach).map(lambda k: k / 2)
     values = draw(st.lists(half_units, min_size=n_points, max_size=n_points))
-    incumbent = draw(
-        st.integers(2 * fmt.min_units + 1, 2 * fmt.max_units - 1).map(lambda k: k / 2)
-    )
+    if incumbent_above:
+        low, high = 2 * fmt.max_units + 1, 4 * reach
+    else:
+        low, high = 2 * fmt.min_units + 1, 2 * fmt.max_units - 1
+    incumbent = draw(st.integers(low, high).map(lambda k: k / 2))
     return n_points, fmt, values, incumbent, draw(st.integers(0, 2**16))
 
 
@@ -177,6 +180,58 @@ def test_step_never_accepts_a_non_improvement(table):
         assert result == "found"
         assert out.value == by_point[tuple(out.point)] < incumbent
     assert ledger.classical_calls == (0 if result == "failure" else 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted_tables(incumbent_above=True))
+def test_step_never_accepts_a_non_improvement_above_the_register(table):
+    # The incumbent's value saturates at the register maximum: candidates
+    # below it are marked and truly improve, unless their difference wraps,
+    # and candidates between it and the incumbent go unmarked.
+    n_points, fmt, values, incumbent, seed = table
+    assert incumbent > fmt.max_value
+    basis = PatternBasis.coordinate(2)
+    config = step_config(
+        search_points_count=n_points, search_radius=3, fixed_point_format=fmt,
+        rng_seed=seed,
+    )
+    state = MeshState(np.zeros(2), 1.0, incumbent)
+    bits_list, coords = select_search_points(state, basis, config)
+    by_point = {tuple(coords[b]): v for b, v in zip(bits_list, values)}
+    ledger = OracleLedger()
+    events = []
+    out = quantum_search_step(
+        state, basis, config, QSearchParams(c=1.5, tau=0.2),
+        lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
+        candidates=(bits_list, coords),
+    )
+    result = events[-1]["result"]
+    if out is None:
+        assert result in ("rejected", "failure")
+    else:
+        assert result == "found"
+        assert out.value == by_point[tuple(out.point)] < incumbent
+    assert ledger.classical_calls == (0 if result == "failure" else 1)
+
+
+def test_step_saturates_an_incumbent_above_the_register():
+    # d=4 values: an incumbent of 100 saturates to 7.  Candidates at 50 and
+    # 7 improve but saturate to 7 too, so nothing is marked; the candidate at
+    # 3 is the only marked one, and the step finds it.
+    basis = PatternBasis.coordinate(1)
+    config = step_config(
+        search_points_count=4, search_radius=4, fixed_point_format=FixedPointFormat(4, 0),
+    )
+    state = MeshState(np.array([0.0]), 1.0, 100.0)
+    bits_list, coords = select_search_points(state, basis, config)
+    table = {coords[b].tobytes(): v for b, v in zip(bits_list, [50.0, 7.0, 3.0, 60.0])}
+    events = []
+    out = quantum_search_step(
+        state, basis, config, PARAMS, lambda x: table[x.tobytes()], OracleLedger(),
+        event_sink=events.append, compute_t=True, candidates=(bits_list, coords),
+    )
+    assert events[-1]["t"] == 1
+    assert out is not None and out.value == 3.0
 
 
 def test_step_given_candidates_matches_own_selection():

@@ -148,6 +148,49 @@ def test_householder_errors():
         op(SparseState.zero(L2))
 
 
+def reference_householder_vector(targets):
+    """|w> as the string-keyed construction built it: a dict of coefficients
+    in target order, the zero string last unless it is a target, normalized
+    by a sum taken one coefficient at a time."""
+    zero = "0" * len(targets[0])
+    coeff = 1.0 / math.sqrt(len(targets))
+    w = {t: coeff for t in targets}
+    w[zero] = w.get(zero, 0.0) - 1.0
+    norm_sq = sum(c * c for c in w.values())
+    if norm_sq < 1e-30:
+        return [], np.array([])
+    scale = 1.0 / math.sqrt(norm_sq)
+    w = {b: c * scale for b, c in w.items() if c != 0.0}
+    return list(w), np.array(list(w.values()))
+
+
+@pytest.mark.parametrize(
+    "width,n_targets,with_zero",
+    [
+        (width, n, with_zero)
+        for width in (1, 4, 10, 16)
+        for n in (1, 2, 3, 7, 100, 1000, 1024)
+        for with_zero in (False, True)
+        if n <= 2**width - (not with_zero)
+    ],
+)
+def test_householder_vector_is_bit_identical_to_the_dict_construction(
+    width, n_targets, with_zero
+):
+    rng = np.random.default_rng([width, n_targets, with_zero])
+    pool = np.arange(0 if with_zero else 1, 2**width)
+    chosen = rng.choice(pool, size=n_targets, replace=False)
+    if with_zero and 0 not in chosen:
+        chosen[rng.integers(n_targets)] = 0
+    targets = [format(int(i), f"0{width}b") for i in chosen]
+    op = householder_prepare(targets)
+    points, vector = reference_householder_vector(targets)
+    assert op.points == points
+    assert np.array_equal(op.vector, vector)
+    assert op.is_identity == (not points)
+    assert op.w == dict(zip(points, vector.tolist()))
+
+
 def _operator_matrix(op, point_width, suffix="00"):
     """Explicit matrix of the operator on the point register basis."""
     dim = 2**point_width
