@@ -11,9 +11,9 @@ machine precision, not sampling error.
 import numpy as np
 
 from qpsearch import (
+    PreparationOperator,
     analytic_success_probability,
     apply_Q,
-    build_a_operator,
     desired_probability,
     make_planted_problem,
 )
@@ -22,7 +22,7 @@ N, T = 32, 2
 problem, marked = make_planted_problem(N, T, rng=np.random.default_rng(8))
 print(f"N={N} candidates, t={T} improving (planted at indices {marked})\n")
 
-ops = build_a_operator(problem)
+ops = PreparationOperator(problem)
 state = ops.prepare_from_zero()
 print(f"prepared state support: {len(state)} basis strings")
 print(f"one of them: |{next(iter(state.support()))}>  (point|value|comparison)\n")
@@ -32,7 +32,7 @@ for j in range(9):
     simulated = desired_probability(state)
     closed = analytic_success_probability(N, T, j)
     print(f"{j:>3} {simulated:>12.9f} {closed:>12.9f} {abs(simulated-closed):>12.3e}")
-    state = apply_Q(state, problem, ops=ops)
+    state = apply_Q(state, ops)
 
 best_j = int(np.round((np.pi / (4 * np.arcsin(np.sqrt(T / N)))) - 0.5))
 print(f"\noptimal iterate count for this (N, t): j = {best_j}")

@@ -21,7 +21,6 @@ from .amplify import (
     apply_Q,
     apply_S0,
     apply_Schi,
-    build_a_operator,
     desired_probability,
     failure_round_bound,
     is_desired,
@@ -77,7 +76,6 @@ from .state import (
     SparseState,
     apply_basis_map,
     apply_phase,
-    householder_prepare,
     measure,
     sample_counts,
 )

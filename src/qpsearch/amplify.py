@@ -24,13 +24,13 @@ import numpy as np
 from .fixedpoint import negate_bits
 from .ledger import OracleLedger
 from .state import (
+    HouseholderPrepare,
     IndexSpace,
     IndexState,
     RegisterLayout,
     SparseState,
     apply_basis_map,
     apply_phase,
-    householder_prepare,
     measure,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "DomainError",
     "SafetyCapReachedError",
     "PreparationOperator",
-    "build_a_operator",
     "apply_S0",
     "apply_Schi",
     "apply_Q",
@@ -124,23 +123,18 @@ class RoundRecord:
 
 class SearchProblem:
     """One search-step instance: N candidate points, the incumbent's encoded
-    value, and the values f_j of the candidates that the quantum oracle lifts.
-
-    The values come either as a string oracle, read once per candidate when
-    ``units`` is first needed, or as ``units``, the candidates' unsigned
-    register units in problem order, from which the string oracle is built
-    only if something asks for it.
+    value, and ``units``, the values f_j of the candidates that the quantum
+    oracle lifts, as unsigned register units in problem order.
     """
 
-    __slots__ = ("points", "incumbent_value_bits", "layout", "_oracle", "_units")
+    __slots__ = ("points", "incumbent_value_bits", "units", "layout", "_oracle")
 
     def __init__(
         self,
         points: Sequence[str],
         incumbent_value_bits: str,
-        oracle: Optional[Callable[[str], str]],
+        units: np.ndarray,
         layout: RegisterLayout,
-        units: Optional[np.ndarray] = None,
     ):
         points = list(points)
         if not points:
@@ -158,48 +152,31 @@ class SearchProblem:
                 f"incumbent value width {len(incumbent_value_bits)} != "
                 f"{layout.value_bits}"
             )
-        if units is not None:
-            units = np.asarray(units, dtype=np.int64)
-            in_range = (units >= 0) & (units < 1 << layout.value_bits)
-            if units.shape != (len(points),) or not in_range.all():
-                raise ValueError(
-                    f"need one {layout.value_bits}-bit unsigned value per point"
-                )
-        elif oracle is None:
-            raise ValueError("need an oracle or the values' units")
+        units = np.asarray(units)
+        if units.shape != (len(points),) or not (
+            (units >= 0) & (units < 1 << layout.value_bits)
+        ).all():
+            raise ValueError(
+                f"need one {layout.value_bits}-bit unsigned value per point"
+            )
         self.points = points
         self.incumbent_value_bits = incumbent_value_bits
+        self.units = units.astype(np.int64, copy=False)
         self.layout = layout
-        self._oracle = oracle
-        self._units = units
+        self._oracle = None
 
     @property
     def n_points(self) -> int:
         return len(self.points)
 
     @property
-    def units(self) -> np.ndarray:
-        """f_j of each candidate, in problem order, as unsigned units."""
-        if self._units is None:
-            vb = self.layout.value_bits
-            units = []
-            for x in self.points:
-                fx = self._oracle(x)
-                if len(fx) != vb or fx.strip("01"):
-                    raise ValueError(
-                        f"oracle returned {fx!r}, expected {vb}-bit string"
-                    )
-                units.append(int(fx, 2))
-            self._units = np.array(units, dtype=np.int64)
-        return self._units
-
-    @property
     def oracle(self) -> Callable[[str], str]:
-        """f as a map from point strings to value strings."""
+        """f as a map from point strings to value strings, built on first
+        use; only the SparseState reference simulator reads it."""
         if self._oracle is None:
             vb = self.layout.value_bits
             table = {
-                x: format(u, f"0{vb}b") for x, u in zip(self.points, self._units.tolist())
+                x: format(u, f"0{vb}b") for x, u in zip(self.points, self.units.tolist())
             }
             self._oracle = table.__getitem__
         return self._oracle
@@ -250,7 +227,7 @@ class PreparationOperator:
         neg_units = int(negate_bits(problem.incumbent_value_bits), 2)
         units = problem.units
         self.space = IndexSpace(layout, problem.points, units, (units + neg_units) & mask)
-        self._spread = householder_prepare(problem.points)
+        self._spread = HouseholderPrepare(problem.points)
 
         def load(b: str) -> str:
             # XOR the comparison register with |-f_k|'s bit pattern.
@@ -278,21 +255,15 @@ class PreparationOperator:
         self._add = add
         self._add_inv = add_inv
 
-    def apply(
-        self, state: State, ledger: Optional[OracleLedger] = None, scale: complex = 1.0
-    ) -> State:
-        """Apply A; ``scale`` multiplies in an overall phase."""
+    def apply(self, state: State, ledger: Optional[OracleLedger] = None) -> State:
+        """Apply A."""
         if isinstance(state, IndexState):
             state = self._spread(state)
-            if scale != 1.0:
-                state = IndexState(state.space, state.amplitudes * scale)
         else:
             state = apply_basis_map(state, self._load)
             state = self._spread(state)
             state = apply_basis_map(state, self._oracle_xor)
             state = apply_basis_map(state, self._add)
-            if scale != 1.0:
-                state = apply_phase(state, lambda b: True, scale)
         if ledger is not None:
             ledger.quantum_calls += 1
         return state
@@ -315,11 +286,6 @@ class PreparationOperator:
     def prepare_from_zero(self, ledger: Optional[OracleLedger] = None) -> SparseState:
         """A|0>|0>|0> on the reference simulator."""
         return self.apply(SparseState.zero(self.layout), ledger)
-
-
-def build_a_operator(problem: SearchProblem) -> PreparationOperator:
-    """Compose the four sub-operators of the preparation A for ``problem``."""
-    return PreparationOperator(problem)
 
 
 def apply_S0(state: State) -> State:
@@ -353,23 +319,22 @@ def apply_Schi(state: State) -> State:
 
 
 def apply_Q(
-    state: State,
-    problem: SearchProblem,
-    ledger: Optional[OracleLedger] = None,
-    ops: Optional[PreparationOperator] = None,
+    state: State, ops: PreparationOperator, ledger: Optional[OracleLedger] = None
 ) -> State:
     """One amplification iterate: S_chi, A^-1, S0, A, global phase -1.
 
-    Assumes the state lies in the subspace reachable from A|0> (not
-    checked).  Counts two quantum calls: one oracle use inside A^-1 and one
-    inside A.
+    ``ops`` is the problem's preparation A.  Assumes the state lies in the
+    subspace reachable from A|0> (not checked).  Counts two quantum calls:
+    one oracle use inside A^-1 and one inside A.
     """
-    if ops is None:
-        ops = PreparationOperator(problem)
     state = apply_Schi(state)
     state = ops.apply_inverse(state, ledger)
     state = apply_S0(state)
-    state = ops.apply(state, ledger, scale=-1.0)
+    state = ops.apply(state, ledger)
+    if isinstance(state, IndexState):
+        state = IndexState(state.space, -state.amplitudes)
+    else:
+        state = apply_phase(state, lambda b: True, -1.0)
     if ledger is not None:
         ledger.q_applications += 1
     return state
@@ -395,7 +360,7 @@ def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
     start = ops.apply(IndexState.zero(ops.space))
     psi0 = start.amplitudes
     psi0.flags.writeable = False
-    psi1 = apply_Q(start, problem, None, ops).amplitudes
+    psi1 = apply_Q(start, ops).amplitudes
     x = float(psi0 @ psi1)
     r = psi1 - x * psi0
     s = float(np.linalg.norm(r))
@@ -578,12 +543,6 @@ def make_planted_problem(
     marked = sorted(int(i) for i in marked_indices)
     if len(marked) != n_marked or any(not 0 <= i < n_points for i in marked):
         raise ValueError("marked_indices inconsistent with n_marked/n_points")
-    marked_set = {points[i] for i in marked}
-    below = format(-1 & (2**d - 1), f"0{d}b")  # incumbent - 1
-    above = format(1, f"0{d}b")  # incumbent + 1
-    incumbent = "0" * d
-
-    def oracle(x: str) -> str:
-        return below if x in marked_set else above
-
-    return SearchProblem(points, incumbent, oracle, layout), marked
+    units = np.ones(n_points, dtype=np.int64)  # incumbent + 1
+    units[marked] = (1 << d) - 1  # incumbent - 1
+    return SearchProblem(points, "0" * d, units, layout), marked

@@ -19,10 +19,10 @@ import numpy as np
 
 from .amplify import (
     DomainError,
+    PreparationOperator,
     QSearchParams,
     analytic_success_probability,
     apply_Q,
-    build_a_operator,
     make_planted_problem,
 )
 from .fixedpoint import EncodingError, FixedPointFormat, FixedPointOverflowError
@@ -253,7 +253,7 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     problem, _ = make_planted_problem(n, t, rng=rng)
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     state = ops.prepare_from_zero()
     sign_idx = problem.layout.comparison_sign_index
 
@@ -268,7 +268,7 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
             f"{j:>4} {analytic:>12.6f} {empirical:>12.6f} "
             f"{abs(empirical - analytic):>12.6f}"
         )
-        state = apply_Q(state, problem, ops=ops)
+        state = apply_Q(state, ops)
     return 0
 
 

@@ -212,22 +212,24 @@ def encode_point_exact(x: Sequence[float], fmt: FixedPointFormat) -> str:
     """Encode a point that must already lie on the grid.
 
     Raises EncodingError for off-grid coordinates (a mesh/format mismatch)
-    and FixedPointOverflowError for in-grid values outside the range.
+    and NaN, and FixedPointOverflowError for in-grid values outside the
+    range and for infinities.
     """
     parts = []
     for i, v in enumerate(x):
         v = float(v)
         scaled = v * (1 << fmt.frac_bits)
-        if scaled != math.floor(scaled):
+        if math.isnan(scaled) or (
+            not math.isinf(scaled) and scaled != math.floor(scaled)
+        ):
             raise EncodingError(
                 f"coordinate {i} = {v} is not on the 2^-{fmt.frac_bits} grid"
             )
-        units = int(scaled)
-        if not fmt.min_units <= units <= fmt.max_units:
+        if not fmt.min_units <= scaled <= fmt.max_units:
             raise FixedPointOverflowError(
                 f"coordinate {i} = {v} outside representable range "
                 f"[{fmt.min_value}, {fmt.max_value}]",
                 coordinate=i,
             )
-        parts.append(_units_to_bits(units, fmt.total_bits))
+        parts.append(_units_to_bits(int(scaled), fmt.total_bits))
     return "".join(parts)

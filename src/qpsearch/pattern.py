@@ -173,8 +173,8 @@ class GpsConfig:
     max_oracle_calls: Optional[int] = None
 
     def __post_init__(self):
-        if self.initial_mesh_size <= 0:
-            raise ValueError("initial mesh size must be positive")
+        if not 0 < self.initial_mesh_size < math.inf:
+            raise ValueError("initial mesh size must be positive and finite")
         if self.expansion_factor < 1 or not _is_power_of_two(self.expansion_factor):
             raise ValueError("expansion factor must be a power of 2 and >= 1")
         if not 0 < self.contraction_factor < 1 or not _is_power_of_two(
@@ -188,8 +188,8 @@ class GpsConfig:
             raise ValueError("search_radius must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.mesh_size_tolerance <= 0:
-            raise ValueError("mesh_size_tolerance must be positive")
+        if not 0 < self.mesh_size_tolerance < math.inf:
+            raise ValueError("mesh_size_tolerance must be positive and finite")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
@@ -296,11 +296,50 @@ def _compositions(total: int, parts: int, cap: int) -> Iterator[Tuple[int, ...]]
             yield (first,) + rest
 
 
+def _exhausted(found: int, wanted: int) -> MeshExhaustedError:
+    return MeshExhaustedError(
+        f"only {found} distinct representable mesh points exist, {wanted} requested"
+    )
+
+
+def _axis_mesh_count(
+    state: MeshState, basis: PatternBasis, config: GpsConfig
+) -> Optional[int]:
+    """In-range mesh points that z in {0..search_radius}^p reaches, the
+    incumbent among them, or None where they are not counted.
+
+    They are counted when the basis is G [I, -I] with G diagonal and every
+    step mesh_size * g_i is a whole number of register units: axis i then
+    moves by k steps for every k in [-search_radius, search_radius], and the
+    points are the product of the axes' in-range positions.
+    """
+    g = basis.generating
+    eye = np.eye(basis.dimension, dtype=int)
+    if not (
+        np.array_equal(basis.integer_combinations, np.hstack([eye, -eye]))
+        and np.array_equal(g, np.diag(np.diag(g)))
+    ):
+        return None
+    fmt = config.fixed_point_format
+    scale = 1 << fmt.frac_bits
+    cap = config.search_radius
+    count = 1
+    for x, g_i in zip(state.iterate.tolist(), np.diag(g).tolist()):
+        step = abs(float(state.mesh_size) * g_i) * scale
+        if step < 1 or not step.is_integer():
+            return None
+        s, u = int(step), int(x * scale)
+        above = min(cap, (fmt.max_units - u) // s)
+        below = min(cap, (u - fmt.min_units) // s)
+        count *= above + below + 1
+    return count
+
+
 def select_search_points(
     state: MeshState,
     basis: PatternBasis,
     config: GpsConfig,
-) -> Tuple[List[str], Dict[str, np.ndarray]]:
+) -> Tuple[List[str], np.ndarray]:
     """Pick N distinct encodable mesh points around the incumbent.
 
     Combination vectors z are drawn uniformly from {0..search_radius}^p
@@ -311,7 +350,8 @@ def select_search_points(
     taken in draw order up to the N-th, so the result is that of drawing
     and encoding one z at a time: the first off-grid point reached raises
     EncodingError and out-of-range points are skipped.  Returns the encoded
-    point strings in selection order plus the bits -> coordinates map.
+    point strings in selection order and the (N, n) array whose row k is the
+    point that string k encodes.
     """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
@@ -361,30 +401,28 @@ def select_search_points(
                 f"{n_wanted} points requested, but a point register of {width} "
                 f"bits holds only {2**width - 1} besides the incumbent"
             )
+        total = _axis_mesh_count(state, basis, config)
+        if total is not None and total - 1 < n_wanted:
+            raise _exhausted(total - 1, n_wanted)
         small_z = _small_z_enumeration(p, cap)
         while len(found) < n_wanted and (block := list(islice(small_z, chunk))):
             take(np.array(block))
     if len(found) < n_wanted:
-        raise MeshExhaustedError(
-            f"only {len(found)} distinct representable mesh points exist, "
-            f"{n_wanted} requested"
-        )
+        raise _exhausted(len(found), n_wanted)
     points = np.array(list(found.values()))
     units = (points * scale).astype(np.int64)
     digits = (units[:, :, None] >> np.arange(d - 1, -1, -1)) & 1
     text = (digits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
     bits_list = [text[k * width : (k + 1) * width] for k in range(n_wanted)]
-    return bits_list, dict(zip(bits_list, points))
+    return bits_list, points
 
 
-def search_candidates_record(
-    iteration: int, bits_list: Sequence[str], coords: Dict[str, np.ndarray]
-) -> dict:
+def search_candidates_record(iteration: int, points: np.ndarray) -> dict:
     """The ``search-candidates`` trace event of either search backend."""
     return {
         "type": "search-candidates",
         "iteration": iteration,
-        "points": [coords[b].tolist() for b in bits_list],
+        "points": points.tolist(),
     }
 
 
@@ -479,11 +517,11 @@ def gps_run(
             break
 
         if search_backend == "classical":
-            bits, coords = select_search_points(state, basis, config)
+            _, points = select_search_points(state, basis, config)
             if event_sink is not None:
-                event_sink(search_candidates_record(state.iteration, bits, coords))
+                event_sink(search_candidates_record(state.iteration, points))
             outcome = classical_search_step(
-                [coords[b] for b in bits], objective, state.incumbent_value, ledger
+                points, objective, state.incumbent_value, ledger
             )
         else:
             outcome = quantum_search_step(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,34 +42,41 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
+def _finite(values):
+    # NaN and +inf become the largest float and -inf the smallest, which the
+    # saturating encode clamps to the register's ends.
+    return np.fmax(np.fmin(values, _FLOAT_MAX), -_FLOAT_MAX)
+
+
 def _build_problem(
     bits_list: Sequence[str],
-    coords: Dict[str, np.ndarray],
+    points: np.ndarray,
     incumbent_value: float,
     objective: Callable[[np.ndarray], float],
     config: GpsConfig,
 ) -> SearchProblem:
-    """The search problem over the selected candidates, in selection order.
+    """The search problem over the selected candidates, in selection order:
+    ``points`` row k is the point that ``bits_list[k]`` encodes.
 
     The objective is called once per candidate.  These evaluations simulate
     the oracle F and are not ledgered classical calls.  Values, the
-    incumbent's among them, saturate at the register's ends: an improving
-    candidate above the register maximum goes unmarked, and the classical
-    recheck after measurement rejects any mark the saturation or a wrapped
-    difference gets wrong.
+    incumbent's among them, saturate at the register's ends, NaN and +inf at
+    the top and -inf at the bottom: an improving candidate above the
+    register maximum goes unmarked, and the classical recheck after
+    measurement rejects any mark the saturation or a wrapped difference gets
+    wrong.
     """
     fmt = config.fixed_point_format
     d = fmt.total_bits
-    n = len(coords[bits_list[0]])
+    n = points.shape[1]
     layout = RegisterLayout(point_bits=n * d, value_bits=d, comparison_bits=d)
-    incumbent_bits, _ = encode_scalar_saturating(incumbent_value, fmt)
-    values = np.fromiter(
-        (float(objective(coords[b])) for b in bits_list), float, len(bits_list)
-    )
-    units, _ = encode_units_saturating(values, fmt)
-    return SearchProblem(
-        bits_list, incumbent_bits, None, layout, units=units & ((1 << d) - 1)
-    )
+    incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
+    values = np.fromiter((float(objective(y)) for y in points), float, len(points))
+    units, _ = encode_units_saturating(_finite(values), fmt)
+    return SearchProblem(bits_list, incumbent_bits, units & ((1 << d) - 1), layout)
 
 
 def _marked_count(problem: SearchProblem) -> int:
@@ -89,7 +96,7 @@ def quantum_search_step(
     ledger: OracleLedger,
     event_sink: Optional[Callable[[dict], None]] = None,
     compute_t: bool = False,
-    candidates: Optional[Tuple[List[str], Dict[str, np.ndarray]]] = None,
+    candidates: Optional[Tuple[List[str], np.ndarray]] = None,
 ) -> Optional[ImprovedPoint]:
     """Search N mesh points with the finite-termination quantum loop.
 
@@ -102,11 +109,11 @@ def quantum_search_step(
     """
     if candidates is None:
         candidates = select_search_points(state, basis, config)
-    bits_list, coords = candidates
+    bits_list, points = candidates
     if event_sink is not None:
-        event_sink(search_candidates_record(state.iteration, bits_list, coords))
+        event_sink(search_candidates_record(state.iteration, points))
     problem = _build_problem(
-        bits_list, coords, state.incumbent_value, objective, config
+        bits_list, points, state.incumbent_value, objective, config
     )
     qsearch_rng = np.random.default_rng([config.rng_seed, state.iteration, 1])
     before = ledger.copy()
@@ -125,7 +132,7 @@ def quantum_search_step(
     accepted: Optional[ImprovedPoint] = None
     if outcome.result is not None:
         point_bits = problem.layout.point_part(outcome.result)
-        candidate = coords[point_bits]
+        candidate = points[bits_list.index(point_bits)]
         ledger.classical_calls += 1
         value = float(objective(candidate))
         if value < state.incumbent_value:
@@ -209,32 +216,25 @@ def compare_backends(
         else:
             incumbent = 0.0
         state = MeshState(x0, cfg.initial_mesh_size, incumbent, 0)
-        bits_list, coords = select_search_points(state, basis, cfg)
+        bits_list, points = select_search_points(state, basis, cfg)
 
         if planted_t is not None:
             plant_rng = np.random.default_rng([cfg.rng_seed, 0, 2])
             marked = plant_rng.choice(len(bits_list), size=planted_t, replace=False)
             # Keyed by each candidate's float64 coordinate bytes: the step
-            # objective is only ever called with the arrays that coords holds.
-            by_key = {coords[bits_list[i]].tobytes(): -1.0 for i in marked}
+            # objective is only ever called with the rows of points.
+            by_key = {points[i].tobytes(): -1.0 for i in marked}
 
             def step_objective(x, _table=by_key):
                 return _table.get(x.tobytes(), 1.0)
 
             t = planted_t
         else:
-            t = sum(
-                1
-                for b in bits_list
-                if float(objective(coords[b])) < incumbent
-            )
+            t = sum(1 for y in points if float(objective(y)) < incumbent)
 
         classical_ledger = OracleLedger()
         c_outcome = classical_search_step(
-            [coords[b] for b in bits_list],
-            step_objective,
-            incumbent,
-            classical_ledger,
+            points, step_objective, incumbent, classical_ledger
         )
 
         quantum_ledger = OracleLedger()
@@ -245,7 +245,7 @@ def compare_backends(
             params,
             step_objective,
             quantum_ledger,
-            candidates=(bits_list, coords),
+            candidates=(bits_list, points),
         )
 
         rows.append(

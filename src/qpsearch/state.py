@@ -33,7 +33,6 @@ __all__ = [
     "HouseholderPrepare",
     "apply_basis_map",
     "apply_phase",
-    "householder_prepare",
     "measure",
     "sample_counts",
 ]
@@ -147,10 +146,6 @@ class SparseState:
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def probability(self, marked: Callable[[str], bool]) -> float:
-        """Total Born probability of the basis strings satisfying ``marked``."""
-        return sum(abs(a) ** 2 for b, a in self.amplitudes.items() if marked(b))
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -427,11 +422,6 @@ def _reject_targets(targets: Sequence[str], width: int) -> None:
         if t in seen:
             raise ValueError(f"duplicate target string {t!r}")
         seen.add(t)
-
-
-def householder_prepare(targets: Iterable[str]) -> HouseholderPrepare:
-    """Build the state-preparation reflection for a set of point strings."""
-    return HouseholderPrepare(targets)
 
 
 def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from qpsearch.amplify import (
+    PreparationOperator,
     QSearchParams,
     analytic_success_probability,
     apply_Q,
-    build_a_operator,
     desired_probability,
     failure_round_bound,
     make_planted_problem,
@@ -23,7 +23,7 @@ from qpsearch.fixedpoint import FixedPointFormat, decode_scalar, encode_scalar, 
 from qpsearch.objectives import make_objective, objective_names
 from qpsearch.pattern import GpsConfig, PatternBasis, gps_run
 from qpsearch.quantum_step import compare_backends
-from qpsearch.state import RegisterLayout, SparseState, apply_basis_map, apply_phase, householder_prepare, measure
+from qpsearch.state import HouseholderPrepare, RegisterLayout, SparseState, apply_basis_map, apply_phase, measure
 
 PARAMS = QSearchParams(c=1.5, tau=0.01)
 
@@ -38,7 +38,7 @@ def test_criterion_1_grover_rotation_exactness():
     for n in (4, 16, 64):
         for t in sorted({0, 1, n // 4, n // 2}):
             problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
-            ops = build_a_operator(problem)
+            ops = PreparationOperator(problem)
             state = ops.prepare_from_zero()
             for j in range(11):
                 err = abs(
@@ -47,7 +47,7 @@ def test_criterion_1_grover_rotation_exactness():
                 worst = max(worst, err)
                 checks += 1
                 assert err <= 1e-9, f"N={n} t={t} j={j}: error {err}"
-                state = apply_Q(state, problem, ops=ops)
+                state = apply_Q(state, ops)
     report(
         "criterion 1 (Grover rotation exactness)",
         f"{checks} (N,t,j) combinations, max |sim - analytic| = {worst:.2e} <= 1e-9",
@@ -265,7 +265,7 @@ def test_criterion_7_unit_property_suites():
     amps = rng.normal(size=40) + 1j * rng.normal(size=40)
     amps /= np.linalg.norm(amps)
     state = SparseState(layout, dict(zip(keys, amps)))
-    spread = householder_prepare([format(i, "06b") for i in (3, 17, 40, 63)])
+    spread = HouseholderPrepare([format(i, "06b") for i in (3, 17, 40, 63)])
     for out in (
         apply_basis_map(state, lambda b: b[::-1]),
         apply_phase(state, lambda b: b[0] == "1", -1j),
@@ -281,8 +281,9 @@ def test_criterion_7_unit_property_suites():
     values = {p: encode_scalar((7 * i) % 23 - 11, fmt6) for i, p in enumerate(points)}
     from qpsearch.amplify import SearchProblem
 
-    problem = SearchProblem(points, encode_scalar(-2, fmt6), values.__getitem__, layout6)
-    ops = build_a_operator(problem)
+    units = np.array([int(values[p], 2) for p in points])
+    problem = SearchProblem(points, encode_scalar(-2, fmt6), units, layout6)
+    ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
     for bits in [layout6.zero_string(), *prepared.support()]:
         roundtrip = ops.apply_inverse(ops.apply(SparseState(layout6, {bits: 1.0})))

@@ -15,7 +15,6 @@ from qpsearch.amplify import (
     apply_Q,
     apply_S0,
     apply_Schi,
-    build_a_operator,
     desired_probability,
     failure_round_bound,
     is_desired,
@@ -36,13 +35,13 @@ def small_problem(values, incumbent, d=4, point_width=None):
     pw = point_width or d
     layout = RegisterLayout(pw, d, d)
     points = [format(i, f"0{pw}b") for i in range(len(values))]
-    table = {p: encode_scalar(v, fmt) for p, v in zip(points, values)}
-    return SearchProblem(points, encode_scalar(incumbent, fmt), table.__getitem__, layout)
+    units = np.array([int(encode_scalar(v, fmt), 2) for v in values])
+    return SearchProblem(points, encode_scalar(incumbent, fmt), units, layout)
 
 
 def test_build_a_single_point_equal_value():
     problem = small_problem([5], incumbent=5)
-    state = build_a_operator(problem).prepare_from_zero()
+    state = PreparationOperator(problem).prepare_from_zero()
     (bits,) = state.support()
     assert problem.layout.comparison_part(bits) == "0000"
     assert not is_desired(bits, problem.layout)
@@ -51,7 +50,7 @@ def test_build_a_single_point_equal_value():
 
 def test_build_a_plus_minus_one():
     problem = small_problem([2, 4], incumbent=3)  # f_k -1 and f_k +1
-    state = build_a_operator(problem).prepare_from_zero()
+    state = PreparationOperator(problem).prepare_from_zero()
     comps = {
         problem.layout.point_part(b): problem.layout.comparison_part(b)
         for b in state.support()
@@ -68,7 +67,7 @@ def test_build_a_matches_direct_construction():
     values = [13, -7, 0, 22]
     incumbent = 9
     problem = small_problem(values, incumbent, d=d)
-    state = build_a_operator(problem).prepare_from_zero()
+    state = PreparationOperator(problem).prepare_from_zero()
 
     expected = {}
     for point, value in zip(problem.points, values):
@@ -96,7 +95,7 @@ def test_apply_s0_examples():
 
 def test_apply_schi_marks_negative_comparisons_only():
     problem = small_problem([2, 4, 3], incumbent=3)
-    state = build_a_operator(problem).prepare_from_zero()
+    state = PreparationOperator(problem).prepare_from_zero()
     flipped = apply_Schi(state)
     layout = problem.layout
     for b in state.support():
@@ -111,18 +110,18 @@ def test_apply_schi_marks_negative_comparisons_only():
 
 def test_apply_q_exact_rotation_n4():
     problem, _ = make_planted_problem(4, 1, marked_indices=[2])
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     state = ops.prepare_from_zero()
     assert desired_probability(state) == pytest.approx(0.25, abs=1e-12)
-    state = apply_Q(state, problem, ops=ops)
+    state = apply_Q(state, ops)
     assert desired_probability(state) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apply_q_with_no_marked_states_is_identity():
     problem, _ = make_planted_problem(8, 0)
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
-    state = apply_Q(prepared, problem, ops=ops)
+    state = apply_Q(prepared, ops)
     # Q = -A S0 A^-1 here, and the two sign flips cancel exactly.
     assert set(state.support()) == set(prepared.support())
     for b in prepared.support():
@@ -132,28 +131,28 @@ def test_apply_q_with_no_marked_states_is_identity():
 
 def test_apply_q_global_phase_all_marked():
     problem, _ = make_planted_problem(4, 4)
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
-    state = apply_Q(prepared, problem, ops=ops)
+    state = apply_Q(prepared, ops)
     for b in prepared.support():
         assert state.amplitude(b) == pytest.approx(-prepared.amplitude(b), abs=1e-12)
 
 
 def test_apply_q_rotation_n16_t4():
     problem, _ = make_planted_problem(16, 4, rng=np.random.default_rng(0))
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     state = ops.prepare_from_zero()
     theta = math.asin(0.5)
     for j in range(3):
         expected = math.sin((2 * j + 1) * theta) ** 2
         assert desired_probability(state) == pytest.approx(expected, abs=1e-9)
-        state = apply_Q(state, problem, ops=ops)
+        state = apply_Q(state, ops)
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (8, 3), (16, 16), (16, 5)])
 def test_inverse_preparation_is_identity(n, t):
     problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(1))
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
     back = ops.apply_inverse(prepared)
     assert back.amplitude(problem.layout.zero_string()) == pytest.approx(1.0, abs=1e-9)
@@ -168,7 +167,7 @@ def test_inverse_preparation_is_identity(n, t):
 
 def test_state_stays_in_rotation_plane():
     problem, _ = make_planted_problem(16, 3, rng=np.random.default_rng(2))
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
     idx = problem.layout.comparison_sign_index
     good = {b: a for b, a in prepared.amplitudes.items() if b[idx] == "1"}
@@ -180,7 +179,7 @@ def test_state_stays_in_rotation_plane():
 
     state = prepared
     for _ in range(8):
-        state = apply_Q(state, problem, ops=ops)
+        state = apply_Q(state, ops)
         pg = sum(good[b].conjugate() * a for b, a in state.amplitudes.items() if b in good)
         pb = sum(bad[b].conjugate() * a for b, a in state.amplitudes.items() if b in bad)
         residual_sq = sum(
@@ -343,16 +342,13 @@ def test_planted_problem_construction():
 def test_search_problem_validation():
     layout = RegisterLayout(4, 4, 4)
     with pytest.raises(ValueError):
-        SearchProblem([], "0000", lambda x: "0000", layout)
+        SearchProblem([], "0000", np.array([], dtype=int), layout)
     with pytest.raises(ValueError):
-        SearchProblem(["0000", "0000"], "0000", lambda x: "0000", layout)
+        SearchProblem(["0000", "0000"], "0000", np.array([0, 0]), layout)
     with pytest.raises(ValueError):
-        SearchProblem(["000"], "0000", lambda x: "0000", layout)
+        SearchProblem(["000"], "0000", np.array([0]), layout)
     with pytest.raises(ValueError):
-        SearchProblem(["0000"], "000", lambda x: "0000", layout)
-    problem = SearchProblem(["0000"], "0000", lambda x: "00", layout)
-    with pytest.raises(ValueError):
-        PreparationOperator(problem).prepare_from_zero()  # bad oracle width
+        SearchProblem(["0000"], "000", np.array([0]), layout)
 
 
 def test_qsearch_params_validation():
@@ -372,7 +368,7 @@ def test_qsearch_params_validation():
 def _fresh_iterate(problem, ops, j):
     state = ops.apply(IndexState.zero(ops.space))
     for _ in range(j):
-        state = apply_Q(state, problem, ops=ops)
+        state = apply_Q(state, ops)
     return state
 
 
@@ -386,7 +382,7 @@ def _orbit_cases():
 
 def _check_orbit(problem):
     iterate = amplify._plane(problem)
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     # Up, down, repeated, and on both sides of every earlier j.
     for j in [0, 3, 9, 9, 2, 40, 40, 1, 39, 17, 64, 0, 63, 33, 5]:
         state = iterate(j)
@@ -412,7 +408,7 @@ def _recomputing_search(problem, params, rng, finite):
     applies Q j times to it afresh."""
     ledger = OracleLedger()
     records = []
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     zero = IndexState.zero(ops.space)
     sign_idx = problem.layout.comparison_sign_index
     l = u = q_apps = 0
@@ -432,7 +428,7 @@ def _recomputing_search(problem, params, rng, finite):
         state = ops.apply(zero, ledger)
         j = int(rng.integers(1, m + 1))
         for _ in range(j):
-            state = apply_Q(state, problem, ledger, ops)
+            state = apply_Q(state, ops, ledger)
         q_apps += j
         measured = measure(state, rng)
         records.append(amplify.RoundRecord(l, m, j, u, measured, measured[sign_idx] == "1"))

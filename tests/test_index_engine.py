@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpsearch.amplify import (
+    PreparationOperator,
     QSearchParams,
     SearchProblem,
     analytic_success_probability,
     apply_Q,
-    build_a_operator,
     desired_probability,
     make_planted_problem,
 )
@@ -32,20 +32,16 @@ def _grid_candidates(fmt):
     """The 5x5 grid of spacing 1/4 around the origin, the all-zeros point
     string among its candidates."""
     ticks = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    coords = {}
-    for a in ticks:
-        for b in ticks:
-            y = np.array([a, b])
-            coords[encode_point_exact(y, fmt)] = y
-    return list(coords), coords
+    points = np.array([[a, b] for a in ticks for b in ticks])
+    return [encode_point_exact(y, fmt) for y in points], points
 
 
 def _grid_problem(objective, incumbent_point, fmt):
     """A _build_problem instance over the grid of _grid_candidates."""
-    bits_list, coords = _grid_candidates(fmt)
+    bits_list, points = _grid_candidates(fmt)
     config = GpsConfig(fixed_point_format=fmt, search_points_count=32)
     incumbent = float(objective(np.asarray(incumbent_point)))
-    return _build_problem(bits_list, coords, incumbent, objective, config)
+    return _build_problem(bits_list, points, incumbent, objective, config)
 
 
 def _sphere(x):
@@ -77,7 +73,7 @@ def _assert_agree(index_state, reference):
 
 
 def _check_engines(problem, t):
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     reference = ops.prepare_from_zero()
     index_state = ops.apply(IndexState.zero(ops.space))
     n = problem.n_points
@@ -90,8 +86,8 @@ def _check_engines(problem, t):
             assert measure(index_state, np.random.default_rng([seed, j])) == measure(
                 reference, np.random.default_rng([seed, j])
             )
-        reference = apply_Q(reference, problem, ops=ops)
-        index_state = apply_Q(index_state, problem, ops=ops)
+        reference = apply_Q(reference, ops)
+        index_state = apply_Q(index_state, ops)
 
 
 @pytest.mark.parametrize("n,t", list(_planted_cases()))
@@ -102,7 +98,7 @@ def test_index_engine_matches_reference_planted(n, t):
 
 @pytest.mark.parametrize("name,problem", list(_build_cases()))
 def test_index_engine_matches_reference_search_step(name, problem):
-    ops = build_a_operator(problem)
+    ops = PreparationOperator(problem)
     assert "0" * problem.layout.point_bits in problem.points
     assert ops.space.size == problem.n_points  # no extra zero slot
     t = _marked_count(problem)
@@ -131,10 +127,10 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     mask = (1 << d) - 1
     layout = RegisterLayout(2 * d, d, d)
     points = [format(i, f"0{2 * d}b") for i in range(1, len(values) + 1)]
-    table = {p: format(v & mask, f"0{d}b") for p, v in zip(points, values)}
+    units = np.array([v & mask for v in values])
     incumbent_bits = format(incumbent & mask, f"0{d}b")
-    problem = SearchProblem(points, incumbent_bits, table.__getitem__, layout)
-    marks = build_a_operator(problem).space.marks
+    problem = SearchProblem(points, incumbent_bits, units, layout)
+    marks = PreparationOperator(problem).space.marks
     assert len(marks) == len(values) + 1  # the zero point is not a candidate
     assert marks[-1] == 1.0
     for j, value in enumerate(values):
@@ -143,7 +139,7 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
 
 
 def _assert_same_layout(array_built, string_built):
-    a, b = build_a_operator(array_built).space, build_a_operator(string_built).space
+    a, b = PreparationOperator(array_built).space, PreparationOperator(string_built).space
     n = array_built.n_points
     assert a.points == b.points
     for field in ("values", "comparisons", "marks", "order"):
@@ -173,17 +169,18 @@ AGREEMENT_CASES = [
 def test_array_build_matches_string_oracle_build(name, objective, incumbent_point):
     fmt = FixedPointFormat(8, 4)
     problem = _grid_problem(objective, incumbent_point, fmt)
-    bits_list, coords = _grid_candidates(fmt)
+    bits_list, points = _grid_candidates(fmt)
     assert problem.points == bits_list
     if name == "both-signs":
         assert (problem.units >> 7).any() and not (problem.units >> 7).all()
 
     # The per-candidate string oracle that _build_problem used to hand over.
-    def oracle(x):
-        return encode_scalar_saturating(float(objective(coords[x])), fmt)[0]
+    def oracle(y):
+        return encode_scalar_saturating(float(objective(y)), fmt)[0]
 
     string_built = SearchProblem(
-        bits_list, problem.incumbent_value_bits, oracle, problem.layout
+        bits_list, problem.incumbent_value_bits,
+        np.array([int(oracle(y), 2) for y in points]), problem.layout,
     )
     _assert_same_layout(problem, string_built)
 
@@ -193,8 +190,8 @@ def test_array_build_matches_string_oracle_build_planted(n, t):
     string_built, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
     units = [int(string_built.oracle(x), 2) for x in string_built.points]
     array_built = SearchProblem(
-        string_built.points, string_built.incumbent_value_bits, None,
-        string_built.layout, units=np.array(units),
+        string_built.points, string_built.incumbent_value_bits, np.array(units),
+        string_built.layout,
     )
     _assert_same_layout(array_built, string_built)
 
@@ -208,11 +205,11 @@ def test_build_calls_the_objective_once_per_candidate():
 
     fmt = FixedPointFormat(8, 4)
     problem = _grid_problem(counting, [0.25, 0.25], fmt)
-    bits_list, coords = _grid_candidates(fmt)
+    _, points = _grid_candidates(fmt)
     # The incumbent's own evaluation, then each candidate in problem order.
-    assert calls[1:] == [coords[b].tobytes() for b in bits_list]
+    assert calls[1:] == [y.tobytes() for y in points]
     for _ in range(2):
-        build_a_operator(problem).prepare_from_zero()
+        PreparationOperator(problem).prepare_from_zero()
     _marked_count(problem)
     assert len(calls) == 1 + problem.n_points
 
@@ -231,9 +228,9 @@ def test_search_problem_needs_units_that_fit_the_value_register():
     points = ["0001", "0010"]
     for bad in ([1], [1, 16], [-1, 2], [[1, 2]]):
         with pytest.raises(ValueError, match="4-bit unsigned value per point"):
-            SearchProblem(points, "0000", None, layout, units=np.array(bad))
+            SearchProblem(points, "0000", np.array(bad), layout)
     with pytest.raises(ValueError):
         SearchProblem(points, "0000", None, layout)
-    problem = SearchProblem(points, "0000", None, layout, units=np.array([15, 3]))
+    problem = SearchProblem(points, "0000", np.array([15, 3]), layout)
     assert [problem.oracle(x) for x in points] == ["1111", "0011"]
     assert _marked_count(problem) == 1

@@ -222,6 +222,11 @@ REFUSED = [
     # Every mesh point overflows to infinity, out of the register's range.
     ["run", "--initial-mesh-size", "1e308", "--backend", "classical"],
     ["run", "--output", "missing-dir/x.jsonl"],
+    # Non-finite values that JSON config files can spell.
+    ["run", "--config", '{"initial_point": [NaN, 0.5]}'],
+    ["run", "--config", '{"initial_point": [Infinity, 0.5]}'],
+    ["run", "--config", '{"initial_mesh_size": Infinity}'],
+    ["run", "--config", '{"mesh_size_tolerance": NaN}'],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
@@ -236,6 +241,14 @@ REFUSED = [
     ["run", "--backend", "classical", "--config",
      '{"dimension": 2, "initial_point": [0, 0], "total_bits": 4, "frac_bits": 0, '
      '"initial_mesh_size": 1, "search_radius": 40, "search_points_count": 256}'],
+    # A mesh of step 2 reaches only 8 positions per axis in [-8, 7]: refused
+    # by counting them, before the top-up walks 41^4 (or 41^6) combinations.
+    ["run", "--backend", "classical", "--config",
+     '{"dimension": 2, "initial_point": [0, 0], "total_bits": 4, "frac_bits": 0, '
+     '"initial_mesh_size": 2, "search_radius": 40, "search_points_count": 128}'],
+    ["run", "--backend", "classical", "--config",
+     '{"dimension": 3, "initial_point": [0, 0, 0], "total_bits": 4, "frac_bits": 0, '
+     '"initial_mesh_size": 2, "search_radius": 40, "search_points_count": 512}'],
     ["demo-amplify", "--n-marked", "-1"],
     ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
     ["demo-amplify", "--trials", "0"],

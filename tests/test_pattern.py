@@ -176,14 +176,13 @@ def test_select_search_points_contract():
         fixed_point_format=FixedPointFormat(12, 4),
     )
     state = MeshState(np.array([0.5, -0.25]), 0.25, 1.0)
-    bits, coords = select_search_points(state, basis, config)
+    bits, points = select_search_points(state, basis, config)
     assert len(bits) == 16 and len(set(bits)) == 16
     xk_bits = "".join(
         format(int(c * 16) & 0xFFF, "012b") for c in state.iterate
     )
     assert xk_bits not in bits
-    for b in bits:
-        y = coords[b]
+    for y in points:
         z = recover_z_coordinate_basis(y, state)  # membership in the mesh
         np.testing.assert_allclose(
             state.iterate + state.mesh_size * basis.directions @ z, y, atol=0
@@ -210,8 +209,8 @@ def test_select_search_points_exhaustion():
         search_radius=1,
         fixed_point_format=FixedPointFormat(8, 0),
     )
-    bits, coords = select_search_points(state, basis, config2)
-    assert sorted(coords[b][0] for b in bits) == [-1.0, 1.0]
+    bits, points = select_search_points(state, basis, config2)
+    assert sorted(y[0] for y in points) == [-1.0, 1.0]
 
 
 def test_select_search_points_off_grid_mesh():
@@ -266,15 +265,15 @@ def reference_select_search_points(state, basis, config):
             f"{n_wanted} requested"
         )
     bits_list = list(found)[:n_wanted]
-    return bits_list, {b: found[b] for b in bits_list}
+    return bits_list, np.array([found[b] for b in bits_list])
 
 
 def _selection_outcome(select, state, basis, config):
     try:
-        bits, coords = select(state, basis, config)
+        bits, points = select(state, basis, config)
     except (EncodingError, FixedPointOverflowError, MeshExhaustedError) as exc:
         return type(exc), str(exc)
-    return bits, [coords[b].tobytes() for b in bits]
+    return bits, [y.tobytes() for y in points]
 
 
 @st.composite
@@ -366,6 +365,31 @@ def test_select_search_points_refuses_more_points_than_the_register_holds(
     state = MeshState(np.zeros(3), 1.0, 0.0)
     with pytest.raises(MeshExhaustedError, match="point register of 12 bits holds only 4095 "):
         select_search_points(state, basis, config)
+
+
+@pytest.mark.parametrize("n,n_points,reachable", [(2, 128, 63), (3, 512, 511)])
+def test_select_search_points_refuses_a_too_coarse_mesh_without_walking(
+    monkeypatch, n, n_points, reachable
+):
+    def no_top_up(p, cap):
+        raise AssertionError("walked the small-z top-up")
+
+    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    # Steps of 2 from 0 reach 8 positions per axis in [-8, 7], the register
+    # could hold more.
+    config = GpsConfig(
+        initial_mesh_size=2.0,
+        search_points_count=n_points,
+        search_radius=40,
+        fixed_point_format=FixedPointFormat(4, 0),
+    )
+    state = MeshState(np.zeros(n), 2.0, 0.0)
+    with pytest.raises(
+        MeshExhaustedError,
+        match=f"only {reachable} distinct representable mesh points exist, "
+        f"{n_points} requested",
+    ):
+        select_search_points(state, PatternBasis.coordinate(n), config)
 
 
 def test_update_mesh():

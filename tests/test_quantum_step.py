@@ -164,14 +164,14 @@ def test_step_never_accepts_a_non_improvement(table):
         rng_seed=seed,
     )
     state = MeshState(np.zeros(2), 1.0, incumbent)
-    bits_list, coords = select_search_points(state, basis, config)
-    by_point = {tuple(coords[b]): v for b, v in zip(bits_list, values)}
+    bits_list, points = select_search_points(state, basis, config)
+    by_point = {tuple(y): v for y, v in zip(points, values)}
     ledger = OracleLedger()
     events = []
     out = quantum_search_step(
         state, basis, config, QSearchParams(c=1.5, tau=0.2),
         lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
-        candidates=(bits_list, coords),
+        candidates=(bits_list, points),
     )
     result = events[-1]["result"]
     if out is None:
@@ -196,14 +196,14 @@ def test_step_never_accepts_a_non_improvement_above_the_register(table):
         rng_seed=seed,
     )
     state = MeshState(np.zeros(2), 1.0, incumbent)
-    bits_list, coords = select_search_points(state, basis, config)
-    by_point = {tuple(coords[b]): v for b, v in zip(bits_list, values)}
+    bits_list, points = select_search_points(state, basis, config)
+    by_point = {tuple(y): v for y, v in zip(points, values)}
     ledger = OracleLedger()
     events = []
     out = quantum_search_step(
         state, basis, config, QSearchParams(c=1.5, tau=0.2),
         lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
-        candidates=(bits_list, coords),
+        candidates=(bits_list, points),
     )
     result = events[-1]["result"]
     if out is None:
@@ -223,15 +223,36 @@ def test_step_saturates_an_incumbent_above_the_register():
         search_points_count=4, search_radius=4, fixed_point_format=FixedPointFormat(4, 0),
     )
     state = MeshState(np.array([0.0]), 1.0, 100.0)
-    bits_list, coords = select_search_points(state, basis, config)
-    table = {coords[b].tobytes(): v for b, v in zip(bits_list, [50.0, 7.0, 3.0, 60.0])}
+    bits_list, points = select_search_points(state, basis, config)
+    table = {y.tobytes(): v for y, v in zip(points, [50.0, 7.0, 3.0, 60.0])}
     events = []
     out = quantum_search_step(
         state, basis, config, PARAMS, lambda x: table[x.tobytes()], OracleLedger(),
-        event_sink=events.append, compute_t=True, candidates=(bits_list, coords),
+        event_sink=events.append, compute_t=True, candidates=(bits_list, points),
     )
     assert events[-1]["t"] == 1
     assert out is not None and out.value == 3.0
+
+
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_run_finishes_on_non_finite_objective_values(bad, backend):
+    # +inf and NaN saturate at the value register's top and are never
+    # marked; -inf saturates at its bottom.  The classical recheck gates
+    # every mark either way.
+    def objective(x):
+        return bad if x[0] > 1.2 else sphere(x)
+
+    config = GpsConfig(
+        initial_mesh_size=0.5, search_points_count=16, search_radius=4,
+        fixed_point_format=FixedPointFormat(16, 8), mesh_size_tolerance=0.01,
+    )
+    run = gps_run(objective, PatternBasis.coordinate(2), config, backend, [0.75, 0.75])
+    assert run.stop_reason == "mesh-tolerance"
+    values = [r.value for r in run.records] + [run.final_state.incumbent_value]
+    for record, before, after in zip(run.records, values, values[1:]):
+        if record.outcome != "mesh-local-optimizer":
+            assert after < before, record
 
 
 def test_step_given_candidates_matches_own_selection():

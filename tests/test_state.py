@@ -7,12 +7,12 @@ import pytest
 from qpsearch.state import (
     CollisionError,
     EmptyTargetsError,
+    HouseholderPrepare,
     NormalizationError,
     RegisterLayout,
     SparseState,
     apply_basis_map,
     apply_phase,
-    householder_prepare,
     measure,
     sample_counts,
 )
@@ -123,7 +123,7 @@ def test_apply_phase_examples():
 
 
 def test_householder_defining_property():
-    op = householder_prepare(["01", "10"])
+    op = HouseholderPrepare(["01", "10"])
     out = op(SparseState.zero(L2))
     assert out.amplitude("0100") == pytest.approx(INV_SQRT2)
     assert out.amplitude("1000") == pytest.approx(INV_SQRT2)
@@ -131,19 +131,19 @@ def test_householder_defining_property():
 
 
 def test_householder_degenerate_zero_target():
-    op = householder_prepare(["00"])
+    op = HouseholderPrepare(["00"])
     out = op(SparseState.zero(L2))
     assert out.amplitude("0000") == 1.0
 
 
 def test_householder_errors():
     with pytest.raises(EmptyTargetsError):
-        householder_prepare([])
+        HouseholderPrepare([])
     with pytest.raises(ValueError):
-        householder_prepare(["01", "01"])
+        HouseholderPrepare(["01", "01"])
     with pytest.raises(ValueError):
-        householder_prepare(["01", "1"])
-    op = householder_prepare(["011"])
+        HouseholderPrepare(["01", "1"])
+    op = HouseholderPrepare(["011"])
     with pytest.raises(ValueError):
         op(SparseState.zero(L2))
 
@@ -183,7 +183,7 @@ def test_householder_vector_is_bit_identical_to_the_dict_construction(
     if with_zero and 0 not in chosen:
         chosen[rng.integers(n_targets)] = 0
     targets = [format(int(i), f"0{width}b") for i in chosen]
-    op = householder_prepare(targets)
+    op = HouseholderPrepare(targets)
     points, vector = reference_householder_vector(targets)
     assert op.points == points
     assert np.array_equal(op.vector, vector)
@@ -205,7 +205,7 @@ def _operator_matrix(op, point_width, suffix="00"):
 
 
 def test_householder_self_inverse_explicit_matrix():
-    op = householder_prepare(["01", "10"])
+    op = HouseholderPrepare(["01", "10"])
     mat = _operator_matrix(op, 2)
     np.testing.assert_allclose(mat @ mat, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)  # unitary + Hermitian
@@ -220,7 +220,7 @@ def test_householder_self_inverse_exhaustive(width, n_targets, seed):
         format(i, f"0{width}b")
         for i in rng.choice(2**width, size=n_targets, replace=False)
     ]
-    op = householder_prepare(targets)
+    op = HouseholderPrepare(targets)
     layout = RegisterLayout(width, 1, 1)
     for col in range(2**width):
         bits = format(col, f"0{width}b") + "00"
@@ -237,7 +237,7 @@ def test_operators_preserve_norm():
     amps = rng.normal(size=20) + 1j * rng.normal(size=20)
     amps /= np.linalg.norm(amps)
     s = SparseState(layout, dict(zip(keys, amps)))
-    op = householder_prepare([format(i, "04b") for i in (1, 5, 9, 14)])
+    op = HouseholderPrepare([format(i, "04b") for i in (1, 5, 9, 14)])
     for transformed in (
         apply_basis_map(s, lambda b: b[::-1]),
         apply_phase(s, lambda b: b[0] == "1", -1),
