@@ -4,9 +4,10 @@ step.
 The classical machinery is a standard generalized pattern search: a mesh of
 candidate points, an opportunistic search step, and a convergence-carrying
 poll step.  The quantum backend replaces the search step's O(N) scan with
-amplitude amplification over a sparse statevector simulator, using a
-finite-termination stopping rule, and keeps a strict ledger separating
-classical from quantum oracle calls.
+amplitude amplification, simulated exactly on one amplitude per candidate,
+using a finite-termination stopping rule, and keeps a strict ledger
+separating classical from quantum oracle calls.  A sparse statevector over
+full-width bitstrings is kept as the reference simulator.
 """
 
 from .amplify import (
@@ -69,7 +70,6 @@ from .state import (
     CollisionError,
     EmptyTargetsError,
     HouseholderPrepare,
-    IndexSpace,
     IndexState,
     NormalizationError,
     RegisterLayout,

@@ -15,19 +15,19 @@ the same operators act string by string.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fixedpoint import negate_bits
 from .ledger import OracleLedger
 from .state import (
     HouseholderPrepare,
-    IndexSpace,
     IndexState,
     RegisterLayout,
+    SearchProblem,
     SparseState,
     apply_basis_map,
     apply_phase,
@@ -121,67 +121,6 @@ class RoundRecord:
     desired: bool
 
 
-class SearchProblem:
-    """One search-step instance: N candidate points, the incumbent's encoded
-    value, and ``units``, the values f_j of the candidates that the quantum
-    oracle lifts, as unsigned register units in problem order.
-    """
-
-    __slots__ = ("points", "incumbent_value_bits", "units", "layout", "_oracle")
-
-    def __init__(
-        self,
-        points: Sequence[str],
-        incumbent_value_bits: str,
-        units: np.ndarray,
-        layout: RegisterLayout,
-    ):
-        points = list(points)
-        if not points:
-            raise ValueError("need at least one search point")
-        if len(set(points)) != len(points):
-            raise ValueError("search points must be distinct")
-        for p in points:
-            if len(p) != layout.point_bits:
-                raise ValueError(
-                    f"point {p!r} has width {len(p)}, layout expects "
-                    f"{layout.point_bits}"
-                )
-        if len(incumbent_value_bits) != layout.value_bits:
-            raise ValueError(
-                f"incumbent value width {len(incumbent_value_bits)} != "
-                f"{layout.value_bits}"
-            )
-        units = np.asarray(units)
-        if units.shape != (len(points),) or not (
-            (units >= 0) & (units < 1 << layout.value_bits)
-        ).all():
-            raise ValueError(
-                f"need one {layout.value_bits}-bit unsigned value per point"
-            )
-        self.points = points
-        self.incumbent_value_bits = incumbent_value_bits
-        self.units = units.astype(np.int64, copy=False)
-        self.layout = layout
-        self._oracle = None
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    @property
-    def oracle(self) -> Callable[[str], str]:
-        """f as a map from point strings to value strings, built on first
-        use; only the SparseState reference simulator reads it."""
-        if self._oracle is None:
-            vb = self.layout.value_bits
-            table = {
-                x: format(u, f"0{vb}b") for x, u in zip(self.points, self.units.tolist())
-            }
-            self._oracle = table.__getitem__
-        return self._oracle
-
-
 def is_desired(bits: str, layout: RegisterLayout) -> bool:
     """A full-width string is desired iff its comparison register decodes
     negative, i.e. the measured point strictly improves on the incumbent."""
@@ -191,10 +130,40 @@ def is_desired(bits: str, layout: RegisterLayout) -> bool:
 def desired_probability(state: State) -> float:
     """Exact Born probability of measuring a desired string."""
     if isinstance(state, IndexState):
-        amps = state.amplitudes[state.space.marks < 0]
+        amps = state.amplitudes[state.problem.marks < 0]
         return float(amps @ amps)
     idx = state.layout.comparison_sign_index
     return sum(abs(a) ** 2 for b, a in state.amplitudes.items() if b[idx] == "1")
+
+
+def _register_maps(problem: SearchProblem) -> Tuple[Callable[[str], str], ...]:
+    """A's load, oracle and modular add as maps of full-width strings, and
+    the add's inverse: the SparseState reference's form of the problem."""
+    pb, vb = problem.layout.point_bits, problem.layout.value_bits
+    mask = (1 << vb) - 1
+    neg_units = -int(problem.incumbent_value_bits, 2) & mask
+    table = dict(zip(problem.points, problem.units.tolist()))
+
+    def load(b: str) -> str:
+        # XOR the comparison register with |-f_k|'s bit pattern.
+        c = int(b[pb + vb :], 2) ^ neg_units
+        return b[: pb + vb] + format(c, f"0{vb}b")
+
+    def oracle_xor(b: str) -> str:
+        # |x>|v>|c> -> |x>|v XOR f(x)>|c>: self-inverse lift of f.
+        v = int(b[pb : pb + vb], 2) ^ table[b[:pb]]
+        return b[:pb] + format(v, f"0{vb}b") + b[pb + vb :]
+
+    def adder(sign: int) -> Callable[[str], str]:
+        # |x>|v>|c> -> |x>|v>|(c + sign v) mod 2^d>: the simulated signed
+        # adder for sign 1, its inverse for sign -1.
+        def add(b: str) -> str:
+            c = (int(b[pb + vb :], 2) + sign * int(b[pb : pb + vb], 2)) & mask
+            return b[: pb + vb] + format(c, f"0{vb}b")
+
+        return add
+
+    return load, oracle_xor, adder(1), adder(-1)
 
 
 class PreparationOperator:
@@ -203,67 +172,28 @@ class PreparationOperator:
     Applied to |0>|0>|0>, A yields (1/sqrt(N)) sum_j |x_j>|f_j>|f_j - f_k>
     with the subtraction in d-bit two's complement.  Every application of A
     or its inverse uses the oracle once and is counted as one quantum call.
-    The problem's ``space`` is laid out from its candidates' value units.
-    Only on a SparseState is f read as the problem's string oracle.
+    On an IndexState, load, oracle and add only relabel the problem's slots;
+    on a SparseState they act string by string, as maps built per call from
+    the problem's points and units.
     """
 
-    __slots__ = (
-        "problem",
-        "layout",
-        "space",
-        "_load",
-        "_spread",
-        "_oracle_xor",
-        "_add",
-        "_add_inv",
-    )
+    __slots__ = ("problem", "layout", "_spread")
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
-        layout = problem.layout
-        self.layout = layout
-        pb, vb = layout.point_bits, layout.value_bits
-        mask = (1 << vb) - 1
-        neg_units = int(negate_bits(problem.incumbent_value_bits), 2)
-        units = problem.units
-        self.space = IndexSpace(layout, problem.points, units, (units + neg_units) & mask)
+        self.layout = problem.layout
         self._spread = HouseholderPrepare(problem.points)
-
-        def load(b: str) -> str:
-            # XOR the comparison register with |-f_k|'s bit pattern.
-            c = int(b[pb + vb :], 2) ^ neg_units
-            return b[: pb + vb] + format(c, f"0{vb}b")
-
-        def oracle_xor(b: str) -> str:
-            # |x>|v>|c> -> |x>|v XOR f(x)>|c>: self-inverse lift of f.
-            v = int(b[pb : pb + vb], 2) ^ int(problem.oracle(b[:pb]), 2)
-            return b[:pb] + format(v, f"0{vb}b") + b[pb + vb :]
-
-        def add(b: str) -> str:
-            # |x>|v>|c> -> |x>|v>|(c+v) mod 2^d>: the simulated signed adder.
-            v = int(b[pb : pb + vb], 2)
-            c = (int(b[pb + vb :], 2) + v) & mask
-            return b[: pb + vb] + format(c, f"0{vb}b")
-
-        def add_inv(b: str) -> str:
-            v = int(b[pb : pb + vb], 2)
-            c = (int(b[pb + vb :], 2) - v) & mask
-            return b[: pb + vb] + format(c, f"0{vb}b")
-
-        self._load = load
-        self._oracle_xor = oracle_xor
-        self._add = add
-        self._add_inv = add_inv
 
     def apply(self, state: State, ledger: Optional[OracleLedger] = None) -> State:
         """Apply A."""
         if isinstance(state, IndexState):
             state = self._spread(state)
         else:
-            state = apply_basis_map(state, self._load)
+            load, oracle_xor, add, _ = _register_maps(self.problem)
+            state = apply_basis_map(state, load)
             state = self._spread(state)
-            state = apply_basis_map(state, self._oracle_xor)
-            state = apply_basis_map(state, self._add)
+            state = apply_basis_map(state, oracle_xor)
+            state = apply_basis_map(state, add)
         if ledger is not None:
             ledger.quantum_calls += 1
         return state
@@ -275,10 +205,11 @@ class PreparationOperator:
         if isinstance(state, IndexState):
             state = self._spread(state)
         else:
-            state = apply_basis_map(state, self._add_inv)
-            state = apply_basis_map(state, self._oracle_xor)
+            load, oracle_xor, _, add_inv = _register_maps(self.problem)
+            state = apply_basis_map(state, add_inv)
+            state = apply_basis_map(state, oracle_xor)
             state = self._spread(state)
-            state = apply_basis_map(state, self._load)
+            state = apply_basis_map(state, load)
         if ledger is not None:
             ledger.quantum_calls += 1
         return state
@@ -295,8 +226,8 @@ def apply_S0(state: State) -> State:
     """
     if isinstance(state, IndexState):
         amps = state.amplitudes.copy()
-        amps[state.space.zero] = -amps[state.space.zero]
-        return IndexState(state.space, amps)
+        amps[state.problem.zero] = -amps[state.problem.zero]
+        return IndexState(state.problem, amps)
     zero = state.layout.zero_string()
     if zero not in state.amplitudes:
         return state
@@ -312,7 +243,7 @@ def apply_Schi(state: State) -> State:
     unmarked.  On an IndexState the slots are read as prepared by A.
     """
     if isinstance(state, IndexState):
-        return IndexState(state.space, state.amplitudes * state.space.marks)
+        return IndexState(state.problem, state.amplitudes * state.problem.marks)
     idx = state.layout.comparison_sign_index
     new = {b: (-a if b[idx] == "1" else a) for b, a in state.amplitudes.items()}
     return SparseState._raw(state.layout, new)
@@ -332,7 +263,7 @@ def apply_Q(
     state = apply_S0(state)
     state = ops.apply(state, ledger)
     if isinstance(state, IndexState):
-        state = IndexState(state.space, -state.amplitudes)
+        state = IndexState(state.problem, -state.amplitudes)
     else:
         state = apply_phase(state, lambda b: True, -1.0)
     if ledger is not None:
@@ -357,7 +288,7 @@ def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
     read-only, so the j = 0 state handed out cannot be written.
     """
     ops = PreparationOperator(problem)
-    start = ops.apply(IndexState.zero(ops.space))
+    start = ops.apply(IndexState.zero(problem))
     psi0 = start.amplitudes
     psi0.flags.writeable = False
     psi1 = apply_Q(start, ops).amplitudes
@@ -366,16 +297,27 @@ def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
     s = float(np.linalg.norm(r))
     if s <= _NO_PLANE:
         flips = x < 0
-        return lambda j: IndexState(ops.space, -psi0) if flips and j % 2 else start
+        return lambda j: IndexState(problem, -psi0) if flips and j % 2 else start
     phi, e = math.atan2(s, x), r / s
     e.flags.writeable = False
 
     def iterate(j: int) -> IndexState:
         if j == 0:
             return start
-        return IndexState(ops.space, math.cos(j * phi) * psi0 + math.sin(j * phi) * e)
+        return IndexState(problem, math.cos(j * phi) * psi0 + math.sin(j * phi) * e)
 
     return iterate
+
+
+def _schedule(n_points: int, params: QSearchParams) -> Iterator[Tuple[int, int, int]]:
+    """The loop's rounds l = 1, 2, ... as (l, M, u): M = ceil(c^l), and u
+    counts the rounds so far whose M exceeds sqrt(N) (M^2 > N exactly)."""
+    u = 0
+    for l in itertools.count(1):
+        m = math.ceil(params.c**l)
+        if m * m > n_points:
+            u += 1
+        yield l, m, u
 
 
 def _run_search(
@@ -393,8 +335,8 @@ def _run_search(
     start = ledger.copy()
     iterate = _plane(problem)
     sign_idx = problem.layout.comparison_sign_index
-    n = problem.n_points
     u_limit = params.u_limit
+    schedule = _schedule(problem.n_points, params)
 
     # Round 0 measures A|0> itself.
     l = m = j = u = q_apps = 0
@@ -419,10 +361,7 @@ def _run_search(
                 f"no desired state found in {l} rounds; with zero marked "
                 "states the original loop would never terminate"
             )
-        l += 1
-        m = math.ceil(params.c**l)
-        if m * m > n:
-            u += 1
+        l, m, u = next(schedule)
         if m + 1 > 1 << 63:  # rng.integers draws int64s
             raise (DomainError if finite else SafetyCapReachedError)(
                 f"no desired state found; round {l} would draw j from [1, {m}], "
@@ -484,19 +423,15 @@ def last_failing_round(n_points: int, params: QSearchParams) -> int:
     past numpy's int64 range, so that a tau no failing search can reach is
     refused before anything is evaluated.
     """
-    l = u = 0
-    while u < params.u_limit:
-        l += 1
-        m = math.ceil(params.c**l)
-        if m * m > n_points:
-            u += 1
+    for l, m, u in _schedule(n_points, params):
         if m + 1 > 1 << 63:  # as in _run_search
             raise DomainError(
                 f"tau={params.tau} is out of reach at N={n_points}: a search "
                 f"that finds nothing would reach round {l} and draw j from "
                 f"[1, {m}], past numpy's int64 range (c={params.c})"
             )
-    return l
+        if u >= params.u_limit:
+            return l
 
 
 def analytic_success_probability(n: int, t: int, j: int) -> float:

@@ -186,9 +186,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         initial_point = config["initial_point"]
         if initial_point is None:
             initial_point = [0.75] * n
-        if len(initial_point) != n:
+        if np.asarray(initial_point, dtype=float).shape != (n,):
             raise ConfigError(
-                f"initial_point has {len(initial_point)} coordinates, dimension is {n}"
+                f"initial_point must be a list of {n} numbers, got {initial_point!r}"
             )
         if config["backend"] not in ("classical", "quantum"):
             raise ConfigError(f"unknown search backend {config['backend']!r}")
@@ -251,6 +251,8 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
         raise ConfigError(f"marked count must lie in [0, {n}], got {t}")
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    if args.j_max < 0:
+        raise ConfigError(f"j-max must be >= 0, got {args.j_max}")
     rng = np.random.default_rng(args.seed)
     problem, _ = make_planted_problem(n, t, rng=rng)
     ops = PreparationOperator(problem)

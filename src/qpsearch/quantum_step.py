@@ -80,11 +80,8 @@ def _build_problem(
 
 
 def _marked_count(problem: SearchProblem) -> int:
-    """Brute-force count of marked points (test/report mode only)."""
-    d = problem.layout.value_bits
-    mask = (1 << d) - 1
-    neg = -int(problem.incumbent_value_bits, 2) & mask
-    return int(np.count_nonzero(((problem.units + neg) & mask) >> (d - 1)))
+    """The number t of marked candidates (test/report mode only)."""
+    return int(np.count_nonzero(problem.marks < 0))
 
 
 def quantum_search_step(

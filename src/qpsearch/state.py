@@ -3,9 +3,11 @@
 ``IndexState`` is what the search loop runs on.  Every state the loop can
 reach lies in the span of N + 1 fixed basis strings of one search problem:
 the N candidates, each with its value and comparison registers, and the
-all-zeros string.  An ``IndexState`` holds one real float64 amplitude per
-slot of that ``IndexSpace`` and names the full-width string of a slot only
-when a measurement returns it.
+all-zeros string.  A ``SearchProblem`` is that index space: it computes the
+candidates' comparisons (f_j - f_k) mod 2^d, their marks, the zero point's
+slot and the measurement order once.  An ``IndexState`` holds one real
+float64 amplitude per slot of its problem and names the full-width string of
+a slot only when a measurement returns it.
 
 ``SparseState`` is the reference simulator: a finite map from full-width
 basis bitstrings to complex amplitudes, on which reversible basis maps,
@@ -25,7 +27,7 @@ import numpy as np
 __all__ = [
     "RegisterLayout",
     "SparseState",
-    "IndexSpace",
+    "SearchProblem",
     "IndexState",
     "CollisionError",
     "EmptyTargetsError",
@@ -158,14 +160,19 @@ class SparseState:
         return f"SparseState({entries}{more})"
 
 
-class IndexSpace:
-    """The slots of one search problem's state vector.
+class SearchProblem:
+    """One search-step instance and the index space its states live on.
 
-    Slot j < N is candidate j, in problem order; one more slot follows for
-    the all-zeros point string unless that string is itself a candidate.
-    ``zero`` is the slot of the all-zeros point.  A slot stands for two basis
-    strings, one on each side of the preparation A: before it the point alone
-    with zero value and comparison registers, after it
+    ``points`` are the N candidate point strings, ``incumbent_value_bits``
+    the incumbent's encoded value f_k, and ``units`` the values f_j of the
+    candidates that the quantum oracle lifts, as unsigned register units in
+    problem order.
+
+    Slot j < N is candidate j; one more slot follows for the all-zeros
+    point string unless that string is itself a candidate.  ``zero`` is the
+    slot of the all-zeros point.  A slot stands for two basis strings, one
+    on each side of the preparation A: before it the point alone with zero
+    value and comparison registers, after it
     ``x_j || f_j || (f_j - f_k) mod 2^d``.  A moves no amplitude off these
     slots, so the loop's operators act on them as O(N) vector operations.
     After A the zero point's slot holds no amplitude beyond rounding and is
@@ -173,67 +180,94 @@ class IndexSpace:
     """
 
     __slots__ = (
-        "layout",
         "points",
-        "values",
+        "incumbent_value_bits",
+        "units",
+        "layout",
         "comparisons",
+        "marks",
         "zero",
         "size",
         "order",
-        "marks",
     )
 
     def __init__(
         self,
-        layout: RegisterLayout,
         points: Sequence[str],
-        values: np.ndarray,
-        comparisons: np.ndarray,
+        incumbent_value_bits: str,
+        units: np.ndarray,
+        layout: RegisterLayout,
     ):
+        points = list(points)
+        if not points:
+            raise ValueError("need at least one search point")
+        if len(set(points)) != len(points):
+            raise ValueError("search points must be distinct")
+        for p in points:
+            if len(p) != layout.point_bits:
+                raise ValueError(
+                    f"point {p!r} has width {len(p)}, layout expects "
+                    f"{layout.point_bits}"
+                )
+        vb = layout.value_bits
+        if len(incumbent_value_bits) != vb or incumbent_value_bits.strip("01"):
+            raise ValueError(
+                f"incumbent value {incumbent_value_bits!r} is not a {vb}-bit string"
+            )
+        units = np.asarray(units)
+        if units.shape != (len(points),) or not (
+            (units >= 0) & (units < 1 << vb)
+        ).all():
+            raise ValueError(f"need one {vb}-bit unsigned value per point")
         n = len(points)
         zero = "0" * layout.point_bits
+        self.points = points
+        self.incumbent_value_bits = incumbent_value_bits
+        self.units = units.astype(np.int64, copy=False)
         self.layout = layout
-        self.points = list(points)
-        self.values = np.asarray(values, dtype=np.int64)  # f_j in register units
-        self.comparisons = np.asarray(comparisons, dtype=np.int64)  # (f_j - f_k) mod 2^d
-        self.zero = self.points.index(zero) if zero in self.points else n
+        # The comparison register after A: (f_j - f_k) mod 2^d.
+        self.comparisons = (self.units - int(incumbent_value_bits, 2)) & ((1 << vb) - 1)
+        self.zero = points.index(zero) if zero in points else n
         self.size = max(n, self.zero + 1)
+        # S_chi as a sign vector: -1 where the comparison register is negative.
+        self.marks = np.ones(self.size)
+        self.marks[:n][(self.comparisons & (1 << (vb - 1))) != 0] = -1.0
         # Measurement visits candidates in sorted string order; point parts
         # are distinct, so this is the order of the full-width strings.
-        self.order = np.array(sorted(range(n), key=self.points.__getitem__), dtype=np.intp)
-        # S_chi as a sign vector: -1 where the comparison register is negative.
-        sign_bit = 1 << (layout.comparison_bits - 1)
-        self.marks = np.ones(self.size)
-        self.marks[:n][(self.comparisons & sign_bit) != 0] = -1.0
+        self.order = np.array(sorted(range(n), key=points.__getitem__), dtype=np.intp)
+
+    @property
+    def n_points(self) -> int:
+        return len(self.points)
 
     def basis_string(self, slot: int) -> str:
         """Full-width string of a candidate slot after the preparation A."""
         bits = self.layout.value_bits
         return (
             self.points[slot]
-            + format(int(self.values[slot]), f"0{bits}b")
+            + format(int(self.units[slot]), f"0{bits}b")
             + format(int(self.comparisons[slot]), f"0{bits}b")
         )
 
 
 class IndexState:
-    """Real amplitudes over an IndexSpace, one float64 per slot."""
+    """Real amplitudes over the slots of a SearchProblem, one float64 per slot."""
 
-    __slots__ = ("space", "amplitudes")
+    __slots__ = ("problem", "amplitudes")
 
-    def __init__(self, space: IndexSpace, amplitudes: np.ndarray):
-        self.space = space
+    def __init__(self, problem: SearchProblem, amplitudes: np.ndarray):
+        self.problem = problem
         self.amplitudes = amplitudes
 
     @classmethod
-    def zero(cls, space: IndexSpace) -> "IndexState":
-        amplitudes = np.zeros(space.size)
-        amplitudes[space.zero] = 1.0
-        return cls(space, amplitudes)
+    def zero(cls, problem: SearchProblem) -> "IndexState":
+        amplitudes = np.zeros(problem.size)
+        amplitudes[problem.zero] = 1.0
+        return cls(problem, amplitudes)
 
     @property
     def layout(self) -> RegisterLayout:
-        return self.space.layout
+        return self.problem.layout
 
 
 def _finalize(
@@ -320,7 +354,7 @@ class HouseholderPrepare:
     built over the same targets the reflection is ``v - 2 (w . v) w``.
     """
 
-    __slots__ = ("point_width", "points", "vector", "is_identity", "_w")
+    __slots__ = ("point_width", "points", "vector", "is_identity")
 
     def __init__(self, targets: Iterable[str]):
         targets = list(targets)
@@ -349,7 +383,6 @@ class HouseholderPrepare:
             w[-1] = -1.0
         # Summed in order, as adding up the coefficients one by one would.
         norm_sq = float((w * w).cumsum()[-1])
-        self._w = None
         if norm_sq < 1e-30:
             # psi_targets == |0...0>: the reflection degenerates to identity.
             self.is_identity = True
@@ -361,13 +394,6 @@ class HouseholderPrepare:
             self.is_identity = False
             self.points = points
             self.vector = w * (1.0 / math.sqrt(norm_sq))
-
-    @property
-    def w(self) -> Dict[str, float]:
-        """The coefficients of |w> by point string, built on first use."""
-        if self._w is None:
-            self._w = dict(zip(self.points, self.vector.tolist()))
-        return self._w
 
     def __call__(self, state: SparseState | IndexState) -> SparseState | IndexState:
         if state.layout.point_bits != self.point_width:
@@ -384,10 +410,10 @@ class HouseholderPrepare:
             norm_sq = v.dot(v)
             if abs(norm_sq - 1.0) > NORM_TOLERANCE:
                 raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
-            return IndexState(state.space, v)
+            return IndexState(state.problem, v)
         amps = state.amplitudes
         pw = self.point_width
-        support = self.w
+        support = set(self.points)
         # Entries whose point part overlaps |w>, grouped by register suffix
         # in first-seen order; the rest pass through untouched.
         suffixes: Dict[str, None] = {}
@@ -435,8 +461,8 @@ def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:
     candidate's full-width string is built.
     """
     if isinstance(state, IndexState):
-        space = state.space
-        n = len(space.points)
+        problem = state.problem
+        n = problem.n_points
         probs = state.amplitudes[:n] ** 2
         probs[probs < PRUNE_THRESHOLD * PRUNE_THRESHOLD] = 0.0
         # Sequential sums (cumsum), in slot order as the sparse map adds them.
@@ -444,11 +470,11 @@ def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:
         if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
             raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")
         r = rng.random() * norm_sq
-        sorted_probs = probs[space.order]
+        sorted_probs = probs[problem.order]
         k = int(sorted_probs.cumsum().searchsorted(r, side="right"))
         if k == n:  # r landed on the floating-point boundary
             k = int(sorted_probs.nonzero()[0][-1])
-        return space.basis_string(int(space.order[k]))
+        return problem.basis_string(int(problem.order[k]))
     norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
     if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
         raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")

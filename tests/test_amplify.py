@@ -330,9 +330,9 @@ def test_planted_problem_construction():
     assert len(set(problem.points)) == 16
     assert len(marked) == 4
     below = {problem.points[i] for i in marked}
-    for p in problem.points:
-        value = problem.oracle(p)
-        assert value[0] == ("1" if p in below else "0")
+    d = problem.layout.value_bits
+    for p, value in zip(problem.points, problem.units.tolist()):
+        assert value >> (d - 1) == (1 if p in below else 0)
     with pytest.raises(ValueError):
         make_planted_problem(4, 5)
     with pytest.raises(ValueError):
@@ -366,7 +366,7 @@ def test_qsearch_params_validation():
 
 
 def _fresh_iterate(problem, ops, j):
-    state = ops.apply(IndexState.zero(ops.space))
+    state = ops.apply(IndexState.zero(problem))
     for _ in range(j):
         state = apply_Q(state, ops)
     return state
@@ -409,7 +409,7 @@ def _recomputing_search(problem, params, rng, finite):
     ledger = OracleLedger()
     records = []
     ops = PreparationOperator(problem)
-    zero = IndexState.zero(ops.space)
+    zero = IndexState.zero(problem)
     sign_idx = problem.layout.comparison_sign_index
     l = u = q_apps = 0
     ledger.qsearch_rounds += 1

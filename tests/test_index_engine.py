@@ -11,6 +11,7 @@ from qpsearch.amplify import (
     analytic_success_probability,
     apply_Q,
     desired_probability,
+    is_desired,
     make_planted_problem,
 )
 from qpsearch.fixedpoint import FixedPointFormat, encode_point_exact, encode_scalar_saturating
@@ -62,20 +63,20 @@ def _build_cases():
 
 
 def _assert_agree(index_state, reference):
-    space = index_state.space
-    n = len(space.points)
-    mapped = {space.basis_string(i): index_state.amplitudes[i] for i in range(n)}
+    problem = index_state.problem
+    n = problem.n_points
+    mapped = {problem.basis_string(i): index_state.amplitudes[i] for i in range(n)}
     assert set(reference.support()) <= set(mapped)
     for bits, amplitude in mapped.items():
         assert abs(amplitude - reference.amplitude(bits)) <= TOL, bits
-    if space.zero == n:  # the zero point's slot carries nothing after A
+    if problem.zero == n:  # the zero point's slot carries nothing after A
         assert abs(index_state.amplitudes[n]) <= TOL
 
 
 def _check_engines(problem, t):
     ops = PreparationOperator(problem)
     reference = ops.prepare_from_zero()
-    index_state = ops.apply(IndexState.zero(ops.space))
+    index_state = ops.apply(IndexState.zero(problem))
     n = problem.n_points
     for j in range(11):
         _assert_agree(index_state, reference)
@@ -98,14 +99,13 @@ def test_index_engine_matches_reference_planted(n, t):
 
 @pytest.mark.parametrize("name,problem", list(_build_cases()))
 def test_index_engine_matches_reference_search_step(name, problem):
-    ops = PreparationOperator(problem)
     assert "0" * problem.layout.point_bits in problem.points
-    assert ops.space.size == problem.n_points  # no extra zero slot
+    assert problem.size == problem.n_points  # no extra zero slot
     t = _marked_count(problem)
     assert 0 < t < problem.n_points
     if name == "saturated":
-        top = "0" + "1" * (problem.layout.value_bits - 1)
-        assert sum(problem.oracle(x) == top for x in problem.points) > problem.n_points // 2
+        top = (1 << (problem.layout.value_bits - 1)) - 1
+        assert sum(problem.units == top) > problem.n_points // 2
     _check_engines(problem, t)
 
 
@@ -118,7 +118,9 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     """Where f_j - f_k fits the register, S_chi is -1 exactly on f_j < f_k.
 
     Values of mixed sign can wrap the d-bit difference; those slots are left
-    out here (the classical recheck after measurement rejects a wrapped mark).
+    out of that check (the classical recheck after measurement rejects a
+    wrapped mark).  On every slot, wrapped or not, the marks are the
+    reference simulator's desired strings after A, and t counts them.
     """
     low, high = -(1 << (d - 1)), (1 << (d - 1)) - 1
     scalar = st.integers(low, high)
@@ -130,25 +132,29 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     units = np.array([v & mask for v in values])
     incumbent_bits = format(incumbent & mask, f"0{d}b")
     problem = SearchProblem(points, incumbent_bits, units, layout)
-    marks = PreparationOperator(problem).space.marks
+    marks = problem.marks
     assert len(marks) == len(values) + 1  # the zero point is not a candidate
     assert marks[-1] == 1.0
     for j, value in enumerate(values):
         if low <= value - incumbent <= high:
             assert (marks[j] == -1.0) == (value < incumbent), (value, incumbent)
+    reference = PreparationOperator(problem).prepare_from_zero()
+    by_point = {layout.point_part(b): b for b in reference.support()}
+    assert set(by_point) == set(points)
+    for k, x in enumerate(points):
+        assert (marks[k] == -1.0) == is_desired(by_point[x], layout), (values[k], incumbent)
+    assert _marked_count(problem) == np.count_nonzero(marks == -1.0)
 
 
 def _assert_same_layout(array_built, string_built):
-    a, b = PreparationOperator(array_built).space, PreparationOperator(string_built).space
+    a, b = array_built, string_built
     n = array_built.n_points
     assert a.points == b.points
-    for field in ("values", "comparisons", "marks", "order"):
+    for field in ("comparisons", "marks", "order"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert (a.zero, a.size) == (b.zero, b.size)
     assert [a.basis_string(i) for i in range(n)] == [b.basis_string(i) for i in range(n)]
-    assert [array_built.oracle(x) for x in a.points] == [
-        string_built.oracle(x) for x in b.points
-    ]
+    assert np.array_equal(a.units, b.units)
     assert _marked_count(array_built) == _marked_count(string_built)
 
 
@@ -188,7 +194,7 @@ def test_array_build_matches_string_oracle_build(name, objective, incumbent_poin
 @pytest.mark.parametrize("n,t", list(_planted_cases()))
 def test_array_build_matches_string_oracle_build_planted(n, t):
     string_built, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
-    units = [int(string_built.oracle(x), 2) for x in string_built.points]
+    units = string_built.units.tolist()
     array_built = SearchProblem(
         string_built.points, string_built.incumbent_value_bits, np.array(units),
         string_built.layout,
@@ -232,5 +238,5 @@ def test_search_problem_needs_units_that_fit_the_value_register():
     with pytest.raises(ValueError):
         SearchProblem(points, "0000", None, layout)
     problem = SearchProblem(points, "0000", np.array([15, 3]), layout)
-    assert [problem.oracle(x) for x in points] == ["1111", "0011"]
+    assert problem.units.tolist() == [15, 3]
     assert _marked_count(problem) == 1

@@ -227,6 +227,10 @@ REFUSED = [
     ["run", "--config", '{"initial_point": [Infinity, 0.5]}'],
     ["run", "--config", '{"initial_mesh_size": Infinity}'],
     ["run", "--config", '{"mesh_size_tolerance": NaN}'],
+    # An initial point that is not n numbers.
+    ["run", "--config", '{"initial_point": [[0.5], [0.5]]}'],
+    ["run", "--config", '{"initial_point": "ab"}'],
+    ["run", "--config", '{"initial_point": [0.5, "x"]}'],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
@@ -252,6 +256,7 @@ REFUSED = [
     ["demo-amplify", "--n-marked", "-1"],
     ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
     ["demo-amplify", "--trials", "0"],
+    ["demo-amplify", "--j-max", "-3"],
 ]
 
 

@@ -188,7 +188,6 @@ def test_householder_vector_is_bit_identical_to_the_dict_construction(
     assert op.points == points
     assert np.array_equal(op.vector, vector)
     assert op.is_identity == (not points)
-    assert op.w == dict(zip(points, vector.tolist()))
 
 
 def _operator_matrix(op, point_width, suffix="00"):
