@@ -9,6 +9,7 @@ configuration and seed, so a run is reproducible from its own output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -186,7 +187,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         initial_point = config["initial_point"]
         if initial_point is None:
             initial_point = [0.75] * n
-        if np.asarray(initial_point, dtype=float).shape != (n,):
+        try:
+            shape = np.asarray(initial_point, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape != (n,):
             raise ConfigError(
                 f"initial_point must be a list of {n} numbers, got {initial_point!r}"
             )
@@ -339,7 +344,16 @@ def cmd_list_objectives(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call.
+
+    Parsing does not change the parser: each call gets a fresh namespace.
+    ``set_defaults(func=...)`` binds the ``cmd_*`` function objects when the
+    parser is first built, so replacing a module-level ``cmd_*`` name later
+    does not reach ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="qpsearch",
         description="Pattern search with a classical or quantum-simulated "

@@ -14,7 +14,6 @@ from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .amplify import QSearchParams, last_failing_round
 from .fixedpoint import FixedPointFormat, encode_point_exact
@@ -60,9 +59,14 @@ def positive_spanning_check(directions: np.ndarray) -> bool:
     """True iff every vector in R^n is a non-negative combination of the
     columns.
 
-    Uses the exact characterization: the columns positively span iff they
-    span R^n linearly and zero is a strictly positive combination of them
-    (checked as feasibility of D@lam = 0 with lam >= 1, scale-invariant).
+    Uses the exact characterization (Davis 1954): the columns of D positively
+    span iff rank D = n and D @ lam = 0 for some lam >= 1.  With lam = 1 + mu
+    the second condition is -D @ 1 in cone(D): one non-negative least-squares
+    problem, min ||D @ mu + D @ 1|| over mu >= 0, solved by the Lawson-Hanson
+    active-set method.  Each row is first scaled to largest entry 1 (scaling
+    a row changes neither the rank nor whether the columns span), and the
+    columns span when that residual is at most 1e-9 * max|D| * p = 1e-9 * p.
+    Non-finite entries are refused.
     """
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2:
@@ -70,18 +74,58 @@ def positive_spanning_check(directions: np.ndarray) -> bool:
     n, p = d.shape
     if n < 1:
         raise DimensionMismatchError("need at least one row")
+    if not np.isfinite(d).all():
+        raise ValueError("direction matrix has a non-finite entry")
     if p < n + 1:
         return False
     if np.linalg.matrix_rank(d) < n:
         return False
-    res = linprog(
-        c=np.zeros(p),
-        A_eq=d,
-        b_eq=np.zeros(n),
-        bounds=[(1.0, None)] * p,
-        method="highs",
-    )
-    return res.status == 0
+    # Scaled per row, a row of small entries cannot hide under the rounding
+    # of the others.
+    d = d / np.abs(d).max(axis=1, keepdims=True)
+    return _nnls_reaches(d, -d.sum(axis=1), 1e-9 * p)
+
+
+def _nnls_reaches(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether min ||a @ x - b|| over x >= 0 is at most ``tol``, by the
+    Lawson-Hanson active-set method (Lawson and Hanson 1974, ch. 23).
+
+    Stops at the first residual at most ``tol``, or when the Kuhn-Tucker
+    conditions hold.  Raises after 3p outer steps rather than guess.
+    """
+    p = a.shape[1]
+    x = np.zeros(p)
+    passive = np.zeros(p, dtype=bool)  # the set P; the rest is held at 0
+    rounding = 8 * p * np.finfo(float).eps
+    for _ in range(3 * p):
+        r = b - a @ x
+        if np.linalg.norm(r) <= tol:
+            return True
+        # A gradient entry within its own rounding error counts as zero.
+        noise = rounding * (abs(a).T @ (abs(b) + abs(a) @ x))
+        w = np.where(passive, -np.inf, a.T @ r - noise)
+        j = int(np.argmax(w))
+        if w[j] <= 0:  # x is the minimizer, and its residual exceeds tol
+            return False
+        passive[j] = True
+        s = _passive_solution(a, b, passive)
+        while (s[passive] <= 0).any():  # back off to the last feasible point
+            out = passive & (s <= 0)
+            ratio = x[out] / (x[out] - s[out])
+            x += ratio.min() * (s - x)
+            x[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            s = _passive_solution(a, b, passive)
+        x = s
+    raise RuntimeError(f"NNLS positive-spanning check did not settle in {3 * p} steps")
+
+
+def _passive_solution(a: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares x on the passive columns, zero on the others."""
+    s = np.zeros(a.shape[1])
+    s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+    return s
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Objective registry and the command-line surfaces."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpsearch
 from qpsearch.cli import main
 from qpsearch.objectives import UnknownObjectiveError, make_objective, objective_names
 
@@ -231,6 +236,8 @@ REFUSED = [
     ["run", "--config", '{"initial_point": [[0.5], [0.5]]}'],
     ["run", "--config", '{"initial_point": "ab"}'],
     ["run", "--config", '{"initial_point": [0.5, "x"]}'],
+    ["run", "--config", '{"initial_point": [[0.5], 0.5]}'],
+    ["run", "--config", '{"initial_point": {"a": 1}}'],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
@@ -275,6 +282,18 @@ def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, tmp_path_factory, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # refused before any output is opened
+
+
+@pytest.mark.parametrize(
+    "point", ['[0.5, "x"]', "[[0.5], 0.5]", '{"a": 1}', '"ab"'], ids=str
+)
+def test_run_refuses_a_malformed_initial_point_by_name(point, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"initial_point": {point}}}')
+    assert run_cli("run", "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    expected = repr(json.loads(point))
+    assert err == f"error: initial_point must be a list of 2 numbers, got {expected}\n"
 
 
 def test_run_refused_midway_leaves_existing_output_untouched(tmp_path, capsys):
@@ -355,3 +374,47 @@ def test_list_objectives(capsys):
     assert run_cli("list-objectives") == 0
     out = capsys.readouterr().out.split()
     assert out == objective_names()
+
+
+SRC = str(Path(qpsearch.__file__).resolve().parent.parent)
+
+
+def fresh_python(*args):
+    """Run the interpreter in a new process with this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+def test_the_package_runs_without_scipy():
+    proc = fresh_python(
+        "-c",
+        "import sys, qpsearch.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from qpsearch.pattern import PatternBasis\n"
+        "PatternBasis.coordinate(3)\n"
+        "print('scipy' in sys.modules)\n",
+    )
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
+    calls = [
+        ["run", "--objective", "step", "--backend", "classical", "--seed", "3",
+         "--tau", "0.05", "--max-iterations", "3", "--emit-rounds"],
+        ["compare", "--search-points-count", "16", "--search-radius", "4",
+         "--trials", "2", "--seed", "5"],
+        ["run", "--max-iterations", "3"],
+    ]
+    outputs = []
+    for argv in calls:
+        assert run_cli(*argv) == 0
+        outputs.append(capsys.readouterr().out)
+    for argv, out in zip(calls, outputs):
+        assert out == fresh_python("-m", "qpsearch", *argv).stdout
+    # The last call gave no flag but one: nothing of the first call reached it.
+    summary = json.loads(outputs[-1].splitlines()[-1])
+    config = summary["config"]
+    assert (config["objective"], config["backend"], config["seed"]) == ("sphere", "quantum", 0)
+    assert (config["tau"], config["emit_rounds"], config["max_iterations"]) == (0.01, False, 3)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog  # test extra: the LP the NNLS check replaced
 
 from qpsearch.fixedpoint import (
     EncodingError,
@@ -90,6 +91,78 @@ def test_positive_spanning_edge_cases():
     eye = np.eye(3)
     assert positive_spanning_check(np.hstack([eye, -eye]))
     assert not positive_spanning_check(np.hstack([eye, -eye[:, :2]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_positive_spanning_refuses_non_finite_entries(bad):
+    # NaN used to fail inside the SVD, and inf to read as not spanning.
+    d = np.hstack([np.eye(2), -np.eye(2)])
+    d[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        positive_spanning_check(d)
+
+
+def test_positive_spanning_raises_when_nnls_does_not_settle(monkeypatch):
+    # A column that never enters is picked again each step until the 3p bound.
+    monkeypatch.setattr(
+        pattern, "_passive_solution", lambda a, b, passive: np.where(passive, -1.0, 0.0)
+    )
+    tripod = np.array([[1.0, -1.0, -1.0], [0.0, 1.0, -1.0]])
+    with pytest.raises(RuntimeError, match="did not settle in 9 steps"):
+        positive_spanning_check(tripod)
+
+
+def lp_positive_spanning(d: np.ndarray) -> bool:
+    """The check as a linear program: rank D = n and D @ lam = 0 is feasible
+    with lam >= 1 (HiGHS)."""
+    n, p = d.shape
+    if p < n + 1 or np.linalg.matrix_rank(d) < n:
+        return False
+    res = linprog(
+        c=np.zeros(p),
+        A_eq=d,
+        b_eq=np.zeros(n),
+        bounds=[(1.0, None)] * p,
+        method="highs",
+    )
+    return res.status == 0
+
+
+@st.composite
+def spanning_cases(draw):
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["integer", "dyadic", "basis"]))
+
+    def matrix(rows, cols, entry):
+        return np.array([[draw(entry) for _ in range(cols)] for _ in range(rows)], dtype=float)
+
+    if kind == "integer":
+        return matrix(n, draw(st.integers(n, 2 * n + 3)), st.integers(-2, 2))
+    if kind == "dyadic":
+        scale = 2.0 ** draw(st.integers(-12, 12))
+        return scale * matrix(n, draw(st.integers(n, 2 * n + 3)), st.integers(-8, 8)) / 8
+    # D = G @ Z: G nonsingular and dyadic, Z integer.
+    g = matrix(n, n, st.integers(-8, 8)) / 4
+    assume(abs(np.linalg.det(g)) > 1e-9)
+    eye = np.eye(n, dtype=int)
+    z = draw(st.sampled_from(["maximal", "minimal", "integer"]))
+    if z == "maximal":
+        z = np.hstack([eye, -eye])
+    elif z == "minimal":  # I and -1: the smallest positive basis, maybe more
+        extra = matrix(n, draw(st.integers(0, n + 2)), st.integers(-2, 2))
+        z = np.hstack([eye, -np.ones((n, 1)), extra])
+    else:
+        z = matrix(n, draw(st.integers(n, 2 * n + 3)), st.integers(-2, 2))
+    return g @ z
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_cases())
+@example(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))  # a half-plane
+@example(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]))  # minimal positive basis
+@example(np.array([[1.0, -1.0, 2.0], [1.0, -1.0, 2.0]]))  # rank 1
+def test_positive_spanning_agrees_with_the_lp(d):
+    assert positive_spanning_check(d) == lp_positive_spanning(d)
 
 
 def test_pattern_basis_construction():
