@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qpsearch import (
+    OracleLedger,
     QSearchParams,
     SafetyCapReachedError,
     failure_round_bound,
@@ -30,8 +31,9 @@ print(f"u must stay below ln(tau)/ln(3/4) = {params.u_limit:.3f}")
 print(f"round bound: {failure_round_bound(N, params)}\n")
 
 records = []
+ledger = OracleLedger()
 outcome = modified_qsearch(
-    problem, params, rng=np.random.default_rng(0), on_round=records.append
+    problem, params, rng=np.random.default_rng(0), ledger=ledger, on_round=records.append
 )
 first_counted = next(r.l for r in records if r.m**2 > N)
 print("modified loop rounds (l, M, j, u):")
@@ -39,7 +41,7 @@ for r in records:
     tag = " <- M^2 > N from here on" if r.l == first_counted else ""
     print(f"  l={r.l:>2} M={r.m:>5} j={r.j:>5} u={r.u:>2}{tag}")
 print(f"outcome: {'found' if outcome.succeeded else 'Failure'} after "
-      f"{outcome.rounds_executed} rounds, {outcome.q_applications} iterates of Q\n")
+      f"{outcome.rounds_executed} rounds, {ledger.q_applications} iterates of Q\n")
 
 # Note the small cap: it bounds rounds, and a round's oracle calls grow like c^l.
 print("original loop on the same problem (round cap 12):")

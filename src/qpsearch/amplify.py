@@ -74,7 +74,6 @@ class QSearchParams:
 
     c: float = 1.5
     tau: float = 0.01
-    rng_seed: int = 0
     max_total_rounds: int = 10_000
 
     def __post_init__(self):
@@ -95,14 +94,13 @@ class QSearchOutcome:
     """Result of one search invocation.
 
     ``result`` is the measured full-width bitstring on success and None on
-    failure; the counters echo the loop variables at exit.
+    failure; the counters echo the loop variables at exit.  The search's
+    oracle calls and Q applications are in the ledger it was given.
     """
 
     result: Optional[str]
     rounds_executed: int
     u_rounds: int
-    q_applications: int
-    ledger_delta: OracleLedger
 
     @property
     def succeeded(self) -> bool:
@@ -132,8 +130,8 @@ def desired_probability(state: State) -> float:
     if isinstance(state, IndexState):
         amps = state.amplitudes[state.problem.marks < 0]
         return float(amps @ amps)
-    idx = state.layout.comparison_sign_index
-    return sum(abs(a) ** 2 for b, a in state.amplitudes.items() if b[idx] == "1")
+    amps = state.amplitudes
+    return sum(abs(a) ** 2 for b, a in amps.items() if is_desired(b, state.layout))
 
 
 def _register_maps(problem: SearchProblem) -> Tuple[Callable[[str], str], ...]:
@@ -244,8 +242,8 @@ def apply_Schi(state: State) -> State:
     """
     if isinstance(state, IndexState):
         return IndexState(state.problem, state.amplitudes * state.problem.marks)
-    idx = state.layout.comparison_sign_index
-    new = {b: (-a if b[idx] == "1" else a) for b, a in state.amplitudes.items()}
+    amps = state.amplitudes
+    new = {b: (-a if is_desired(b, state.layout) else a) for b, a in amps.items()}
     return SparseState._raw(state.layout, new)
 
 
@@ -329,33 +327,30 @@ def _run_search(
     finite: bool,
 ) -> QSearchOutcome:
     if rng is None:
-        rng = np.random.default_rng(params.rng_seed)
+        rng = np.random.default_rng(0)
     if ledger is None:
         ledger = OracleLedger()
-    start = ledger.copy()
     iterate = _plane(problem)
-    sign_idx = problem.layout.comparison_sign_index
     u_limit = params.u_limit
     schedule = _schedule(problem.n_points, params)
 
     # Round 0 measures A|0> itself.
-    l = m = j = u = q_apps = 0
+    l = m = j = u = 0
     while True:
         # The ledger counts each round as prepared afresh: A, then j iterates
         # of two oracle calls each.
         ledger.qsearch_rounds += 1
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
-        q_apps += j
         measured = measure(iterate(j), rng)
-        desired = measured[sign_idx] == "1"
+        desired = is_desired(measured, problem.layout)
         if on_round is not None:
             on_round(RoundRecord(l, m, j, u, measured, desired))
         if desired:
-            return QSearchOutcome(measured, l, u, q_apps, ledger.delta_since(start))
+            return QSearchOutcome(measured, l, u)
         if finite:
             if u >= u_limit:
-                return QSearchOutcome(None, l, u, q_apps, ledger.delta_since(start))
+                return QSearchOutcome(None, l, u)
         elif l >= params.max_total_rounds:
             raise SafetyCapReachedError(
                 f"no desired state found in {l} rounds; with zero marked "

@@ -24,6 +24,7 @@ from .amplify import (
     QSearchParams,
     analytic_success_probability,
     apply_Q,
+    is_desired,
     make_planted_problem,
 )
 from .fixedpoint import EncodingError, FixedPointFormat, FixedPointOverflowError
@@ -82,6 +83,32 @@ class ConfigError(Exception):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON type of each typed key, as (what the refusal names, test).  A
+# true/false is no number, and a number in a string is no number either.
+KEY_TYPES = {
+    **dict.fromkeys(
+        ("dimension", "max_iterations", "search_points_count", "search_radius",
+         "total_bits", "frac_bits", "seed", "trials", "max_oracle_calls",
+         "planted_t"),
+        ("an integer", _is_int),
+    ),
+    **dict.fromkeys(
+        ("initial_mesh_size", "expansion_factor", "contraction_factor",
+         "mesh_size_tolerance", "c", "tau"),
+        ("a number", _is_number),
+    ),
+    "emit_rounds": ("true or false", lambda value: isinstance(value, bool)),
+}
+
+
 # Refusals of an input: one line on stderr and exit code 2, not a traceback.
 LIBRARY_ERRORS = (
     ConfigError,
@@ -134,10 +161,15 @@ def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    with _refuse_bad_values():
-        for key in ("dimension", "trials"):
-            if int(config[key]) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {config[key]}")
+    for key, value in config.items():
+        # A key whose default is None may be left None.
+        if key in KEY_TYPES and not (value is None and defaults[key] is None):
+            kind, ok = KEY_TYPES[key]
+            if not ok(value):
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    for key in ("dimension", "trials"):
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
     return config
 
 
@@ -147,18 +179,12 @@ def _build_gps_config(config: dict) -> GpsConfig:
         expansion_factor=float(config["expansion_factor"]),
         contraction_factor=float(config["contraction_factor"]),
         mesh_size_tolerance=float(config["mesh_size_tolerance"]),
-        max_iterations=int(config["max_iterations"]),
-        search_points_count=int(config["search_points_count"]),
-        search_radius=int(config["search_radius"]),
-        fixed_point_format=FixedPointFormat(
-            int(config["total_bits"]), int(config["frac_bits"])
-        ),
-        rng_seed=int(config["seed"]),
-        max_oracle_calls=(
-            None
-            if config["max_oracle_calls"] is None
-            else int(config["max_oracle_calls"])
-        ),
+        max_iterations=config["max_iterations"],
+        search_points_count=config["search_points_count"],
+        search_radius=config["search_radius"],
+        fixed_point_format=FixedPointFormat(config["total_bits"], config["frac_bits"]),
+        rng_seed=config["seed"],
+        max_oracle_calls=config["max_oracle_calls"],
     )
 
 
@@ -183,15 +209,15 @@ def _write_output(path: Optional[str], lines: list) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args, RUN_DEFAULTS)
     with _refuse_bad_values():
-        n = int(config["dimension"])
+        n = config["dimension"]
         initial_point = config["initial_point"]
         if initial_point is None:
             initial_point = [0.75] * n
-        try:
-            shape = np.asarray(initial_point, dtype=float).shape
-        except (TypeError, ValueError):
-            shape = None
-        if shape != (n,):
+        if not (
+            isinstance(initial_point, list)
+            and len(initial_point) == n
+            and all(map(_is_number, initial_point))
+        ):
             raise ConfigError(
                 f"initial_point must be a list of {n} numbers, got {initial_point!r}"
             )
@@ -203,8 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         basis = PatternBasis.coordinate(n)
         params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
         gps_configs = [
-            _build_gps_config({**config, "seed": int(config["seed"]) + trial})
-            for trial in range(int(config["trials"]))
+            _build_gps_config({**config, "seed": config["seed"] + trial})
+            for trial in range(config["trials"])
         ]
 
     lines = []
@@ -262,14 +288,13 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
     problem, _ = make_planted_problem(n, t, rng=rng)
     ops = PreparationOperator(problem)
     state = ops.prepare_from_zero()
-    sign_idx = problem.layout.comparison_sign_index
 
     print(f"# N={n} t={t} trials={args.trials} seed={args.seed}")
     print(f"{'j':>4} {'analytic':>12} {'empirical':>12} {'abs_error':>12}")
     for j in range(args.j_max + 1):
         analytic = analytic_success_probability(n, t, j)
         counts = sample_counts(state, args.trials, rng)
-        hits = sum(c for b, c in counts.items() if b[sign_idx] == "1")
+        hits = sum(c for b, c in counts.items() if is_desired(b, problem.layout))
         empirical = hits / args.trials
         print(
             f"{j:>4} {analytic:>12.6f} {empirical:>12.6f} "
@@ -282,7 +307,7 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args, COMPARE_DEFAULTS)
     with _refuse_bad_values():
-        n = int(config["dimension"])
+        n = config["dimension"]
         basis = PatternBasis.coordinate(n)
         gps_config = _build_gps_config(
             {
@@ -302,11 +327,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 raise ConfigError("give an objective or planted_t, not both")
             objective = make_objective(config["objective"], n)
         else:
-            planted = 1 if planted is None else int(planted)
+            planted = 1 if planted is None else planted
             n_points = gps_config.search_points_count
             if not 0 <= planted <= n_points:
                 raise ConfigError(f"planted_t must lie in [0, {n_points}], got {planted}")
-        seeds = [int(config["seed"]) + i for i in range(int(config["trials"]))]
+        seeds = [config["seed"] + i for i in range(config["trials"])]
     report = compare_backends(
         objective, basis, gps_config, params, seeds, planted_t=planted
     )

@@ -201,11 +201,12 @@ def sign_bit(bits: str) -> int:
 
 
 def is_exactly_representable(value: float, fmt: FixedPointFormat) -> bool:
-    """True iff ``value`` lies exactly on the format's grid and in range."""
-    scaled = value * (1 << fmt.frac_bits)
-    if scaled != math.floor(scaled):
+    """True iff ``value`` is on the grid and in range: encode_point_exact's check."""
+    try:
+        encode_point_exact([value], fmt)
+    except (EncodingError, FixedPointOverflowError):
         return False
-    return fmt.min_units <= int(scaled) <= fmt.max_units
+    return True
 
 
 def encode_point_exact(x: Sequence[float], fmt: FixedPointFormat) -> str:

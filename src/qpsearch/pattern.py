@@ -34,7 +34,7 @@ __all__ = [
     "poll_set",
     "poll_step",
     "select_search_points",
-    "search_candidates_record",
+    "candidates_record",
     "update_mesh",
     "classical_search_step",
     "gps_run",
@@ -147,6 +147,8 @@ class PatternBasis:
             raise DimensionMismatchError(
                 f"combination matrix must be {n} x p, got {z.shape}"
             )
+        if not (np.isfinite(g).all() and np.isfinite(z).all()):
+            raise ValueError("direction matrix has a non-finite entry")
         if not np.array_equal(z, np.round(z)):
             raise ValueError("combination matrix must be integer")
         if abs(np.linalg.det(g)) <= 1e-12:
@@ -298,12 +300,12 @@ def poll_set(state: MeshState, directions: np.ndarray) -> List[np.ndarray]:
     d = np.asarray(directions, dtype=float)
     if not positive_spanning_check(d):
         raise NotPositiveSpanningError("poll directions must positively span R^n")
-    return _poll_points(state, d)
+    return list(_poll_points(state, d))
 
 
-def _poll_points(state: MeshState, d: np.ndarray) -> List[np.ndarray]:
+def _poll_points(state: MeshState, d: np.ndarray) -> np.ndarray:
     # Unchecked: for direction sets already known to span, such as a basis's.
-    return [state.iterate + state.mesh_size * d[:, i] for i in range(d.shape[1])]
+    return state.iterate + state.mesh_size * d.T
 
 
 def poll_step(
@@ -312,15 +314,10 @@ def poll_step(
     objective: Objective,
     ledger: OracleLedger,
 ) -> Optional[ImprovedPoint]:
-    """Opportunistic poll: evaluate candidates in column order, return the
-    first strict improvement; None declares the iterate a mesh local
-    optimizer."""
-    for y in _poll_points(state, basis.directions):  # checked by PatternBasis
-        ledger.classical_calls += 1
-        fy = objective(y)
-        if fy < state.incumbent_value:
-            return ImprovedPoint(y, fy)
-    return None
+    """Opportunistic poll: the first-improvement scan over the poll points in
+    column order; None declares the iterate a mesh local optimizer."""
+    points = _poll_points(state, basis.directions)  # checked by PatternBasis
+    return classical_search_step(points, objective, state.incumbent_value, ledger)
 
 
 def _small_z_enumeration(p: int, cap: int) -> Iterator[Tuple[int, ...]]:
@@ -461,10 +458,11 @@ def select_search_points(
     return bits_list, points
 
 
-def search_candidates_record(iteration: int, points: np.ndarray) -> dict:
-    """The ``search-candidates`` trace event of either search backend."""
+def candidates_record(kind: str, iteration: int, points: np.ndarray) -> dict:
+    """The ``search-candidates`` or ``poll-candidates`` trace event, for
+    ``kind`` "search" or "poll"."""
     return {
-        "type": "search-candidates",
+        "type": f"{kind}-candidates",
         "iteration": iteration,
         "points": points.tolist(),
     }
@@ -497,10 +495,11 @@ def classical_search_step(
     ledger: OracleLedger,
 ) -> Optional[ImprovedPoint]:
     """First-improvement scan over the candidate points, one classical call
-    each; None after exhausting all of them."""
+    each; None after exhausting all of them.  The poll and the quantum
+    step's recheck scan through it too."""
     for y in points:
         ledger.classical_calls += 1
-        fy = objective(y)
+        fy = float(objective(y))
         if fy < incumbent_value:
             return ImprovedPoint(y, fy)
     return None
@@ -563,7 +562,7 @@ def gps_run(
         if search_backend == "classical":
             _, points = select_search_points(state, basis, config)
             if event_sink is not None:
-                event_sink(search_candidates_record(state.iteration, points))
+                event_sink(candidates_record("search", state.iteration, points))
             outcome = classical_search_step(
                 points, objective, state.incumbent_value, ledger
             )
@@ -583,15 +582,8 @@ def gps_run(
             label = "search-success"
         else:
             if event_sink is not None:
-                event_sink(
-                    {
-                        "type": "poll-candidates",
-                        "iteration": state.iteration,
-                        "points": [
-                            y.tolist() for y in _poll_points(state, basis.directions)
-                        ],
-                    }
-                )
+                points = _poll_points(state, basis.directions)
+                event_sink(candidates_record("poll", state.iteration, points))
             outcome = poll_step(state, basis, objective, ledger)
             label = "poll-success" if outcome is not None else "mesh-local-optimizer"
 

@@ -28,8 +28,8 @@ from .pattern import (
     ImprovedPoint,
     MeshState,
     PatternBasis,
+    candidates_record,
     classical_search_step,
-    search_candidates_record,
     select_search_points,
 )
 from .state import RegisterLayout
@@ -108,14 +108,14 @@ def quantum_search_step(
         candidates = select_search_points(state, basis, config)
     bits_list, points = candidates
     if event_sink is not None:
-        event_sink(search_candidates_record(state.iteration, points))
+        event_sink(candidates_record("search", state.iteration, points))
     problem = _build_problem(
         bits_list, points, state.incumbent_value, objective, config
     )
     qsearch_rng = np.random.default_rng([config.rng_seed, state.iteration, 1])
-    before = ledger.copy()
     on_round = None
     if event_sink is not None:
+        before = ledger.copy()
         iteration = state.iteration
 
         def on_round(rec):
@@ -128,26 +128,24 @@ def quantum_search_step(
     result = "failure"
     accepted: Optional[ImprovedPoint] = None
     if outcome.result is not None:
-        point_bits = problem.layout.point_part(outcome.result)
-        candidate = points[bits_list.index(point_bits)]
-        ledger.classical_calls += 1
-        value = float(objective(candidate))
-        if value < state.incumbent_value:
-            accepted = ImprovedPoint(candidate, value)
-            result = "found"
-        else:
-            result = "rejected"  # saturation artifact: sign bit lied
+        k = bits_list.index(problem.layout.point_part(outcome.result))
+        # The recheck rejects a saturation artifact, whose sign bit lied.
+        accepted = classical_search_step(
+            points[k : k + 1], objective, state.incumbent_value, ledger
+        )
+        result = "rejected" if accepted is None else "found"
 
     if event_sink is not None:
+        delta = ledger.delta_since(before)
         event = {
             "type": "quantum-search-step",
             "iteration": state.iteration,
             "n_points": problem.n_points,
             "rounds": outcome.rounds_executed,
             "u_rounds": outcome.u_rounds,
-            "q_applications": outcome.q_applications,
+            "q_applications": delta.q_applications,
             "result": result,
-            "ledger_delta": ledger.delta_since(before).as_dict(),
+            "ledger_delta": delta.as_dict(),
         }
         if compute_t:
             event["t"] = _marked_count(problem)

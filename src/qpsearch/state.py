@@ -199,16 +199,12 @@ class SearchProblem:
         layout: RegisterLayout,
     ):
         points = list(points)
-        if not points:
-            raise ValueError("need at least one search point")
-        if len(set(points)) != len(points):
-            raise ValueError("search points must be distinct")
-        for p in points:
-            if len(p) != layout.point_bits:
-                raise ValueError(
-                    f"point {p!r} has width {len(p)}, layout expects "
-                    f"{layout.point_bits}"
-                )
+        width = _check_strings(points)
+        if width != layout.point_bits:
+            raise ValueError(
+                f"point {points[0]!r} has width {width}, layout expects "
+                f"{layout.point_bits}"
+            )
         vb = layout.value_bits
         if len(incumbent_value_bits) != vb or incumbent_value_bits.strip("01"):
             raise ValueError(
@@ -358,22 +354,10 @@ class HouseholderPrepare:
 
     def __init__(self, targets: Iterable[str]):
         targets = list(targets)
-        if not targets:
-            raise EmptyTargetsError("need at least one target string")
-        width = len(targets[0])
-        distinct = set(targets)
-        if (
-            len(distinct) != len(targets)
-            or set(map(len, targets)) != {width}
-            # Deleting the 0s and 1s leaves a byte iff some target has another
-            # character.
-            or "".join(targets).encode().translate(None, b"01")
-        ):
-            _reject_targets(targets, width)
-        self.point_width = width
+        self.point_width = width = _check_strings(targets)
         zero = "0" * width
         coeff = 1.0 / math.sqrt(len(targets))
-        if zero in distinct:
+        if zero in targets:
             points = targets
             w = np.full(len(points), coeff)
             w[points.index(zero)] -= 1.0
@@ -437,6 +421,22 @@ class HouseholderPrepare:
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
         return SparseState._raw(state.layout, new)
+
+
+def _check_strings(targets: Sequence[str]) -> int:
+    """The width of a non-empty list of distinct equal-width 0/1 strings."""
+    if not targets:
+        raise EmptyTargetsError("need at least one target string")
+    width = len(targets[0])
+    if (
+        len(set(targets)) != len(targets)
+        or set(map(len, targets)) != {width}
+        # Deleting the 0s and 1s leaves a byte iff some target has another
+        # character.
+        or "".join(targets).encode().translate(None, b"01")
+    ):
+        _reject_targets(targets, width)
+    return width
 
 
 def _reject_targets(targets: Sequence[str], width: int) -> None:

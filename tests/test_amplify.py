@@ -204,11 +204,12 @@ def test_analytic_success_probability():
 
 def test_qsearch_all_marked_succeeds_immediately():
     problem, _ = make_planted_problem(4, 4)
-    out = qsearch(problem, QSearchParams(), rng=np.random.default_rng(0))
+    ledger = OracleLedger()
+    out = qsearch(problem, QSearchParams(), rng=np.random.default_rng(0), ledger=ledger)
     assert out.succeeded
     assert out.rounds_executed == 0
-    assert out.q_applications == 0
-    assert out.ledger_delta.quantum_calls == 1
+    assert ledger.q_applications == 0
+    assert ledger.quantum_calls == 1
 
 
 def test_qsearch_safety_cap_when_nothing_marked():
@@ -306,7 +307,6 @@ def test_round_records_and_ledger_accounting():
                 u += 1
             assert rec.u == u
             js.append(rec.j)
-        assert out.q_applications == sum(js)
         assert ledger.q_applications == sum(js)
         assert ledger.qsearch_rounds == len(records)
         assert ledger.quantum_calls == ledger.qsearch_rounds + 2 * ledger.q_applications
@@ -349,6 +349,12 @@ def test_search_problem_validation():
         SearchProblem(["000"], "0000", np.array([0]), layout)
     with pytest.raises(ValueError):
         SearchProblem(["0000"], "000", np.array([0]), layout)
+
+
+def test_search_problem_refuses_a_point_that_is_not_binary():
+    layout = RegisterLayout(4, 4, 4)
+    with pytest.raises(ValueError, match="invalid target string '0a01'"):
+        SearchProblem(["0a01", "0010"], "0000", np.array([0, 0]), layout)
 
 
 def test_qsearch_params_validation():
@@ -452,8 +458,8 @@ def test_search_loops_equal_recomputing_reference(n, t, finite):
         out = search(problem, params, rng=np.random.default_rng(seed), ledger=ledger,
                      on_round=records.append)
         expected = _recomputing_search(problem, params, np.random.default_rng(seed), finite)
-        assert (out.result, out.rounds_executed, out.u_rounds, out.q_applications) == expected[:4]
-        assert ledger == out.ledger_delta == expected[4]
+        assert (out.result, out.rounds_executed, out.u_rounds, ledger.q_applications) == expected[:4]
+        assert ledger == expected[4]
         assert records == expected[5]
 
 

@@ -162,6 +162,12 @@ def test_exact_representability():
         encode_point_exact([1000.0], F42)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_not_representable(value):
+    # encode_point_exact's refusals: NaN is off the grid, infinities out of range.
+    assert not is_exactly_representable(value, F42)
+
+
 def reference_units_saturating(value, fmt):
     """The scalar rule the vectorized encoder replaced: scale, round half
     away from zero, clamp.  Raises where converting to an integer does."""

@@ -238,6 +238,16 @@ REFUSED = [
     ["run", "--config", '{"initial_point": [0.5, "x"]}'],
     ["run", "--config", '{"initial_point": [[0.5], 0.5]}'],
     ["run", "--config", '{"initial_point": {"a": 1}}'],
+    ["run", "--config", '{"initial_point": [null, 0.5]}'],
+    ["run", "--config", '{"initial_point": [true, 0.5]}'],
+    # Values of the wrong JSON type, which int() or float() would coerce.
+    ["run", "--config", '{"max_iterations": 2.7}'],
+    ["run", "--config", '{"trials": 1.9}'],
+    ["run", "--config", '{"seed": true}'],
+    ["run", "--config", '{"search_points_count": "16"}'],
+    ["run", "--config", '{"emit_rounds": "no"}'],
+    ["run", "--config", '{"tau": "0.01"}'],
+    ["compare", "--config", '{"planted_t": 1.5}'],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
@@ -285,7 +295,9 @@ def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, tmp_path_factory, c
 
 
 @pytest.mark.parametrize(
-    "point", ['[0.5, "x"]', "[[0.5], 0.5]", '{"a": 1}', '"ab"'], ids=str
+    "point",
+    ['[0.5, "x"]', "[[0.5], 0.5]", '{"a": 1}', '"ab"', "[null, 0.5]", "[true, 0.5]"],
+    ids=str,
 )
 def test_run_refuses_a_malformed_initial_point_by_name(point, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -294,6 +306,24 @@ def test_run_refuses_a_malformed_initial_point_by_name(point, tmp_path, capsys):
     err = capsys.readouterr().err
     expected = repr(json.loads(point))
     assert err == f"error: initial_point must be a list of 2 numbers, got {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("max_iterations", "2.7", "an integer"),
+        ("seed", "true", "an integer"),
+        ("search_points_count", '"16"', "an integer"),
+        ("initial_mesh_size", "false", "a number"),
+        ("emit_rounds", '"no"', "true or false"),
+    ],
+)
+def test_run_refuses_a_mistyped_key_by_name(key, value, kind, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": {value}}}')
+    assert run_cli("run", "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be {kind}, got {json.loads(value)!r}\n"
 
 
 def test_run_refused_midway_leaves_existing_output_untouched(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pattern-search machinery: spanning checks, mesh ops, poll, outer loop."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -177,6 +178,15 @@ def test_pattern_basis_construction():
         PatternBasis(np.eye(2), np.eye(2, dtype=int))
     with pytest.raises(ValueError):
         PatternBasis(np.eye(2), np.array([[0.5, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_pattern_basis_refuses_non_finite_generating_entries(bad):
+    # inf used to read as a singular G, and NaN to warn inside det first.
+    g = np.eye(2)
+    g[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        PatternBasis(g, np.hstack([np.eye(2, dtype=int), -np.eye(2, dtype=int)]))
 
 
 def test_mesh_point_examples():
@@ -558,6 +568,18 @@ def test_gps_run_polls_without_rechecking_the_basis(monkeypatch):
     assert any(e["type"] == "poll-candidates" for e in events)
     assert all(r.outcome == "mesh-local-optimizer" for r in run.records)
     assert calls == []
+
+
+def test_gps_run_records_of_a_float32_objective_serialize():
+    # Every scan stores float(objective(y)), so no numpy scalar reaches a record.
+    basis = PatternBasis.coordinate(2)
+    run = gps_run(
+        lambda x: np.float32(np.dot(x, x)), basis, quadratic_config(), "classical",
+        [0.75, -0.5],
+    )
+    assert {"search-success", "poll-success"} <= {r.outcome for r in run.records}
+    for record in run.records:
+        json.dumps(record.as_record())
 
 
 def test_gps_run_record_update_consistency():
