@@ -13,8 +13,8 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
-from typing import Optional
+from dataclasses import asdict, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,45 +39,6 @@ from .pattern import (
 from .quantum_step import compare_backends
 from .state import sample_counts
 
-RUN_DEFAULTS = {
-    "objective": "sphere",
-    "dimension": 2,
-    "initial_point": None,  # defaults to (0.75, ...) per dimension
-    "backend": "quantum",
-    "initial_mesh_size": 0.5,
-    "expansion_factor": 1.0,
-    "contraction_factor": 0.5,
-    "mesh_size_tolerance": 0.001,
-    "max_iterations": 200,
-    "search_points_count": 16,
-    "search_radius": 8,
-    "total_bits": 16,
-    "frac_bits": 10,
-    "c": 1.5,
-    "tau": 0.01,
-    "seed": 0,
-    "trials": 1,
-    "max_oracle_calls": None,
-    "output": None,
-    "emit_rounds": False,
-}
-
-COMPARE_DEFAULTS = {
-    "dimension": 2,
-    "initial_mesh_size": 1.0,
-    "search_points_count": 256,
-    "search_radius": 20,
-    "total_bits": 8,
-    "frac_bits": 0,
-    "c": 1.5,
-    "tau": 0.01,
-    "seed": 0,
-    "trials": 50,
-    "planted_t": None,  # 1 unless an objective is given
-    "objective": None,
-    "output": None,
-}
-
 
 class ConfigError(Exception):
     pass
@@ -88,24 +49,73 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # An integer past the largest float would overflow float(...).
+    return isinstance(value, float) or (
+        _is_int(value) and abs(value) <= sys.float_info.max
+    )
 
 
-# The JSON type of each typed key, as (what the refusal names, test).  A
-# true/false is no number, and a number in a string is no number either.
-KEY_TYPES = {
-    **dict.fromkeys(
-        ("dimension", "max_iterations", "search_points_count", "search_radius",
-         "total_bits", "frac_bits", "seed", "trials", "max_oracle_calls",
-         "planted_t"),
-        ("an integer", _is_int),
-    ),
-    **dict.fromkeys(
-        ("initial_mesh_size", "expansion_factor", "contraction_factor",
-         "mesh_size_tolerance", "c", "tau"),
-        ("a number", _is_number),
-    ),
-    "emit_rounds": ("true or false", lambda value: isinstance(value, bool)),
+class Kind:
+    """A JSON kind: what a refusal says it must be, its test, its flag's type."""
+
+    def __init__(self, name: str, has: Callable[[object], bool], type=None):
+        self.name, self.has, self.type = name, has, type
+
+
+# A true/false is no number, and a number in a string is no number either.
+INTEGER = Kind("an integer", _is_int, int)
+NUMBER = Kind("a number", _is_number, float)
+STRING = Kind("a string", lambda value: isinstance(value, str), str)
+BOOLEAN = Kind("true or false", lambda value: isinstance(value, bool))
+
+
+class Key:
+    """A config key: its kind (None: its command checks it), its default (a
+    key whose default is None may be left None), and the add_argument
+    keywords of its flag ``--<key with dashes>`` (None: it has no flag)."""
+
+    def __init__(self, kind: Optional[Kind], default, flag: Optional[dict] = None):
+        self.kind, self.default, self.flag = kind, default, flag
+
+
+RUN_KEYS = {
+    "objective": Key(STRING, "sphere", {"help": "registry name (see list-objectives)"}),
+    "dimension": Key(INTEGER, 2, {}),
+    "backend": Key(STRING, "quantum", {"choices": ("classical", "quantum")}),
+    "seed": Key(INTEGER, GpsConfig.rng_seed, {}),
+    "trials": Key(INTEGER, 1, {}),
+    "initial_mesh_size": Key(NUMBER, GpsConfig.initial_mesh_size, {}),
+    "mesh_size_tolerance": Key(NUMBER, GpsConfig.mesh_size_tolerance, {}),
+    "max_iterations": Key(INTEGER, GpsConfig.max_iterations, {}),
+    "search_points_count": Key(INTEGER, GpsConfig.search_points_count, {}),
+    "tau": Key(NUMBER, QSearchParams.tau, {}),
+    "c": Key(NUMBER, QSearchParams.c, {}),
+    "output": Key(STRING, None, {"help": "trace file (line-delimited JSON)"}),
+    "initial_point": Key(None, None),  # (0.75, ...) unless given
+    "expansion_factor": Key(NUMBER, GpsConfig.expansion_factor),
+    "contraction_factor": Key(NUMBER, GpsConfig.contraction_factor),
+    "search_radius": Key(INTEGER, GpsConfig.search_radius),
+    "total_bits": Key(INTEGER, GpsConfig.fixed_point_format.total_bits),
+    "frac_bits": Key(INTEGER, GpsConfig.fixed_point_format.frac_bits),
+    "max_oracle_calls": Key(INTEGER, GpsConfig.max_oracle_calls),
+    "emit_rounds": Key(BOOLEAN, False),  # its flag is --emit-rounds
+}
+
+# The comparison setting of acceptance criteria 4 and 5, at criterion 4's N.
+COMPARE_KEYS = {
+    "dimension": Key(INTEGER, 2, {}),
+    "search_points_count": Key(INTEGER, 256, {}),
+    "search_radius": Key(INTEGER, 20, {}),
+    "planted_t": Key(INTEGER, None, {}),  # 1 unless an objective is given
+    "objective": Key(STRING, None, {}),
+    "trials": Key(INTEGER, 50, {}),
+    "seed": Key(INTEGER, 0, {}),
+    "tau": Key(NUMBER, 0.01, {}),
+    "output": Key(STRING, None, {"help": "report file (line-delimited JSON)"}),
+    "initial_mesh_size": Key(NUMBER, 1.0),
+    "total_bits": Key(INTEGER, 8),
+    "frac_bits": Key(INTEGER, 0),
+    "c": Key(NUMBER, 1.5),
 }
 
 
@@ -134,58 +144,43 @@ def _refuse_bad_values():
         raise ConfigError(str(exc)) from None
 
 
-def _load_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """The defaults, updated by the --config file, then by every flag given."""
-    config = dict(defaults)
+def _load_config(args: argparse.Namespace, keys: dict) -> dict:
+    """The keys' defaults, updated by the --config file, then by every flag
+    given; each value is checked against its key's kind, not converted."""
+    config = {key: spec.default for key, spec in keys.items()}
     path = args.config
     if path:
         try:
             with open(path) as fh:
                 loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"config file {path} is not valid JSON "
                 f"(line {exc.lineno}, column {exc.colno}): {exc.msg}"
             ) from None
+        except (OSError, ValueError) as exc:
+            # ValueError: not UTF-8, or an integer past int()'s digit limit.
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(keys)
         if unknown:
             raise ConfigError(
                 f"unknown config keys in {path}: {', '.join(sorted(unknown))}"
             )
         config.update(loaded)
-    for key in defaults:
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     for key, value in config.items():
-        # A key whose default is None may be left None.
-        if key in KEY_TYPES and not (value is None and defaults[key] is None):
-            kind, ok = KEY_TYPES[key]
-            if not ok(value):
-                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        kind, default = keys[key].kind, keys[key].default
+        if kind and not (value is None and default is None) and not kind.has(value):
+            raise ConfigError(f"{key} must be {kind.name}, got {value!r}")
     for key in ("dimension", "trials"):
         if config[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {config[key]}")
     return config
-
-
-def _build_gps_config(config: dict) -> GpsConfig:
-    return GpsConfig(
-        initial_mesh_size=float(config["initial_mesh_size"]),
-        expansion_factor=float(config["expansion_factor"]),
-        contraction_factor=float(config["contraction_factor"]),
-        mesh_size_tolerance=float(config["mesh_size_tolerance"]),
-        max_iterations=config["max_iterations"],
-        search_points_count=config["search_points_count"],
-        search_radius=config["search_radius"],
-        fixed_point_format=FixedPointFormat(config["total_bits"], config["frac_bits"]),
-        rng_seed=config["seed"],
-        max_oracle_calls=config["max_oracle_calls"],
-    )
 
 
 def _line(record: dict) -> str:
@@ -207,7 +202,7 @@ def _write_output(path: Optional[str], lines: list) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args, RUN_DEFAULTS)
+    config = _load_config(args, RUN_KEYS)
     with _refuse_bad_values():
         n = config["dimension"]
         initial_point = config["initial_point"]
@@ -221,20 +216,30 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"initial_point must be a list of {n} numbers, got {initial_point!r}"
             )
-        if config["backend"] not in ("classical", "quantum"):
+        if config["backend"] not in RUN_KEYS["backend"].flag["choices"]:
             raise ConfigError(f"unknown search backend {config['backend']!r}")
         if args.count_marked and config["backend"] != "quantum":
             raise ConfigError("--count-marked needs the quantum backend")
         objective = make_objective(config["objective"], n)
         basis = PatternBasis.coordinate(n)
         params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
-        gps_configs = [
-            _build_gps_config({**config, "seed": config["seed"] + trial})
-            for trial in range(config["trials"])
-        ]
+        fmt = FixedPointFormat(config["total_bits"], config["frac_bits"])
+        first = GpsConfig(
+            initial_mesh_size=float(config["initial_mesh_size"]),
+            expansion_factor=float(config["expansion_factor"]),
+            contraction_factor=float(config["contraction_factor"]),
+            mesh_size_tolerance=float(config["mesh_size_tolerance"]),
+            max_iterations=config["max_iterations"],
+            search_points_count=config["search_points_count"],
+            search_radius=config["search_radius"],
+            fixed_point_format=fmt,
+            rng_seed=config["seed"],
+            max_oracle_calls=config["max_oracle_calls"],
+        )
 
     lines = []
-    for trial, gps_config in enumerate(gps_configs):
+    for trial in range(config["trials"]):
+        gps_config = replace(first, rng_seed=first.rng_seed + trial)
         sink = None
         if config["emit_rounds"]:
 
@@ -305,19 +310,17 @@ def cmd_demo_amplify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _load_config(args, COMPARE_DEFAULTS)
+    config = _load_config(args, COMPARE_KEYS)
     with _refuse_bad_values():
         n = config["dimension"]
         basis = PatternBasis.coordinate(n)
-        gps_config = _build_gps_config(
-            {
-                **config,
-                "expansion_factor": 1.0,
-                "contraction_factor": 0.5,
-                "mesh_size_tolerance": 1e-6,
-                "max_iterations": 1,
-                "max_oracle_calls": None,
-            }
+        fmt = FixedPointFormat(config["total_bits"], config["frac_bits"])
+        gps_config = GpsConfig(
+            initial_mesh_size=float(config["initial_mesh_size"]),
+            search_points_count=config["search_points_count"],
+            search_radius=config["search_radius"],
+            fixed_point_format=fmt,
+            rng_seed=config["seed"],
         )
         params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
         objective = None
@@ -369,6 +372,15 @@ def cmd_list_objectives(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
+    """--config, then the flag of each flagged key, typed by its kind."""
+    parser.add_argument("--config", help="JSON config file")
+    for key, spec in keys.items():
+        if spec.flag is not None:
+            flag = "--" + key.replace("_", "-")
+            parser.add_argument(flag, dest=key, type=spec.kind.type, **spec.flag)
+
+
 @functools.lru_cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -387,35 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one optimization experiment")
-    run.add_argument("--config", help="JSON config file")
-    run.add_argument("--objective", help="registry name (see list-objectives)")
-    run.add_argument("--dimension", type=int)
-    run.add_argument("--backend", choices=["classical", "quantum"])
-    run.add_argument("--seed", type=int)
-    run.add_argument("--trials", type=int)
-    run.add_argument("--initial-mesh-size", dest="initial_mesh_size", type=float)
-    run.add_argument("--mesh-size-tolerance", dest="mesh_size_tolerance", type=float)
-    run.add_argument("--max-iterations", dest="max_iterations", type=int)
+    _add_config_flags(run, RUN_KEYS)
     run.add_argument(
-        "--search-points-count", dest="search_points_count", type=int
-    )
-    run.add_argument("--tau", type=float)
-    run.add_argument("--c", dest="c", type=float)
-    run.add_argument(
-        "--emit-rounds",
-        dest="emit_rounds",
-        action="store_const",
-        const=True,
+        "--emit-rounds", action="store_const", const=True,
         help="also write per-round search records into the trace",
     )
     run.add_argument(
-        "--count-marked",
-        dest="count_marked",
-        action="store_true",
+        "--count-marked", action="store_true",
         help="with --emit-rounds, add the true marked count t to each "
         "quantum-search-step record (quantum backend only)",
     )
-    run.add_argument("--output", help="trace file (line-delimited JSON)")
     run.set_defaults(func=cmd_run)
 
     demo = sub.add_parser(
@@ -432,18 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser(
         "compare", help="classical vs quantum oracle calls on identical points"
     )
-    comp.add_argument("--config", help="JSON config file")
-    comp.add_argument("--dimension", type=int)
-    comp.add_argument(
-        "--search-points-count", dest="search_points_count", type=int
-    )
-    comp.add_argument("--search-radius", dest="search_radius", type=int)
-    comp.add_argument("--planted-t", dest="planted_t", type=int)
-    comp.add_argument("--objective")
-    comp.add_argument("--trials", type=int)
-    comp.add_argument("--seed", type=int)
-    comp.add_argument("--tau", type=float)
-    comp.add_argument("--output", help="report file (line-delimited JSON)")
+    _add_config_flags(comp, COMPARE_KEYS)
     comp.set_defaults(func=cmd_compare)
 
     ls = sub.add_parser("list-objectives", help="print registry entries")

@@ -230,8 +230,10 @@ class GpsConfig:
         n = self.search_points_count
         if n < 1 or n & (n - 1):
             raise ValueError("search_points_count must be a power of 2")
-        if self.search_radius < 1:
-            raise ValueError("search_radius must be >= 1")
+        if not 1 <= self.search_radius < 2**63:  # radius + 1 bounds an int64 draw
+            raise ValueError(
+                f"search_radius must lie in [1, 2^63 - 1], got {self.search_radius}"
+            )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.mesh_size_tolerance < math.inf:
@@ -400,6 +402,13 @@ def select_search_points(
     cap = config.search_radius
     p = basis.num_directions
     encode_point_exact(state.iterate, fmt)  # the incumbent's grid and range check
+    d = fmt.total_bits
+    width = basis.dimension * d
+    if n_wanted > 2**width - 1:
+        raise MeshExhaustedError(
+            f"{n_wanted} points requested, but a point register of {width} "
+            f"bits holds only {2**width - 1} besides the incumbent"
+        )
     scale = 1 << fmt.frac_bits
     # A point's key is the bytes of its int64 unit row, exact at any width.
     incumbent_key = (state.iterate * scale).astype(np.int64).tobytes()
@@ -434,14 +443,7 @@ def select_search_points(
         k = min(chunk, max_draws - draws)
         take(rng.integers(0, cap + 1, size=(k, p)))
         draws += k
-    d = fmt.total_bits
-    width = basis.dimension * d
     if len(found) < n_wanted:
-        if n_wanted > 2**width - 1:
-            raise MeshExhaustedError(
-                f"{n_wanted} points requested, but a point register of {width} "
-                f"bits holds only {2**width - 1} besides the incumbent"
-            )
         total = _axis_mesh_count(state, basis, config)
         if total is not None and total - 1 < n_wanted:
             raise _exhausted(total - 1, n_wanted)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qpsearch
-from qpsearch.cli import main
+from qpsearch.cli import COMPARE_KEYS, RUN_KEYS, main
 from qpsearch.objectives import UnknownObjectiveError, make_objective, objective_names
 
 
@@ -248,6 +248,20 @@ REFUSED = [
     ["run", "--config", '{"emit_rounds": "no"}'],
     ["run", "--config", '{"tau": "0.01"}'],
     ["compare", "--config", '{"planted_t": 1.5}'],
+    # Integers too large for a float, which float() would overflow on.
+    ["run", "--config", '{"c": 1%s}' % ("0" * 401)],
+    ["run", "--config", '{"initial_mesh_size": 1%s}' % ("0" * 401)],
+    ["run", "--config", '{"initial_point": [1%s, 0.5]}' % ("0" * 401)],
+    # An integer literal past Python's int() digit limit: an unreadable file.
+    ["run", "--config", '{"seed": 1%s}' % ("0" * 5000)],
+    # Radius + 1 bounds numpy's int64 draw of z.
+    ["run", "--config", '{"search_radius": 9223372036854775808}'],
+    ["run", "--backend", "classical", "--config",
+     '{"search_radius": 9223372036854775808}'],
+    ["compare", "--search-radius", "9223372036854775808"],
+    # 2^70 points: more than the point register holds, refused before any draw.
+    ["run", "--search-points-count", "1180591620717411303424"],
+    ["compare", "--search-points-count", "1180591620717411303424"],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
@@ -324,6 +338,43 @@ def test_run_refuses_a_mistyped_key_by_name(key, value, kind, tmp_path, capsys):
     assert run_cli("run", "--config", str(config)) == 2
     err = capsys.readouterr().err
     assert err == f"error: {key} must be {kind}, got {json.loads(value)!r}\n"
+
+
+# A list is no integer, number, string or true/false.  (Never an integer or a
+# boolean for output: open() would take it as a file descriptor.)
+@pytest.mark.parametrize(
+    "command,key",
+    [("run", key) for key in RUN_KEYS if key != "initial_point"]
+    + [("compare", key) for key in COMPARE_KEYS],
+)
+def test_config_refuses_a_value_of_another_kind_by_name(command, key, tmp_path, capsys):
+    keys = RUN_KEYS if command == "run" else COMPARE_KEYS
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: ["x"]}))
+    assert run_cli(command, "--config", str(config)) == 2
+    kind = keys[key].kind.name
+    assert kind in ("an integer", "a number", "a string", "true or false")
+    assert capsys.readouterr().err == f"error: {key} must be {kind}, got ['x']\n"
+
+
+def test_config_flags_are_those_of_the_table(capsys):
+    flags = {}
+    for command in ("run", "compare"):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        usage = capsys.readouterr().out.split("options:")[0]
+        words = usage.split()
+        flags[command] = sorted(w.strip("[]") for w in words if w.startswith("[--"))
+    assert flags["run"] == sorted([
+        "--backend", "--c", "--config", "--count-marked", "--dimension",
+        "--emit-rounds", "--initial-mesh-size", "--max-iterations",
+        "--mesh-size-tolerance", "--objective", "--output",
+        "--search-points-count", "--seed", "--tau", "--trials",
+    ])
+    assert flags["compare"] == sorted([
+        "--config", "--dimension", "--objective", "--output", "--planted-t",
+        "--search-points-count", "--search-radius", "--seed", "--tau", "--trials",
+    ])
 
 
 def test_run_refused_midway_leaves_existing_output_untouched(tmp_path, capsys):

@@ -450,6 +450,26 @@ def test_select_search_points_refuses_more_points_than_the_register_holds(
         select_search_points(state, basis, config)
 
 
+@pytest.mark.parametrize(
+    "n_points,mesh_size",
+    [
+        (2**70, 1.0),  # drawing 2^70 z rows at once fails inside numpy
+        (8192, 0.3),  # the first drawn point is off the grid
+    ],
+)
+def test_select_search_points_refuses_past_the_register_before_drawing(
+    n_points, mesh_size
+):
+    config = GpsConfig(
+        initial_mesh_size=mesh_size,
+        search_points_count=n_points,
+        fixed_point_format=FixedPointFormat(6, 0),
+    )
+    state = MeshState(np.zeros(2), mesh_size, 0.0)
+    with pytest.raises(MeshExhaustedError, match="point register of 12 bits holds only 4095 "):
+        select_search_points(state, PatternBasis.coordinate(2), config)
+
+
 @pytest.mark.parametrize("n,n_points,reachable", [(2, 128, 63), (3, 512, 511)])
 def test_select_search_points_refuses_a_too_coarse_mesh_without_walking(
     monkeypatch, n, n_points, reachable
@@ -663,3 +683,9 @@ def test_gps_config_validation():
         GpsConfig(initial_mesh_size=0.0)
     with pytest.raises(ValueError):
         GpsConfig(search_radius=0)
+
+
+def test_gps_config_refuses_a_radius_past_the_int64_draw():
+    assert GpsConfig(search_radius=2**63 - 1).search_radius == 2**63 - 1
+    with pytest.raises(ValueError, match=r"search_radius must lie in \[1, 2\^63 - 1\]"):
+        GpsConfig(search_radius=2**63)
