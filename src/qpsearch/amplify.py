@@ -24,7 +24,6 @@ import numpy as np
 
 from .ledger import OracleLedger
 from .state import (
-    HouseholderPrepare,
     IndexState,
     RegisterLayout,
     SearchProblem,
@@ -172,24 +171,22 @@ class PreparationOperator:
     or its inverse uses the oracle once and is counted as one quantum call.
     On an IndexState, load, oracle and add only relabel the problem's slots;
     on a SparseState they act string by string, as maps built per call from
-    the problem's points and units.
+    the problem's points and units.  The spreading step is the problem's.
     """
 
-    __slots__ = ("problem", "layout", "_spread")
+    __slots__ = ("problem",)
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
-        self.layout = problem.layout
-        self._spread = HouseholderPrepare(problem.points)
 
     def apply(self, state: State, ledger: Optional[OracleLedger] = None) -> State:
         """Apply A."""
         if isinstance(state, IndexState):
-            state = self._spread(state)
+            state = self.problem.spread(state)
         else:
             load, oracle_xor, add, _ = _register_maps(self.problem)
             state = apply_basis_map(state, load)
-            state = self._spread(state)
+            state = self.problem.spread(state)
             state = apply_basis_map(state, oracle_xor)
             state = apply_basis_map(state, add)
         if ledger is not None:
@@ -201,12 +198,12 @@ class PreparationOperator:
     ) -> State:
         """Apply A^-1: the four sub-operators inverted, in reverse order."""
         if isinstance(state, IndexState):
-            state = self._spread(state)
+            state = self.problem.spread(state)
         else:
             load, oracle_xor, _, add_inv = _register_maps(self.problem)
             state = apply_basis_map(state, add_inv)
             state = apply_basis_map(state, oracle_xor)
-            state = self._spread(state)
+            state = self.problem.spread(state)
             state = apply_basis_map(state, load)
         if ledger is not None:
             ledger.quantum_calls += 1
@@ -214,7 +211,7 @@ class PreparationOperator:
 
     def prepare_from_zero(self, ledger: Optional[OracleLedger] = None) -> SparseState:
         """A|0>|0>|0> on the reference simulator."""
-        return self.apply(SparseState.zero(self.layout), ledger)
+        return self.apply(SparseState.zero(self.problem.layout), ledger)
 
 
 def apply_S0(state: State) -> State:
@@ -461,7 +458,6 @@ def make_planted_problem(
     if not 0 <= n_marked <= n_points:
         raise ValueError(f"n_marked must lie in [0, {n_points}]")
     d = max(2, math.ceil(math.log2(n_points)))
-    layout = RegisterLayout(point_bits=d, value_bits=d, comparison_bits=d)
     points = [format(i, f"0{d}b") for i in range(n_points)]
     if marked_indices is None:
         if n_marked == 0:
@@ -475,4 +471,4 @@ def make_planted_problem(
         raise ValueError("marked_indices inconsistent with n_marked/n_points")
     units = np.ones(n_points, dtype=np.int64)  # incumbent + 1
     units[marked] = (1 << d) - 1  # incumbent - 1
-    return SearchProblem(points, "0" * d, units, layout), marked
+    return SearchProblem(points, "0" * d, units), marked

@@ -42,6 +42,9 @@ __all__ = [
 
 Objective = Callable[[np.ndarray], float]
 
+# The most z values select_search_points draws at once, whatever N and p.
+DRAW_CHUNK_VALUES = 1 << 20
+
 
 class DimensionMismatchError(ValueError):
     """Matrix or vector shapes are inconsistent."""
@@ -228,8 +231,10 @@ class GpsConfig:
         ):
             raise ValueError("contraction factor must be a power of 2 in (0, 1)")
         n = self.search_points_count
-        if n < 1 or n & (n - 1):
-            raise ValueError("search_points_count must be a power of 2")
+        if not 1 <= n <= 1 << 20 or n & (n - 1):
+            raise ValueError(
+                f"search_points_count must be a power of 2 in [1, 2^20], got {n}"
+            )
         if not 1 <= self.search_radius < 2**63:  # radius + 1 bounds an int64 draw
             raise ValueError(
                 f"search_radius must lie in [1, 2^63 - 1], got {self.search_radius}"
@@ -389,12 +394,13 @@ def select_search_points(
     minus zero, at most 50*N of them, from a generator seeded by
     (rng_seed, iteration, 0); if they yield fewer than N points, small z are
     enumerated systematically.  The incumbent itself is excluded.  z is
-    drawn in chunks and each chunk is checked as an array, but points are
-    taken in draw order up to the N-th, so the result is that of drawing
-    and encoding one z at a time: the first off-grid point reached raises
-    EncodingError and out-of-range points are skipped.  Returns the encoded
-    point strings in selection order and the (N, n) array whose row k is the
-    point that string k encodes.
+    drawn in chunks of max(64, min(N, DRAW_CHUNK_VALUES // p)) rows, whose
+    size numpy's draws do not depend on, and each chunk is checked as an
+    array, but points are taken in draw order up to the N-th, so the result
+    is that of drawing and encoding one z at a time: the first off-grid
+    point reached raises EncodingError and out-of-range points are skipped.
+    Returns the encoded point strings in selection order and the (N, n)
+    array whose row k is the point that string k encodes.
     """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
@@ -436,7 +442,7 @@ def select_search_points(
         if end < len(z):
             encode_point_exact(y[end], fmt)  # raises the off-grid EncodingError
 
-    chunk = max(n_wanted, 64)
+    chunk = max(64, min(n_wanted, DRAW_CHUNK_VALUES // p))
     max_draws = 50 * n_wanted
     draws = 0
     while len(found) < n_wanted and draws < max_draws:

@@ -32,7 +32,6 @@ from .pattern import (
     classical_search_step,
     select_search_points,
 )
-from .state import RegisterLayout
 
 __all__ = [
     "quantum_search_step",
@@ -71,12 +70,10 @@ def _build_problem(
     """
     fmt = config.fixed_point_format
     d = fmt.total_bits
-    n = points.shape[1]
-    layout = RegisterLayout(point_bits=n * d, value_bits=d, comparison_bits=d)
     incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
     values = np.fromiter((float(objective(y)) for y in points), float, len(points))
     units, _ = encode_units_saturating(_finite(values), fmt)
-    return SearchProblem(bits_list, incumbent_bits, units & ((1 << d) - 1), layout)
+    return SearchProblem(bits_list, incumbent_bits, units & ((1 << d) - 1))
 
 
 def _marked_count(problem: SearchProblem) -> int:

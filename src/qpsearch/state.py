@@ -3,11 +3,11 @@
 ``IndexState`` is what the search loop runs on.  Every state the loop can
 reach lies in the span of N + 1 fixed basis strings of one search problem:
 the N candidates, each with its value and comparison registers, and the
-all-zeros string.  A ``SearchProblem`` is that index space: it computes the
-candidates' comparisons (f_j - f_k) mod 2^d, their marks, the zero point's
-slot and the measurement order once.  An ``IndexState`` holds one real
-float64 amplitude per slot of its problem and names the full-width string of
-a slot only when a measurement returns it.
+all-zeros string.  A ``SearchProblem`` is that index space, in the slot order
+of its spreading reflection: it computes the candidates' comparisons
+(f_j - f_k) mod 2^d, their marks and the measurement order once.  An
+``IndexState`` holds one real float64 amplitude per slot of its problem and
+names the full-width string of a slot only when a measurement returns it.
 
 ``SparseState`` is the reference simulator: a finite map from full-width
 basis bitstrings to complex amplitudes, on which reversible basis maps,
@@ -67,16 +67,10 @@ class RegisterLayout:
 
     point_bits: int
     value_bits: int
-    comparison_bits: int
 
     def __post_init__(self):
-        if self.point_bits <= 0 or self.value_bits <= 0 or self.comparison_bits <= 0:
+        if self.point_bits <= 0 or self.value_bits <= 0:
             raise ValueError("register widths must be positive")
-        if self.comparison_bits != self.value_bits:
-            raise ValueError(
-                "comparison register must match the value register width "
-                f"({self.comparison_bits} != {self.value_bits})"
-            )
         if self.point_bits % self.value_bits != 0:
             raise ValueError(
                 f"point register width {self.point_bits} is not a multiple of "
@@ -85,7 +79,7 @@ class RegisterLayout:
 
     @property
     def total_bits(self) -> int:
-        return self.point_bits + self.value_bits + self.comparison_bits
+        return self.point_bits + 2 * self.value_bits
 
     @property
     def dimension(self) -> int:
@@ -109,7 +103,7 @@ class RegisterLayout:
         if (
             len(point) != self.point_bits
             or len(value) != self.value_bits
-            or len(comparison) != self.comparison_bits
+            or len(comparison) != self.value_bits
         ):
             raise ValueError("register contents do not match the layout widths")
         return point + value + comparison
@@ -166,13 +160,12 @@ class SearchProblem:
     ``points`` are the N candidate point strings, ``incumbent_value_bits``
     the incumbent's encoded value f_k, and ``units`` the values f_j of the
     candidates that the quantum oracle lifts, as unsigned register units in
-    problem order.
+    problem order.  The register widths are those of a point and of f_k.
 
-    Slot j < N is candidate j; one more slot follows for the all-zeros
-    point string unless that string is itself a candidate.  ``zero`` is the
-    slot of the all-zeros point.  A slot stands for two basis strings, one
-    on each side of the preparation A: before it the point alone with zero
-    value and comparison registers, after it
+    The slots are those of ``spread``, A's reflection over the points: slot
+    j < N is candidate j, and ``zero`` is the all-zeros point's.  A slot
+    stands for two basis strings, one on each side of A: before it the point
+    alone with zero value and comparison registers, after it
     ``x_j || f_j || (f_j - f_k) mod 2^d``.  A moves no amplitude off these
     slots, so the loop's operators act on them as O(N) vector operations.
     After A the zero point's slot holds no amplitude beyond rounding and is
@@ -183,6 +176,7 @@ class SearchProblem:
         "points",
         "incumbent_value_bits",
         "units",
+        "spread",
         "layout",
         "comparisons",
         "marks",
@@ -192,38 +186,26 @@ class SearchProblem:
     )
 
     def __init__(
-        self,
-        points: Sequence[str],
-        incumbent_value_bits: str,
-        units: np.ndarray,
-        layout: RegisterLayout,
+        self, points: Sequence[str], incumbent_value_bits: str, units: np.ndarray
     ):
         points = list(points)
-        width = _check_strings(points)
-        if width != layout.point_bits:
-            raise ValueError(
-                f"point {points[0]!r} has width {width}, layout expects "
-                f"{layout.point_bits}"
-            )
-        vb = layout.value_bits
-        if len(incumbent_value_bits) != vb or incumbent_value_bits.strip("01"):
-            raise ValueError(
-                f"incumbent value {incumbent_value_bits!r} is not a {vb}-bit string"
-            )
+        self.spread = spread = HouseholderPrepare(points)
+        self.layout = RegisterLayout(spread.point_width, len(incumbent_value_bits))
+        vb = self.layout.value_bits
+        if incumbent_value_bits.strip("01"):
+            raise ValueError(f"incumbent value {incumbent_value_bits!r} is not binary")
         units = np.asarray(units)
         if units.shape != (len(points),) or not (
             (units >= 0) & (units < 1 << vb)
         ).all():
             raise ValueError(f"need one {vb}-bit unsigned value per point")
         n = len(points)
-        zero = "0" * layout.point_bits
         self.points = points
         self.incumbent_value_bits = incumbent_value_bits
         self.units = units.astype(np.int64, copy=False)
-        self.layout = layout
         # The comparison register after A: (f_j - f_k) mod 2^d.
         self.comparisons = (self.units - int(incumbent_value_bits, 2)) & ((1 << vb) - 1)
-        self.zero = points.index(zero) if zero in points else n
+        self.zero = spread.zero_slot
         self.size = max(n, self.zero + 1)
         # S_chi as a sign vector: -1 where the comparison register is negative.
         self.marks = np.ones(self.size)
@@ -344,27 +326,25 @@ class HouseholderPrepare:
 
     Realized as the reflection I - 2|w><w| with |w> proportional to
     |psi_targets> - |0...0>; acts as the identity on the value and
-    comparison registers.  ``points`` lists the support of |w> in index
-    order (the targets, then the all-zeros string unless it is one of them)
-    and ``vector`` holds its coefficients in that order, so on an IndexState
-    built over the same targets the reflection is ``v - 2 (w . v) w``.
+    comparison registers.  Its slots are the targets, then the all-zeros
+    string unless it is one of them; ``zero_slot`` is that string's slot.
+    ``points`` lists the support of |w> in slot order and ``vector`` holds
+    its coefficients in that order, so on an IndexState built over the same
+    targets the reflection is ``v - 2 (w . v) w``.
     """
 
-    __slots__ = ("point_width", "points", "vector", "is_identity")
+    __slots__ = ("point_width", "points", "vector", "zero_slot", "is_identity")
 
     def __init__(self, targets: Iterable[str]):
         targets = list(targets)
         self.point_width = width = _check_strings(targets)
         zero = "0" * width
-        coeff = 1.0 / math.sqrt(len(targets))
-        if zero in targets:
-            points = targets
-            w = np.full(len(points), coeff)
-            w[points.index(zero)] -= 1.0
-        else:
-            points = targets + [zero]
-            w = np.full(len(points), coeff)
-            w[-1] = -1.0
+        n = len(targets)
+        self.zero_slot = k = targets.index(zero) if zero in targets else n
+        points = targets if k < n else targets + [zero]
+        w = np.zeros(len(points))
+        w[:n] = 1.0 / math.sqrt(n)
+        w[k] -= 1.0
         # Summed in order, as adding up the coefficients one by one would.
         norm_sq = float((w * w).cumsum()[-1])
         if norm_sq < 1e-30:

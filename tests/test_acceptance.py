@@ -260,7 +260,7 @@ def test_criterion_7_unit_property_suites():
 
     # Operator unitarity within 1e-9 on random sparse states.
     rng = np.random.default_rng(0)
-    layout = RegisterLayout(6, 3, 3)
+    layout = RegisterLayout(6, 3)
     keys = [format(i, "012b") for i in rng.choice(4096, size=40, replace=False)]
     amps = rng.normal(size=40) + 1j * rng.normal(size=40)
     amps /= np.linalg.norm(amps)
@@ -276,13 +276,13 @@ def test_criterion_7_unit_property_suites():
     # Preparation inverse: A^-1 A = identity on the reachable support
     # at the N = 16, d = 6 upper corner.
     fmt6 = FixedPointFormat(6, 0)
-    layout6 = RegisterLayout(6, 6, 6)
+    layout6 = RegisterLayout(6, 6)
     points = [format(i, "06b") for i in range(16)]
     values = {p: encode_scalar((7 * i) % 23 - 11, fmt6) for i, p in enumerate(points)}
     from qpsearch.amplify import SearchProblem
 
     units = np.array([int(values[p], 2) for p in points])
-    problem = SearchProblem(points, encode_scalar(-2, fmt6), units, layout6)
+    problem = SearchProblem(points, encode_scalar(-2, fmt6), units)
     ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
     for bits in [layout6.zero_string(), *prepared.support()]:

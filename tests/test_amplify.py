@@ -33,10 +33,9 @@ def small_problem(values, incumbent, d=4, point_width=None):
     """Problem over len(values) enumerated points with given real values."""
     fmt = FixedPointFormat(d, 0)
     pw = point_width or d
-    layout = RegisterLayout(pw, d, d)
     points = [format(i, f"0{pw}b") for i in range(len(values))]
     units = np.array([int(encode_scalar(v, fmt), 2) for v in values])
-    return SearchProblem(points, encode_scalar(incumbent, fmt), units, layout)
+    return SearchProblem(points, encode_scalar(incumbent, fmt), units)
 
 
 def test_build_a_single_point_equal_value():
@@ -81,7 +80,7 @@ def test_build_a_matches_direct_construction():
 
 
 def test_apply_s0_examples():
-    layout = RegisterLayout(1, 1, 1)
+    layout = RegisterLayout(1, 1)
     s = SparseState(layout, {"000": 1.0})
     assert apply_S0(s).amplitude("000") == -1.0
     s = SparseState(layout, {"100": 1.0})
@@ -340,21 +339,19 @@ def test_planted_problem_construction():
 
 
 def test_search_problem_validation():
-    layout = RegisterLayout(4, 4, 4)
     with pytest.raises(ValueError):
-        SearchProblem([], "0000", np.array([], dtype=int), layout)
+        SearchProblem([], "0000", np.array([], dtype=int))
     with pytest.raises(ValueError):
-        SearchProblem(["0000", "0000"], "0000", np.array([0, 0]), layout)
+        SearchProblem(["0000", "0000"], "0000", np.array([0, 0]))
     with pytest.raises(ValueError):
-        SearchProblem(["000"], "0000", np.array([0]), layout)
+        SearchProblem(["000"], "0000", np.array([0]))
     with pytest.raises(ValueError):
-        SearchProblem(["0000"], "000", np.array([0]), layout)
+        SearchProblem(["0000"], "000", np.array([0]))
 
 
 def test_search_problem_refuses_a_point_that_is_not_binary():
-    layout = RegisterLayout(4, 4, 4)
     with pytest.raises(ValueError, match="invalid target string '0a01'"):
-        SearchProblem(["0a01", "0010"], "0000", np.array([0, 0]), layout)
+        SearchProblem(["0a01", "0010"], "0000", np.array([0, 0]))
 
 
 def test_qsearch_params_validation():

@@ -127,11 +127,11 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     values = data.draw(st.lists(scalar, min_size=1, max_size=12))
     incumbent = data.draw(scalar)
     mask = (1 << d) - 1
-    layout = RegisterLayout(2 * d, d, d)
+    layout = RegisterLayout(2 * d, d)
     points = [format(i, f"0{2 * d}b") for i in range(1, len(values) + 1)]
     units = np.array([v & mask for v in values])
     incumbent_bits = format(incumbent & mask, f"0{d}b")
-    problem = SearchProblem(points, incumbent_bits, units, layout)
+    problem = SearchProblem(points, incumbent_bits, units)
     marks = problem.marks
     assert len(marks) == len(values) + 1  # the zero point is not a candidate
     assert marks[-1] == 1.0
@@ -186,7 +186,7 @@ def test_array_build_matches_string_oracle_build(name, objective, incumbent_poin
 
     string_built = SearchProblem(
         bits_list, problem.incumbent_value_bits,
-        np.array([int(oracle(y), 2) for y in points]), problem.layout,
+        np.array([int(oracle(y), 2) for y in points]),
     )
     _assert_same_layout(problem, string_built)
 
@@ -196,8 +196,7 @@ def test_array_build_matches_string_oracle_build_planted(n, t):
     string_built, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
     units = string_built.units.tolist()
     array_built = SearchProblem(
-        string_built.points, string_built.incumbent_value_bits, np.array(units),
-        string_built.layout,
+        string_built.points, string_built.incumbent_value_bits, np.array(units)
     )
     _assert_same_layout(array_built, string_built)
 
@@ -230,13 +229,75 @@ def test_build_calls_the_objective_once_per_candidate():
 
 
 def test_search_problem_needs_units_that_fit_the_value_register():
-    layout = RegisterLayout(4, 4, 4)
     points = ["0001", "0010"]
     for bad in ([1], [1, 16], [-1, 2], [[1, 2]]):
         with pytest.raises(ValueError, match="4-bit unsigned value per point"):
-            SearchProblem(points, "0000", np.array(bad), layout)
+            SearchProblem(points, "0000", np.array(bad))
     with pytest.raises(ValueError):
-        SearchProblem(points, "0000", None, layout)
-    problem = SearchProblem(points, "0000", np.array([15, 3]), layout)
+        SearchProblem(points, "0000", None)
+    problem = SearchProblem(points, "0000", np.array([15, 3]))
     assert problem.units.tolist() == [15, 3]
     assert _marked_count(problem) == 1
+
+
+@pytest.mark.parametrize("name,problem", list(_build_cases()))
+def test_build_problem_layout_is_derived_from_its_strings(name, problem):
+    assert problem.layout == RegisterLayout(2 * 8, 8)  # n = 2 coordinates, format 8/4
+
+
+@pytest.mark.parametrize("n,t", list(_planted_cases()))
+def test_planted_problem_layout_is_derived_from_its_strings(n, t):
+    problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
+    d = max(2, (n - 1).bit_length())
+    assert problem.layout == RegisterLayout(d, d)
+
+
+@pytest.mark.parametrize(
+    "points,zero,spread_points",
+    [
+        (["01", "00", "10"], 1, ["01", "00", "10"]),  # the zero point is a candidate
+        (["01", "10"], 2, ["01", "10", "00"]),  # the zero point is appended
+        (["00"], 0, []),  # the sole candidate is the zero point: identity spread
+    ],
+)
+def test_problem_slots_are_the_spreads(points, zero, spread_points):
+    problem = SearchProblem(points, "01", np.zeros(len(points), dtype=int))
+    spread = problem.spread
+    assert problem.zero == spread.zero_slot == zero
+    assert problem.size == max(len(points), zero + 1)
+    assert spread.points == spread_points
+    assert spread.is_identity == (not spread_points)
+    if spread_points:
+        assert problem.size == len(spread.points) == len(spread.vector)
+
+
+@pytest.mark.parametrize(
+    "points,incumbent,message",
+    [
+        (["0001"], "0a", "incumbent value '0a' is not binary"),
+        (["0001"], "", "register widths must be positive"),
+        (["000"], "00", "point register width 3 is not a multiple"),
+    ],
+)
+def test_search_problem_refuses_an_incumbent_that_does_not_fit(points, incumbent, message):
+    with pytest.raises(ValueError, match=message):
+        SearchProblem(points, incumbent, np.zeros(len(points), dtype=int))
+
+
+def test_search_step_checks_the_candidate_strings_once(monkeypatch):
+    from qpsearch import state as state_module
+
+    calls = []
+    check = state_module._check_strings
+
+    def counting(targets):
+        calls.append(len(targets))
+        return check(targets)
+
+    monkeypatch.setattr(state_module, "_check_strings", counting)
+    fmt = FixedPointFormat(8, 4)
+    config = GpsConfig(fixed_point_format=fmt, search_points_count=16, search_radius=2)
+    x = np.array([0.25, 0.25])
+    quantum_search_step(MeshState(x, 0.25, _sphere(x)), PatternBasis.coordinate(2), config,
+                        QSearchParams(tau=0.05), _sphere, OracleLedger())
+    assert calls == [16]

@@ -220,6 +220,16 @@ REFUSED = [
     ["run", "--tau", "2"],
     ["run", "--c", "2.5"],
     ["run", "--dimension", "0"],
+    # The coordinate basis's rank check grows as n^3: 39 s at n = 4096.
+    ["run", "--dimension", "1025"],
+    ["compare", "--dimension", "1025"],
+    ["run", "--config", '{"dimension": 1%s}' % ("0" * 30)],
+    ["compare", "--config", '{"dimension": 1%s}' % ("0" * 30)],
+    # Past 2^20 points; 2^30 would ask for 32 GiB of z draws.
+    ["run", "--search-points-count", "2097152"],
+    ["compare", "--search-points-count", "2097152"],
+    # Without --emit-rounds no record carries t.
+    ["run", "--count-marked", "--max-iterations", "2"],
     ["run", "--objective", "rosenbrock", "--dimension", "3"],
     ["run", "--seed", "-1"],
     # Mesh points off the register grid surface only midway through the run.
@@ -259,7 +269,7 @@ REFUSED = [
     ["run", "--backend", "classical", "--config",
      '{"search_radius": 9223372036854775808}'],
     ["compare", "--search-radius", "9223372036854775808"],
-    # 2^70 points: more than the point register holds, refused before any draw.
+    # 2^70 points: past 2^20, refused before any draw.
     ["run", "--search-points-count", "1180591620717411303424"],
     ["compare", "--search-points-count", "1180591620717411303424"],
     ["compare", "--planted-t", "300", "--search-points-count", "256"],

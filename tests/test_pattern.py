@@ -453,7 +453,7 @@ def test_select_search_points_refuses_more_points_than_the_register_holds(
 @pytest.mark.parametrize(
     "n_points,mesh_size",
     [
-        (2**70, 1.0),  # drawing 2^70 z rows at once fails inside numpy
+        (2**20, 1.0),  # the most points GpsConfig accepts
         (8192, 0.3),  # the first drawn point is off the grid
     ],
 )
@@ -683,6 +683,44 @@ def test_gps_config_validation():
         GpsConfig(initial_mesh_size=0.0)
     with pytest.raises(ValueError):
         GpsConfig(search_radius=0)
+
+
+def test_gps_config_refuses_more_than_2_to_the_20_points():
+    assert GpsConfig(search_points_count=2**20).search_points_count == 2**20
+    for n_points in (2**21, 2**30, 2**70):
+        with pytest.raises(
+            ValueError, match=r"search_points_count must be a power of 2 in \[1, 2\^20\]"
+        ):
+            GpsConfig(search_points_count=n_points)
+
+
+@pytest.mark.parametrize(
+    "n,n_points,cap,mesh",
+    [
+        (2, 256, 8, 0.5),  # draws only
+        (3, 1024, 40, 1.0),  # draws only, 1024-row chunks become 64
+        (1, 128, 64, 1.0),  # every reachable point: seeds 1 and 2 run the top-up
+        (2, 256, 8, 0.3),  # the first drawn point is off the grid
+    ],
+)
+def test_select_search_points_does_not_depend_on_the_draw_chunk(
+    monkeypatch, n, n_points, cap, mesh
+):
+    basis = PatternBasis.coordinate(n)
+    state = MeshState(np.zeros(n), mesh, 0.0, 3)
+    for seed in range(3):
+        config = GpsConfig(
+            initial_mesh_size=mesh,
+            search_points_count=n_points,
+            search_radius=cap,
+            fixed_point_format=FixedPointFormat(16, 8),
+            rng_seed=seed,
+        )
+        outcomes = []
+        for values in (1 << 62, 64):  # unbounded, then 64 values per chunk
+            monkeypatch.setattr(pattern, "DRAW_CHUNK_VALUES", values)
+            outcomes.append(_selection_outcome(select_search_points, state, basis, config))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_gps_config_refuses_a_radius_past_the_int64_draw():

@@ -17,8 +17,8 @@ from qpsearch.state import (
     sample_counts,
 )
 
-L1 = RegisterLayout(1, 1, 1)  # smallest legal layout, 3 bits total
-L2 = RegisterLayout(2, 1, 1)
+L1 = RegisterLayout(1, 1)  # smallest legal layout, 3 bits total
+L2 = RegisterLayout(2, 1)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 
@@ -28,7 +28,7 @@ def state(layout, **amps):
 
 
 def test_layout_validation_and_slicing():
-    lay = RegisterLayout(8, 4, 4)
+    lay = RegisterLayout(8, 4)
     assert lay.total_bits == 16
     assert lay.dimension == 2
     assert lay.comparison_sign_index == 12
@@ -38,11 +38,9 @@ def test_layout_validation_and_slicing():
     assert lay.comparison_part(b) == "0011"
     assert lay.pack("10100110", "1001", "0011") == b
     with pytest.raises(ValueError):
-        RegisterLayout(0, 1, 1)
+        RegisterLayout(0, 1)
     with pytest.raises(ValueError):
-        RegisterLayout(4, 2, 3)  # comparison width must equal value width
-    with pytest.raises(ValueError):
-        RegisterLayout(5, 2, 2)  # point register not a multiple of d
+        RegisterLayout(5, 2)  # point register not a multiple of d
 
 
 def test_state_normalization_and_pruning():
@@ -91,7 +89,7 @@ def test_basis_map_then_inverse_is_identity():
     keys = ["0000", "0101", "1100", "1111"]
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps /= np.linalg.norm(amps)
-    s = SparseState(RegisterLayout(2, 1, 1), dict(zip(keys, amps)))
+    s = SparseState(RegisterLayout(2, 1), dict(zip(keys, amps)))
 
     def rot(bits):
         return bits[1:] + bits[0]
@@ -193,7 +191,7 @@ def test_householder_vector_is_bit_identical_to_the_dict_construction(
 def _operator_matrix(op, point_width, suffix="00"):
     """Explicit matrix of the operator on the point register basis."""
     dim = 2**point_width
-    layout = RegisterLayout(point_width, 1, 1)
+    layout = RegisterLayout(point_width, 1)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         bits = format(col, f"0{point_width}b") + suffix
@@ -220,7 +218,7 @@ def test_householder_self_inverse_exhaustive(width, n_targets, seed):
         for i in rng.choice(2**width, size=n_targets, replace=False)
     ]
     op = HouseholderPrepare(targets)
-    layout = RegisterLayout(width, 1, 1)
+    layout = RegisterLayout(width, 1)
     for col in range(2**width):
         bits = format(col, f"0{width}b") + "00"
         once = op(SparseState(layout, {bits: 1.0}))
@@ -231,7 +229,7 @@ def test_householder_self_inverse_exhaustive(width, n_targets, seed):
 
 def test_operators_preserve_norm():
     rng = np.random.default_rng(3)
-    layout = RegisterLayout(4, 2, 2)
+    layout = RegisterLayout(4, 2)
     keys = [format(i, "08b") for i in rng.choice(256, size=20, replace=False)]
     amps = rng.normal(size=20) + 1j * rng.normal(size=20)
     amps /= np.linalg.norm(amps)
@@ -248,7 +246,7 @@ def test_operators_preserve_norm():
 
 
 def test_measure_deterministic_and_validation():
-    s = state(RegisterLayout(2, 1, 1), **{"0110": 1.0})
+    s = state(RegisterLayout(2, 1), **{"0110": 1.0})
     rng = np.random.default_rng(0)
     assert measure(s, rng) == "0110"
     bad = SparseState._raw(L1, {"000": 0.7})
