@@ -292,14 +292,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_demo_amplify(args: argparse.Namespace) -> int:
     n, t = args.n_points, args.n_marked
-    if n < 1 or n & (n - 1):
-        raise ConfigError("point count must be a power of 2")
+    if not 1 <= n <= 1 << 20 or n & (n - 1):  # search_points_count's cap
+        raise ConfigError(f"point count must be a power of 2 in [1, 2^20], got {n}")
     if not 0 <= t <= n:
         raise ConfigError(f"marked count must lie in [0, {n}], got {t}")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials < 2**63:  # numpy's multinomial takes an int64 count
+        raise ConfigError(f"trials must lie in [1, 2^63 - 1], got {args.trials}")
     if args.j_max < 0:
         raise ConfigError(f"j-max must be >= 0, got {args.j_max}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     problem, _ = make_planted_problem(n, t, rng=rng)
     ops = PreparationOperator(problem)

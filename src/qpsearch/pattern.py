@@ -387,7 +387,7 @@ def select_search_points(
     state: MeshState,
     basis: PatternBasis,
     config: GpsConfig,
-) -> Tuple[List[str], np.ndarray]:
+) -> np.ndarray:
     """Pick N distinct encodable mesh points around the incumbent.
 
     Combination vectors z are drawn uniformly from {0..search_radius}^p
@@ -399,8 +399,7 @@ def select_search_points(
     array, but points are taken in draw order up to the N-th, so the result
     is that of drawing and encoding one z at a time: the first off-grid
     point reached raises EncodingError and out-of-range points are skipped.
-    Returns the encoded point strings in selection order and the (N, n)
-    array whose row k is the point that string k encodes.
+    Returns the (N, n) float64 array of the points in selection order.
     """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
@@ -408,8 +407,7 @@ def select_search_points(
     cap = config.search_radius
     p = basis.num_directions
     encode_point_exact(state.iterate, fmt)  # the incumbent's grid and range check
-    d = fmt.total_bits
-    width = basis.dimension * d
+    width = basis.dimension * fmt.total_bits
     if n_wanted > 2**width - 1:
         raise MeshExhaustedError(
             f"{n_wanted} points requested, but a point register of {width} "
@@ -458,12 +456,7 @@ def select_search_points(
             take(np.array(block))
     if len(found) < n_wanted:
         raise _exhausted(len(found), n_wanted)
-    points = np.array(list(found.values()))
-    units = (points * scale).astype(np.int64)
-    digits = (units[:, :, None] >> np.arange(d - 1, -1, -1)) & 1
-    text = (digits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    bits_list = [text[k * width : (k + 1) * width] for k in range(n_wanted)]
-    return bits_list, points
+    return np.array(list(found.values()))
 
 
 def candidates_record(kind: str, iteration: int, points: np.ndarray) -> dict:
@@ -568,7 +561,7 @@ def gps_run(
             break
 
         if search_backend == "classical":
-            _, points = select_search_points(state, basis, config)
+            points = select_search_points(state, basis, config)
             if event_sink is not None:
                 event_sink(candidates_record("search", state.iteration, points))
             outcome = classical_search_step(

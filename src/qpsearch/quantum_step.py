@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,14 +51,14 @@ def _finite(values):
 
 
 def _build_problem(
-    bits_list: Sequence[str],
     points: np.ndarray,
     incumbent_value: float,
     objective: Callable[[np.ndarray], float],
     config: GpsConfig,
 ) -> SearchProblem:
-    """The search problem over the selected candidates, in selection order:
-    ``points`` row k is the point that ``bits_list[k]`` encodes.
+    """The search problem over the on-grid candidate rows ``points``, in
+    their order: point string k holds the units ``points[k] * 2^q`` of each
+    coordinate in two's complement, as ``encode_point_exact`` writes them.
 
     The objective is called once per candidate.  These evaluations simulate
     the oracle F and are not ledgered classical calls.  Values, the
@@ -70,10 +70,15 @@ def _build_problem(
     """
     fmt = config.fixed_point_format
     d = fmt.total_bits
+    units = (points * (1 << fmt.frac_bits)).astype(np.int64)
+    digits = (units[:, :, None] >> np.arange(d - 1, -1, -1)) & 1
+    text = (digits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    width = units.shape[1] * d
+    strings = [text[i : i + width] for i in range(0, len(text), width)]
     incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
     values = np.fromiter((float(objective(y)) for y in points), float, len(points))
-    units, _ = encode_units_saturating(_finite(values), fmt)
-    return SearchProblem(bits_list, incumbent_bits, units & ((1 << d) - 1))
+    value_units, _ = encode_units_saturating(_finite(values), fmt)
+    return SearchProblem(strings, incumbent_bits, value_units & ((1 << d) - 1))
 
 
 def _marked_count(problem: SearchProblem) -> int:
@@ -90,7 +95,7 @@ def quantum_search_step(
     ledger: OracleLedger,
     event_sink: Optional[Callable[[dict], None]] = None,
     compute_t: bool = False,
-    candidates: Optional[Tuple[List[str], np.ndarray]] = None,
+    candidates: Optional[np.ndarray] = None,
 ) -> Optional[ImprovedPoint]:
     """Search N mesh points with the finite-termination quantum loop.
 
@@ -103,12 +108,9 @@ def quantum_search_step(
     """
     if candidates is None:
         candidates = select_search_points(state, basis, config)
-    bits_list, points = candidates
     if event_sink is not None:
-        event_sink(candidates_record("search", state.iteration, points))
-    problem = _build_problem(
-        bits_list, points, state.incumbent_value, objective, config
-    )
+        event_sink(candidates_record("search", state.iteration, candidates))
+    problem = _build_problem(candidates, state.incumbent_value, objective, config)
     qsearch_rng = np.random.default_rng([config.rng_seed, state.iteration, 1])
     on_round = None
     if event_sink is not None:
@@ -125,10 +127,10 @@ def quantum_search_step(
     result = "failure"
     accepted: Optional[ImprovedPoint] = None
     if outcome.result is not None:
-        k = bits_list.index(problem.layout.point_part(outcome.result))
+        k = problem.points.index(problem.layout.point_part(outcome.result))
         # The recheck rejects a saturation artifact, whose sign bit lied.
         accepted = classical_search_step(
-            points[k : k + 1], objective, state.incumbent_value, ledger
+            candidates[k : k + 1], objective, state.incumbent_value, ledger
         )
         result = "rejected" if accepted is None else "found"
 
@@ -208,11 +210,11 @@ def compare_backends(
         else:
             incumbent = 0.0
         state = MeshState(x0, cfg.initial_mesh_size, incumbent, 0)
-        bits_list, points = select_search_points(state, basis, cfg)
+        points = select_search_points(state, basis, cfg)
 
         if planted_t is not None:
             plant_rng = np.random.default_rng([cfg.rng_seed, 0, 2])
-            marked = plant_rng.choice(len(bits_list), size=planted_t, replace=False)
+            marked = plant_rng.choice(len(points), size=planted_t, replace=False)
             # Keyed by each candidate's float64 coordinate bytes: the step
             # objective is only ever called with the rows of points.
             by_key = {points[i].tobytes(): -1.0 for i in marked}
@@ -237,13 +239,13 @@ def compare_backends(
             params,
             step_objective,
             quantum_ledger,
-            candidates=(bits_list, points),
+            candidates=points,
         )
 
         rows.append(
             ComparisonRow(
                 seed=int(seed),
-                n_points=len(bits_list),
+                n_points=len(points),
                 t=t,
                 classical_calls=classical_ledger.classical_calls,
                 classical_success=c_outcome is not None,

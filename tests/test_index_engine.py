@@ -29,20 +29,18 @@ def _planted_cases():
             yield n, t
 
 
-def _grid_candidates(fmt):
+def _grid_candidates():
     """The 5x5 grid of spacing 1/4 around the origin, the all-zeros point
-    string among its candidates."""
+    among its candidates."""
     ticks = (-0.5, -0.25, 0.0, 0.25, 0.5)
-    points = np.array([[a, b] for a in ticks for b in ticks])
-    return [encode_point_exact(y, fmt) for y in points], points
+    return np.array([[a, b] for a in ticks for b in ticks])
 
 
 def _grid_problem(objective, incumbent_point, fmt):
     """A _build_problem instance over the grid of _grid_candidates."""
-    bits_list, points = _grid_candidates(fmt)
     config = GpsConfig(fixed_point_format=fmt, search_points_count=32)
     incumbent = float(objective(np.asarray(incumbent_point)))
-    return _build_problem(bits_list, points, incumbent, objective, config)
+    return _build_problem(_grid_candidates(), incumbent, objective, config)
 
 
 def _sphere(x):
@@ -175,8 +173,9 @@ AGREEMENT_CASES = [
 def test_array_build_matches_string_oracle_build(name, objective, incumbent_point):
     fmt = FixedPointFormat(8, 4)
     problem = _grid_problem(objective, incumbent_point, fmt)
-    bits_list, points = _grid_candidates(fmt)
-    assert problem.points == bits_list
+    points = _grid_candidates()
+    strings = [encode_point_exact(y, fmt) for y in points]
+    assert problem.points == strings
     if name == "both-signs":
         assert (problem.units >> 7).any() and not (problem.units >> 7).all()
 
@@ -185,10 +184,33 @@ def test_array_build_matches_string_oracle_build(name, objective, incumbent_poin
         return encode_scalar_saturating(float(objective(y)), fmt)[0]
 
     string_built = SearchProblem(
-        bits_list, problem.incumbent_value_bits,
+        strings, problem.incumbent_value_bits,
         np.array([int(oracle(y), 2) for y in points]),
     )
     _assert_same_layout(problem, string_built)
+
+
+@st.composite
+def on_grid_points(draw):
+    """A format and distinct on-grid rows, their units anywhere in the
+    signed range, both ends included."""
+    d = draw(st.integers(2, 32))
+    q = draw(st.integers(0, d - 1))
+    fmt = FixedPointFormat(d, q)
+    n = draw(st.integers(1, 4))
+    unit = st.sampled_from([fmt.min_units, fmt.max_units]) | st.integers(
+        fmt.min_units, fmt.max_units
+    )
+    rows = draw(st.lists(st.tuples(*[unit] * n), min_size=1, max_size=8, unique=True))
+    return fmt, np.array(rows, dtype=float) / (1 << q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(on_grid_points())
+def test_build_problem_point_strings_are_encode_point_exact(case):
+    fmt, points = case
+    problem = _build_problem(points, 0.0, _sphere, GpsConfig(fixed_point_format=fmt))
+    assert problem.points == [encode_point_exact(y, fmt) for y in points]
 
 
 @pytest.mark.parametrize("n,t", list(_planted_cases()))
@@ -210,7 +232,7 @@ def test_build_calls_the_objective_once_per_candidate():
 
     fmt = FixedPointFormat(8, 4)
     problem = _grid_problem(counting, [0.25, 0.25], fmt)
-    _, points = _grid_candidates(fmt)
+    points = _grid_candidates()
     # The incumbent's own evaluation, then each candidate in problem order.
     assert calls[1:] == [y.tobytes() for y in points]
     for _ in range(2):

@@ -298,6 +298,9 @@ REFUSED = [
     ["demo-amplify", "--n-points", "0", "--n-marked", "0"],
     ["demo-amplify", "--trials", "0"],
     ["demo-amplify", "--j-max", "-3"],
+    ["demo-amplify", "--seed", "-1"],
+    ["demo-amplify", "--trials", "9223372036854775808"],  # 2^63
+    ["demo-amplify", "--n-points", "2097152", "--n-marked", "0"],  # 2^21
 ]
 
 

@@ -259,8 +259,10 @@ def test_select_search_points_contract():
         fixed_point_format=FixedPointFormat(12, 4),
     )
     state = MeshState(np.array([0.5, -0.25]), 0.25, 1.0)
-    bits, points = select_search_points(state, basis, config)
-    assert len(bits) == 16 and len(set(bits)) == 16
+    points = select_search_points(state, basis, config)
+    assert points.shape == (16, 2) and points.dtype == np.float64
+    bits = [encode_point_exact(y, config.fixed_point_format) for y in points]
+    assert len(set(bits)) == 16
     xk_bits = "".join(
         format(int(c * 16) & 0xFFF, "012b") for c in state.iterate
     )
@@ -292,7 +294,7 @@ def test_select_search_points_exhaustion():
         search_radius=1,
         fixed_point_format=FixedPointFormat(8, 0),
     )
-    bits, points = select_search_points(state, basis, config2)
+    points = select_search_points(state, basis, config2)
     assert sorted(y[0] for y in points) == [-1.0, 1.0]
 
 
@@ -347,16 +349,15 @@ def reference_select_search_points(state, basis, config):
             f"only {len(found)} distinct representable mesh points exist, "
             f"{n_wanted} requested"
         )
-    bits_list = list(found)[:n_wanted]
-    return bits_list, np.array([found[b] for b in bits_list])
+    return np.array(list(found.values())[:n_wanted])
 
 
 def _selection_outcome(select, state, basis, config):
     try:
-        bits, points = select(state, basis, config)
+        points = select(state, basis, config)
     except (EncodingError, FixedPointOverflowError, MeshExhaustedError) as exc:
         return type(exc), str(exc)
-    return bits, [y.tobytes() for y in points]
+    return points.dtype, points.shape, [y.tobytes() for y in points]
 
 
 @st.composite

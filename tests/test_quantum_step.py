@@ -164,14 +164,14 @@ def test_step_never_accepts_a_non_improvement(table):
         rng_seed=seed,
     )
     state = MeshState(np.zeros(2), 1.0, incumbent)
-    bits_list, points = select_search_points(state, basis, config)
+    points = select_search_points(state, basis, config)
     by_point = {tuple(y): v for y, v in zip(points, values)}
     ledger = OracleLedger()
     events = []
     out = quantum_search_step(
         state, basis, config, QSearchParams(c=1.5, tau=0.2),
         lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
-        candidates=(bits_list, points),
+        candidates=points,
     )
     result = events[-1]["result"]
     if out is None:
@@ -196,14 +196,14 @@ def test_step_never_accepts_a_non_improvement_above_the_register(table):
         rng_seed=seed,
     )
     state = MeshState(np.zeros(2), 1.0, incumbent)
-    bits_list, points = select_search_points(state, basis, config)
+    points = select_search_points(state, basis, config)
     by_point = {tuple(y): v for y, v in zip(points, values)}
     ledger = OracleLedger()
     events = []
     out = quantum_search_step(
         state, basis, config, QSearchParams(c=1.5, tau=0.2),
         lambda x: by_point[tuple(x)], ledger, event_sink=events.append,
-        candidates=(bits_list, points),
+        candidates=points,
     )
     result = events[-1]["result"]
     if out is None:
@@ -223,12 +223,12 @@ def test_step_saturates_an_incumbent_above_the_register():
         search_points_count=4, search_radius=4, fixed_point_format=FixedPointFormat(4, 0),
     )
     state = MeshState(np.array([0.0]), 1.0, 100.0)
-    bits_list, points = select_search_points(state, basis, config)
+    points = select_search_points(state, basis, config)
     table = {y.tobytes(): v for y, v in zip(points, [50.0, 7.0, 3.0, 60.0])}
     events = []
     out = quantum_search_step(
         state, basis, config, PARAMS, lambda x: table[x.tobytes()], OracleLedger(),
-        event_sink=events.append, compute_t=True, candidates=(bits_list, points),
+        event_sink=events.append, compute_t=True, candidates=points,
     )
     assert events[-1]["t"] == 1
     assert out is not None and out.value == 3.0
