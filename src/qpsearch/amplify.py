@@ -139,7 +139,8 @@ def _register_maps(problem: SearchProblem) -> Tuple[Callable[[str], str], ...]:
     pb, vb = problem.layout.point_bits, problem.layout.value_bits
     mask = (1 << vb) - 1
     neg_units = -int(problem.incumbent_value_bits, 2) & mask
-    table = dict(zip(problem.points, problem.units.tolist()))
+    # zip stops at the N candidates, before a zero point the spread appends.
+    table = dict(zip(problem.spread.support_strings(), problem.units.tolist()))
 
     def load(b: str) -> str:
         # XOR the comparison register with |-f_k|'s bit pattern.
@@ -449,7 +450,7 @@ def make_planted_problem(
 ) -> Tuple[SearchProblem, List[int]]:
     """Synthetic search problem with an exact number of improving points.
 
-    The point register enumerates ``n_points`` distinct strings; marked
+    The point register enumerates ``n_points`` distinct one-unit rows; marked
     points score one unit below the incumbent (0), the rest one unit above.
     Returns the problem and the sorted marked indices.
     """
@@ -458,7 +459,6 @@ def make_planted_problem(
     if not 0 <= n_marked <= n_points:
         raise ValueError(f"n_marked must lie in [0, {n_points}]")
     d = max(2, math.ceil(math.log2(n_points)))
-    points = [format(i, f"0{d}b") for i in range(n_points)]
     if marked_indices is None:
         if n_marked == 0:
             marked_indices = []
@@ -471,4 +471,4 @@ def make_planted_problem(
         raise ValueError("marked_indices inconsistent with n_marked/n_points")
     units = np.ones(n_points, dtype=np.int64)  # incumbent + 1
     units[marked] = (1 << d) - 1  # incumbent - 1
-    return SearchProblem(points, "0" * d, units), marked
+    return SearchProblem(np.arange(n_points)[:, None], "0" * d, units), marked

@@ -347,7 +347,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             n_points = gps_config.search_points_count
             if not 0 <= planted <= n_points:
                 raise ConfigError(f"planted_t must lie in [0, {n_points}], got {planted}")
-        seeds = [config["seed"] + i for i in range(config["trials"])]
+        # compare holds every trial's row until it writes them all.
+        if config["trials"] > 1 << 20:
+            raise ConfigError(f"trials must lie in [1, 2^20], got {config['trials']}")
+        seeds = range(config["seed"], config["seed"] + config["trials"])
     report = compare_backends(
         objective, basis, gps_config, params, seeds, planted_t=planted
     )

@@ -50,6 +50,12 @@ def _finite(values):
     return np.fmax(np.fmin(values, _FLOAT_MAX), -_FLOAT_MAX)
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    # Each row as one opaque value of its bytes, equal where tobytes() is.
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def _build_problem(
     points: np.ndarray,
     incumbent_value: float,
@@ -57,11 +63,12 @@ def _build_problem(
     config: GpsConfig,
 ) -> SearchProblem:
     """The search problem over the on-grid candidate rows ``points``, in
-    their order: point string k holds the units ``points[k] * 2^q`` of each
-    coordinate in two's complement, as ``encode_point_exact`` writes them.
+    their order: candidate k's point register holds the units
+    ``points[k] * 2^q`` of each coordinate in two's complement.
 
-    The objective is called once per candidate.  These evaluations simulate
-    the oracle F and are not ledgered classical calls.  Values, the
+    The objective's values simulate the oracle F and are not ledgered
+    classical calls: one ``objective.on_rows(points)`` call when the
+    objective has that array form, else one call per candidate.  Values, the
     incumbent's among them, saturate at the register's ends, NaN and +inf at
     the top and -inf at the bottom: an improving candidate above the
     register maximum goes unmarked, and the classical recheck after
@@ -69,16 +76,13 @@ def _build_problem(
     wrong.
     """
     fmt = config.fixed_point_format
-    d = fmt.total_bits
-    units = (points * (1 << fmt.frac_bits)).astype(np.int64)
-    digits = (units[:, :, None] >> np.arange(d - 1, -1, -1)) & 1
-    text = (digits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    width = units.shape[1] * d
-    strings = [text[i : i + width] for i in range(0, len(text), width)]
+    mask = (1 << fmt.total_bits) - 1
+    units = (points * (1 << fmt.frac_bits)).astype(np.int64) & mask
     incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
-    values = np.fromiter((float(objective(y)) for y in points), float, len(points))
+    on_rows = getattr(objective, "on_rows", None)
+    values = on_rows(points) if on_rows else [float(objective(y)) for y in points]
     value_units, _ = encode_units_saturating(_finite(values), fmt)
-    return SearchProblem(strings, incumbent_bits, value_units & ((1 << d) - 1))
+    return SearchProblem(units, incumbent_bits, value_units & mask)
 
 
 def _marked_count(problem: SearchProblem) -> int:
@@ -127,7 +131,7 @@ def quantum_search_step(
     result = "failure"
     accepted: Optional[ImprovedPoint] = None
     if outcome.result is not None:
-        k = problem.points.index(problem.layout.point_part(outcome.result))
+        k = problem.slot(outcome.result)
         # The recheck rejects a saturation artifact, whose sign bit lied.
         accepted = classical_search_step(
             candidates[k : k + 1], objective, state.incumbent_value, ledger
@@ -221,6 +225,12 @@ def compare_backends(
 
             def step_objective(x, _table=by_key):
                 return _table.get(x.tobytes(), 1.0)
+
+            # The same bytes, matched for all rows in one array call.
+            def on_rows(rows, _keys=_row_bytes(points[marked])):
+                return np.where(np.isin(_row_bytes(rows), _keys), -1.0, 1.0)
+
+            step_objective.on_rows = on_rows
 
             t = planted_t
         else:

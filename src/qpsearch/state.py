@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping
 
 import numpy as np
 
@@ -157,10 +157,10 @@ class SparseState:
 class SearchProblem:
     """One search-step instance and the index space its states live on.
 
-    ``points`` are the N candidate point strings, ``incumbent_value_bits``
-    the incumbent's encoded value f_k, and ``units`` the values f_j of the
-    candidates that the quantum oracle lifts, as unsigned register units in
-    problem order.  The register widths are those of a point and of f_k.
+    ``point_units`` are the N candidates as rows of unsigned d-bit coordinate
+    units, ``incumbent_value_bits`` the incumbent's encoded d-bit value f_k,
+    and ``units`` the values f_j of the candidates that the quantum oracle
+    lifts, as unsigned register units in problem order.
 
     The slots are those of ``spread``, A's reflection over the points: slot
     j < N is candidate j, and ``zero`` is the all-zeros point's.  A slot
@@ -172,35 +172,22 @@ class SearchProblem:
     never measured.
     """
 
-    __slots__ = (
-        "points",
-        "incumbent_value_bits",
-        "units",
-        "spread",
-        "layout",
-        "comparisons",
-        "marks",
-        "zero",
-        "size",
-        "order",
-    )
+    __slots__ = ("point_units", "incumbent_value_bits", "units", "spread", "layout",
+                 "comparisons", "marks", "zero", "size", "order")
 
     def __init__(
-        self, points: Sequence[str], incumbent_value_bits: str, units: np.ndarray
+        self, point_units: np.ndarray, incumbent_value_bits: str, units: np.ndarray
     ):
-        points = list(points)
-        self.spread = spread = HouseholderPrepare(points)
-        self.layout = RegisterLayout(spread.point_width, len(incumbent_value_bits))
-        vb = self.layout.value_bits
+        vb = len(incumbent_value_bits)
+        self.spread = spread = HouseholderPrepare(point_units, vb)
+        self.layout = RegisterLayout(spread.point_width, vb)
         if incumbent_value_bits.strip("01"):
             raise ValueError(f"incumbent value {incumbent_value_bits!r} is not binary")
+        n = len(spread.rows)
         units = np.asarray(units)
-        if units.shape != (len(points),) or not (
-            (units >= 0) & (units < 1 << vb)
-        ).all():
+        if units.shape != (n,) or not ((units >= 0) & (units < 1 << vb)).all():
             raise ValueError(f"need one {vb}-bit unsigned value per point")
-        n = len(points)
-        self.points = points
+        self.point_units = spread.rows
         self.incumbent_value_bits = incumbent_value_bits
         self.units = units.astype(np.int64, copy=False)
         # The comparison register after A: (f_j - f_k) mod 2^d.
@@ -212,20 +199,26 @@ class SearchProblem:
         self.marks[:n][(self.comparisons & (1 << (vb - 1))) != 0] = -1.0
         # Measurement visits candidates in sorted string order; point parts
         # are distinct, so this is the order of the full-width strings.
-        self.order = np.array(sorted(range(n), key=points.__getitem__), dtype=np.intp)
+        self.order = spread.order
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.point_units)
 
     def basis_string(self, slot: int) -> str:
         """Full-width string of a candidate slot after the preparation A."""
-        bits = self.layout.value_bits
-        return (
-            self.points[slot]
-            + format(int(self.units[slot]), f"0{bits}b")
-            + format(int(self.comparisons[slot]), f"0{bits}b")
-        )
+        # The registers' units packed into one integer: one format call.
+        x, bits = 0, self.layout.value_bits
+        for u in self.point_units[slot].tolist():
+            x = (x << bits) | u
+        x = (((x << bits) | self.units.item(slot)) << bits) | self.comparisons.item(slot)
+        return format(x, f"0{self.layout.total_bits}b")
+
+    def slot(self, bits: str) -> int:
+        """The candidate slot whose point is the point part of ``bits``."""
+        d, x = self.layout.value_bits, int(self.layout.point_part(bits), 2)
+        row = [x >> (d * i) & ((1 << d) - 1) for i in range(self.layout.dimension)]
+        return int(np.flatnonzero((self.point_units == row[::-1]).all(axis=1))[0])
 
 
 class IndexState:
@@ -322,27 +315,41 @@ def apply_phase(
 
 class HouseholderPrepare:
     """Self-inverse unitary sending |0...0> on the point register to the
-    uniform superposition of the target strings.
+    uniform superposition of the target points.
 
-    Realized as the reflection I - 2|w><w| with |w> proportional to
-    |psi_targets> - |0...0>; acts as the identity on the value and
-    comparison registers.  Its slots are the targets, then the all-zeros
-    string unless it is one of them; ``zero_slot`` is that string's slot.
-    ``points`` lists the support of |w> in slot order and ``vector`` holds
-    its coefficients in that order, so on an IndexState built over the same
-    targets the reflection is ``v - 2 (w . v) w``.
+    The targets are ``rows`` of unsigned ``unit_bits``-bit units, whose bit
+    patterns in column order are the point strings.  Realized as the
+    reflection I - 2|w><w| with |w> proportional to |psi_targets> - |0...0>;
+    acts as the identity on the value and comparison registers.  Its slots
+    are the targets, then the all-zeros point unless it is one of them;
+    ``zero_slot`` is that point's slot, and ``order`` lists the targets in
+    string order.  ``vector`` holds |w>'s coefficients in slot order, so on
+    an IndexState over the same slots the reflection is ``v - 2 (w . v) w``.
     """
 
-    __slots__ = ("point_width", "points", "vector", "zero_slot", "is_identity")
+    __slots__ = ("rows", "point_width", "order", "vector", "zero_slot", "is_identity",
+                 "_strings")
 
-    def __init__(self, targets: Iterable[str]):
-        targets = list(targets)
-        self.point_width = width = _check_strings(targets)
-        zero = "0" * width
-        n = len(targets)
-        self.zero_slot = k = targets.index(zero) if zero in targets else n
-        points = targets if k < n else targets + [zero]
-        w = np.zeros(len(points))
+    def __init__(self, rows: np.ndarray, unit_bits: int):
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.dtype.kind not in "iu" or not rows.shape[1]:
+            raise ValueError(f"need a 2-D array of integer units, got shape {rows.shape}")
+        if not len(rows):
+            raise EmptyTargetsError("need at least one target point")
+        if unit_bits < 1 or not ((rows >= 0) & (rows < 1 << unit_bits)).all():
+            raise ValueError(f"target units must lie in [0, 2^{unit_bits})")
+        self.rows = rows = rows.astype(np.int64, copy=False)
+        self.point_width = rows.shape[1] * unit_bits
+        self._strings = None  # the slot strings, once a SparseState needs them
+        # Column 0 first: the order of the point strings.
+        self.order = order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+        same = (ranked[1:] == ranked[:-1]).all(axis=1)
+        if same.any():
+            raise ValueError(f"duplicate target point {ranked[same.argmax()].tolist()}")
+        n = len(rows)
+        self.zero_slot = k = n if ranked[0].any() else int(order[0])
+        w = np.zeros(max(n, k + 1))
         w[:n] = 1.0 / math.sqrt(n)
         w[k] -= 1.0
         # Summed in order, as adding up the coefficients one by one would.
@@ -350,14 +357,20 @@ class HouseholderPrepare:
         if norm_sq < 1e-30:
             # psi_targets == |0...0>: the reflection degenerates to identity.
             self.is_identity = True
-            self.points = []
             self.vector = np.array([])
         else:
             # Only the zero point's coefficient can vanish, and only when it
             # is the sole target, which is the identity case above.
             self.is_identity = False
-            self.points = points
             self.vector = w * (1.0 / math.sqrt(norm_sq))
+
+    def support_strings(self) -> List[str]:
+        """The slots' point strings, in order: one shared list, built on first use."""
+        if self._strings is None:
+            unit, width = f"0{self.point_width // self.rows.shape[1]}b", self.point_width
+            points = ["".join(format(u, unit) for u in row) for row in self.rows.tolist()]
+            self._strings = points + ["0" * width] * (self.zero_slot == len(points))
+        return self._strings
 
     def __call__(self, state: SparseState | IndexState) -> SparseState | IndexState:
         if state.layout.point_bits != self.point_width:
@@ -377,7 +390,8 @@ class HouseholderPrepare:
             return IndexState(state.problem, v)
         amps = state.amplitudes
         pw = self.point_width
-        support = set(self.points)
+        points = self.support_strings()
+        support = set(points)
         # Entries whose point part overlaps |w>, grouped by register suffix
         # in first-seen order; the rest pass through untouched.
         suffixes: Dict[str, None] = {}
@@ -390,7 +404,7 @@ class HouseholderPrepare:
         norm_sq = sum(abs(a) ** 2 for a in new.values())
         thresh = PRUNE_THRESHOLD * PRUNE_THRESHOLD
         for suffix in suffixes:
-            keys = [x + suffix for x in self.points]
+            keys = [x + suffix for x in points]
             vec = np.array([amps.get(k, 0j) for k in keys])
             vec -= (2.0 * (w @ vec)) * w
             mags = vec.real**2 + vec.imag**2
@@ -401,33 +415,6 @@ class HouseholderPrepare:
         if abs(norm_sq - 1.0) > NORM_TOLERANCE:
             raise NormalizationError(f"state norm^2 = {norm_sq}, expected 1")
         return SparseState._raw(state.layout, new)
-
-
-def _check_strings(targets: Sequence[str]) -> int:
-    """The width of a non-empty list of distinct equal-width 0/1 strings."""
-    if not targets:
-        raise EmptyTargetsError("need at least one target string")
-    width = len(targets[0])
-    if (
-        len(set(targets)) != len(targets)
-        or set(map(len, targets)) != {width}
-        # Deleting the 0s and 1s leaves a byte iff some target has another
-        # character.
-        or "".join(targets).encode().translate(None, b"01")
-    ):
-        _reject_targets(targets, width)
-    return width
-
-
-def _reject_targets(targets: Sequence[str], width: int) -> None:
-    # Raise for the first target, in order, that is malformed or repeated.
-    seen = set()
-    for t in targets:
-        if len(t) != width or t.strip("01"):
-            raise ValueError(f"invalid target string {t!r}")
-        if t in seen:
-            raise ValueError(f"duplicate target string {t!r}")
-        seen.add(t)
 
 
 def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:

@@ -265,7 +265,7 @@ def test_criterion_7_unit_property_suites():
     amps = rng.normal(size=40) + 1j * rng.normal(size=40)
     amps /= np.linalg.norm(amps)
     state = SparseState(layout, dict(zip(keys, amps)))
-    spread = HouseholderPrepare([format(i, "06b") for i in (3, 17, 40, 63)])
+    spread = HouseholderPrepare(np.array([[3], [17], [40], [63]]), 6)
     for out in (
         apply_basis_map(state, lambda b: b[::-1]),
         apply_phase(state, lambda b: b[0] == "1", -1j),
@@ -282,7 +282,7 @@ def test_criterion_7_unit_property_suites():
     from qpsearch.amplify import SearchProblem
 
     units = np.array([int(values[p], 2) for p in points])
-    problem = SearchProblem(points, encode_scalar(-2, fmt6), units)
+    problem = SearchProblem(np.arange(16)[:, None], encode_scalar(-2, fmt6), units)
     ops = PreparationOperator(problem)
     prepared = ops.prepare_from_zero()
     for bits in [layout6.zero_string(), *prepared.support()]:

@@ -26,15 +26,15 @@ from qpsearch.amplify import (
 from qpsearch.fixedpoint import FixedPointFormat, encode_scalar
 from qpsearch.ledger import OracleLedger
 from qpsearch.state import IndexState, RegisterLayout, SparseState, measure
-from test_index_engine import _build_cases
+from test_index_engine import _build_cases, point_strings
 
 
-def small_problem(values, incumbent, d=4, point_width=None):
-    """Problem over len(values) enumerated points with given real values."""
+def small_problem(values, incumbent, d=4):
+    """Problem over len(values) enumerated one-unit points with given real
+    values."""
     fmt = FixedPointFormat(d, 0)
-    pw = point_width or d
-    points = [format(i, f"0{pw}b") for i in range(len(values))]
     units = np.array([int(encode_scalar(v, fmt), 2) for v in values])
+    points = np.arange(len(values))[:, None]
     return SearchProblem(points, encode_scalar(incumbent, fmt), units)
 
 
@@ -54,8 +54,8 @@ def test_build_a_plus_minus_one():
         problem.layout.point_part(b): problem.layout.comparison_part(b)
         for b in state.support()
     }
-    assert comps[problem.points[0]] == "1111"
-    assert comps[problem.points[1]] == "0001"
+    assert comps["0000"] == "1111"
+    assert comps["0001"] == "0001"
     signs = {b[problem.layout.comparison_sign_index] for b in state.support()}
     assert signs == {"0", "1"}
 
@@ -69,7 +69,8 @@ def test_build_a_matches_direct_construction():
     state = PreparationOperator(problem).prepare_from_zero()
 
     expected = {}
-    for point, value in zip(problem.points, values):
+    for i, value in enumerate(values):
+        point = format(i, f"0{d}b")
         value_units = value % (1 << d)
         diff_units = (value - incumbent) % (1 << d)
         key = point + format(value_units, f"0{d}b") + format(diff_units, f"0{d}b")
@@ -278,7 +279,7 @@ def test_found_state_always_has_negative_comparison():
         out = modified_qsearch(problem, params, rng=np.random.default_rng(seed))
         assert out.succeeded
         assert is_desired(out.result, problem.layout)
-        assert problem.layout.point_part(out.result) in set(problem.points)
+        assert problem.layout.point_part(out.result) in set(point_strings(problem))
 
 
 def test_round_records_and_ledger_accounting():
@@ -326,11 +327,13 @@ def test_modified_qsearch_miss_rate_stays_below_tolerance():
 def test_planted_problem_construction():
     problem, marked = make_planted_problem(16, 4, rng=np.random.default_rng(0))
     assert problem.n_points == 16
-    assert len(set(problem.points)) == 16
+    assert problem.point_units.tolist() == [[i] for i in range(16)]
     assert len(marked) == 4
-    below = {problem.points[i] for i in marked}
+    points = point_strings(problem)
+    assert points == [format(i, "04b") for i in range(16)]
+    below = {points[i] for i in marked}
     d = problem.layout.value_bits
-    for p, value in zip(problem.points, problem.units.tolist()):
+    for p, value in zip(points, problem.units.tolist()):
         assert value >> (d - 1) == (1 if p in below else 0)
     with pytest.raises(ValueError):
         make_planted_problem(4, 5)
@@ -340,18 +343,20 @@ def test_planted_problem_construction():
 
 def test_search_problem_validation():
     with pytest.raises(ValueError):
-        SearchProblem([], "0000", np.array([], dtype=int))
+        SearchProblem(np.zeros((0, 1), dtype=int), "0000", np.array([], dtype=int))
     with pytest.raises(ValueError):
-        SearchProblem(["0000", "0000"], "0000", np.array([0, 0]))
+        SearchProblem(np.array([[0], [0]]), "0000", np.array([0, 0]))
+    # A unit past the incumbent's width, which a point string of another
+    # width than a multiple of it used to stand for.
     with pytest.raises(ValueError):
-        SearchProblem(["000"], "0000", np.array([0]))
+        SearchProblem(np.array([[16]]), "0000", np.array([0]))
     with pytest.raises(ValueError):
-        SearchProblem(["0000"], "000", np.array([0]))
+        SearchProblem(np.array([[8]]), "000", np.array([0]))
 
 
-def test_search_problem_refuses_a_point_that_is_not_binary():
-    with pytest.raises(ValueError, match="invalid target string '0a01'"):
-        SearchProblem(["0a01", "0010"], "0000", np.array([0, 0]))
+def test_search_problem_refuses_rows_that_are_not_units():
+    with pytest.raises(ValueError, match="need a 2-D array of integer units"):
+        SearchProblem(np.array([[0.5], [2.0]]), "0000", np.array([0, 0]))
 
 
 def test_qsearch_params_validation():

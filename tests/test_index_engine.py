@@ -16,11 +16,26 @@ from qpsearch.amplify import (
 )
 from qpsearch.fixedpoint import FixedPointFormat, encode_point_exact, encode_scalar_saturating
 from qpsearch.ledger import OracleLedger
-from qpsearch.pattern import GpsConfig, MeshState, PatternBasis
+from qpsearch.pattern import GpsConfig, MeshState, PatternBasis, select_search_points
 from qpsearch.quantum_step import _build_problem, _marked_count, quantum_search_step
-from qpsearch.state import IndexState, RegisterLayout, measure
+from qpsearch.state import EmptyTargetsError, IndexState, RegisterLayout, measure
 
 TOL = 1e-12
+
+
+def unit_rows(strings, bits):
+    """Point strings as rows of ``bits``-bit units, the form a SearchProblem
+    takes: the tests' string-to-row edge."""
+    return np.array(
+        [[int(s[i : i + bits], 2) for i in range(0, len(s), bits)] for s in strings],
+        dtype=np.int64,
+    )
+
+
+def point_strings(problem):
+    """A problem's candidate point strings, formatted from its unit rows."""
+    unit = f"0{problem.layout.value_bits}b"
+    return ["".join(format(u, unit) for u in row) for row in problem.point_units.tolist()]
 
 
 def _planted_cases():
@@ -97,7 +112,7 @@ def test_index_engine_matches_reference_planted(n, t):
 
 @pytest.mark.parametrize("name,problem", list(_build_cases()))
 def test_index_engine_matches_reference_search_step(name, problem):
-    assert "0" * problem.layout.point_bits in problem.points
+    assert "0" * problem.layout.point_bits in point_strings(problem)
     assert problem.size == problem.n_points  # no extra zero slot
     t = _marked_count(problem)
     assert 0 < t < problem.n_points
@@ -129,7 +144,8 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     points = [format(i, f"0{2 * d}b") for i in range(1, len(values) + 1)]
     units = np.array([v & mask for v in values])
     incumbent_bits = format(incumbent & mask, f"0{d}b")
-    problem = SearchProblem(points, incumbent_bits, units)
+    problem = SearchProblem(unit_rows(points, d), incumbent_bits, units)
+    assert point_strings(problem) == points
     marks = problem.marks
     assert len(marks) == len(values) + 1  # the zero point is not a candidate
     assert marks[-1] == 1.0
@@ -147,7 +163,7 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
 def _assert_same_layout(array_built, string_built):
     a, b = array_built, string_built
     n = array_built.n_points
-    assert a.points == b.points
+    assert np.array_equal(a.point_units, b.point_units)
     for field in ("comparisons", "marks", "order"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert (a.zero, a.size) == (b.zero, b.size)
@@ -175,7 +191,7 @@ def test_array_build_matches_string_oracle_build(name, objective, incumbent_poin
     problem = _grid_problem(objective, incumbent_point, fmt)
     points = _grid_candidates()
     strings = [encode_point_exact(y, fmt) for y in points]
-    assert problem.points == strings
+    assert point_strings(problem) == strings
     if name == "both-signs":
         assert (problem.units >> 7).any() and not (problem.units >> 7).all()
 
@@ -184,7 +200,7 @@ def test_array_build_matches_string_oracle_build(name, objective, incumbent_poin
         return encode_scalar_saturating(float(objective(y)), fmt)[0]
 
     string_built = SearchProblem(
-        strings, problem.incumbent_value_bits,
+        unit_rows(strings, fmt.total_bits), problem.incumbent_value_bits,
         np.array([int(oracle(y), 2) for y in points]),
     )
     _assert_same_layout(problem, string_built)
@@ -198,10 +214,10 @@ def on_grid_points(draw):
     q = draw(st.integers(0, d - 1))
     fmt = FixedPointFormat(d, q)
     n = draw(st.integers(1, 4))
-    unit = st.sampled_from([fmt.min_units, fmt.max_units]) | st.integers(
+    unit = st.sampled_from([fmt.min_units, 0, fmt.max_units]) | st.integers(
         fmt.min_units, fmt.max_units
     )
-    rows = draw(st.lists(st.tuples(*[unit] * n), min_size=1, max_size=8, unique=True))
+    rows = draw(st.lists(st.tuples(*[unit] * n), min_size=1, max_size=64, unique=True))
     return fmt, np.array(rows, dtype=float) / (1 << q)
 
 
@@ -210,15 +226,37 @@ def on_grid_points(draw):
 def test_build_problem_point_strings_are_encode_point_exact(case):
     fmt, points = case
     problem = _build_problem(points, 0.0, _sphere, GpsConfig(fixed_point_format=fmt))
-    assert problem.points == [encode_point_exact(y, fmt) for y in points]
+    assert point_strings(problem) == [encode_point_exact(y, fmt) for y in points]
+
+
+@settings(max_examples=200, deadline=None)
+@given(on_grid_points())
+def test_row_order_zero_slot_and_basis_strings_are_the_string_forms(case):
+    """The problem's lexsort order, zero slot and basis strings, computed on
+    unit rows, are those of the encode_point_exact strings."""
+    fmt, points = case
+    problem = _build_problem(points, 0.0, _sphere, GpsConfig(fixed_point_format=fmt))
+    strings = [encode_point_exact(y, fmt) for y in points]
+    n, d = len(strings), fmt.total_bits
+    assert problem.order.tolist() == sorted(range(n), key=strings.__getitem__)
+    zero = "0" * len(strings[0])
+    assert problem.zero == (strings.index(zero) if zero in strings else n)
+    for k, x in enumerate(strings):
+        value = format(int(problem.units[k]), f"0{d}b")
+        comparison = format(int(problem.comparisons[k]), f"0{d}b")
+        assert problem.basis_string(k) == x + value + comparison
+        assert problem.slot(problem.basis_string(k)) == k
 
 
 @pytest.mark.parametrize("n,t", list(_planted_cases()))
 def test_array_build_matches_string_oracle_build_planted(n, t):
     string_built, _ = make_planted_problem(n, t, rng=np.random.default_rng(n + t))
     units = string_built.units.tolist()
+    d = string_built.layout.value_bits
     array_built = SearchProblem(
-        string_built.points, string_built.incumbent_value_bits, np.array(units)
+        unit_rows(point_strings(string_built), d),
+        string_built.incumbent_value_bits,
+        np.array(units),
     )
     _assert_same_layout(array_built, string_built)
 
@@ -251,7 +289,7 @@ def test_build_calls_the_objective_once_per_candidate():
 
 
 def test_search_problem_needs_units_that_fit_the_value_register():
-    points = ["0001", "0010"]
+    points = unit_rows(["0001", "0010"], 4)
     for bad in ([1], [1, 16], [-1, 2], [[1, 2]]):
         with pytest.raises(ValueError, match="4-bit unsigned value per point"):
             SearchProblem(points, "0000", np.array(bad))
@@ -275,51 +313,106 @@ def test_planted_problem_layout_is_derived_from_its_strings(n, t):
 
 
 @pytest.mark.parametrize(
-    "points,zero,spread_points",
+    "points,zero,slot_strings",
     [
         (["01", "00", "10"], 1, ["01", "00", "10"]),  # the zero point is a candidate
         (["01", "10"], 2, ["01", "10", "00"]),  # the zero point is appended
-        (["00"], 0, []),  # the sole candidate is the zero point: identity spread
+        (["00"], 0, ["00"]),  # the sole candidate is the zero point: identity spread
     ],
 )
-def test_problem_slots_are_the_spreads(points, zero, spread_points):
-    problem = SearchProblem(points, "01", np.zeros(len(points), dtype=int))
+def test_problem_slots_are_the_spreads(points, zero, slot_strings):
+    problem = SearchProblem(unit_rows(points, 2), "01", np.zeros(len(points), dtype=int))
     spread = problem.spread
     assert problem.zero == spread.zero_slot == zero
     assert problem.size == max(len(points), zero + 1)
-    assert spread.points == spread_points
-    assert spread.is_identity == (not spread_points)
-    if spread_points:
-        assert problem.size == len(spread.points) == len(spread.vector)
+    assert spread.support_strings() == slot_strings
+    assert spread.is_identity == (points == ["00"])
+    if not spread.is_identity:
+        assert problem.size == len(spread.vector)
 
 
 @pytest.mark.parametrize(
-    "points,incumbent,message",
+    "rows,incumbent,message",
     [
-        (["0001"], "0a", "incumbent value '0a' is not binary"),
-        (["0001"], "", "register widths must be positive"),
-        (["000"], "00", "point register width 3 is not a multiple"),
+        ([[1]], "0a", "incumbent value '0a' is not binary"),
+        ([[0]], "", r"target units must lie in \[0, 2\^0\)"),
+        # A unit wider than the incumbent's d bits: once a point string of
+        # another width than a multiple of d.
+        ([[4]], "00", r"target units must lie in \[0, 2\^2\)"),
     ],
 )
-def test_search_problem_refuses_an_incumbent_that_does_not_fit(points, incumbent, message):
+def test_search_problem_refuses_an_incumbent_that_does_not_fit(rows, incumbent, message):
     with pytest.raises(ValueError, match=message):
-        SearchProblem(points, incumbent, np.zeros(len(points), dtype=int))
+        SearchProblem(np.array(rows), incumbent, np.zeros(len(rows), dtype=int))
 
 
-def test_search_step_checks_the_candidate_strings_once(monkeypatch):
+def test_search_step_formats_one_point_string_per_round(monkeypatch):
+    """No candidate's point string is built on the index path: the strings
+    formatted are the measured one of each round and the incumbent's, and
+    the problem holds no strings besides f_k's."""
+    from qpsearch import amplify, fixedpoint, pattern, quantum_step
     from qpsearch import state as state_module
 
-    calls = []
-    check = state_module._check_strings
+    made = []
 
-    def counting(targets):
-        calls.append(len(targets))
-        return check(targets)
+    def counting_format(value, spec=""):
+        made.append(format(value, spec))
+        return made[-1]
 
-    monkeypatch.setattr(state_module, "_check_strings", counting)
-    fmt = FixedPointFormat(8, 4)
-    config = GpsConfig(fixed_point_format=fmt, search_points_count=16, search_radius=2)
-    x = np.array([0.25, 0.25])
-    quantum_search_step(MeshState(x, 0.25, _sphere(x)), PatternBasis.coordinate(2), config,
-                        QSearchParams(tau=0.05), _sphere, OracleLedger())
-    assert calls == [16]
+    for module in (amplify, fixedpoint, pattern, quantum_step, state_module):
+        monkeypatch.setattr(module, "format", counting_format, raising=False)
+    problems = []
+    search = quantum_step.modified_qsearch
+
+    def capturing(problem, *args, **kwargs):
+        problems.append(problem)
+        return search(problem, *args, **kwargs)
+
+    monkeypatch.setattr(quantum_step, "modified_qsearch", capturing)
+    # One step over N = 1024 points in compare's format 8/0.
+    config = GpsConfig(fixed_point_format=FixedPointFormat(8, 0), search_points_count=1024,
+                       search_radius=40, initial_mesh_size=1.0)
+    x = np.array([0.0, 0.0])
+    events = []
+    quantum_search_step(MeshState(x, 1.0, _sphere(x)), PatternBasis.coordinate(2), config,
+                        QSearchParams(), _sphere, OracleLedger(), event_sink=events.append)
+    measured = [e["measured"] for e in events if e["type"] == "qsearch-round"]
+    (problem,) = problems
+    assert problem.n_points == 1024 and measured
+    wide = [m for m in made if len(m) >= problem.layout.point_bits]
+    assert wide == measured
+    # The rest is the incumbent's encoding: a few scalars, not one per point.
+    assert len(made) - len(measured) < 8
+    held = [getattr(problem, name) for name in type(problem).__slots__]
+    held += [getattr(problem.spread, name) for name in type(problem.spread).__slots__]
+    assert [v for v in held if isinstance(v, (str, list, tuple))] == [
+        problem.incumbent_value_bits
+    ]
+
+
+@pytest.mark.parametrize("n_points,radius", [(16, 2), (1024, 40)])
+def test_row_order_is_the_string_order(n_points, radius):
+    fmt = FixedPointFormat(8, 0)
+    config = GpsConfig(fixed_point_format=fmt, search_points_count=n_points,
+                       search_radius=radius, initial_mesh_size=1.0)
+    x = np.array([0.0, 0.0])
+    points = select_search_points(MeshState(x, 1.0, 0.0), PatternBasis.coordinate(2), config)
+    problem = _build_problem(points, 0.0, _sphere, config)
+    strings = [encode_point_exact(y, fmt) for y in points]
+    assert problem.order.tolist() == sorted(range(n_points), key=strings.__getitem__)
+
+
+def test_problem_refuses_rows_that_are_not_distinct_units():
+    """The row forms of the string refusals: no point, a repeated point,
+    and units that are not unsigned d-bit integers."""
+    units = np.zeros(2, dtype=int)
+    with pytest.raises(EmptyTargetsError):
+        SearchProblem(np.zeros((0, 2), dtype=int), "0000", units[:0])
+    with pytest.raises(ValueError, match=r"duplicate target point \[3, 1\]"):
+        SearchProblem(np.array([[3, 1], [3, 1]]), "0000", units)
+    for rows in ([[0, 16], [1, 1]], [[0, -1], [1, 1]]):
+        with pytest.raises(ValueError, match=r"target units must lie in \[0, 2\^4\)"):
+            SearchProblem(np.array(rows), "0000", units)
+    for rows in (np.array([[0.5, 1.0], [1.0, 1.0]]), np.array([1, 2]), np.zeros((2, 0), int)):
+        with pytest.raises(ValueError, match="need a 2-D array of integer units"):
+            SearchProblem(rows, "0000", units)

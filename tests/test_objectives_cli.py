@@ -275,6 +275,9 @@ REFUSED = [
     ["compare", "--planted-t", "300", "--search-points-count", "256"],
     ["compare", "--planted-t", "-1"],
     ["compare", "--trials", "0"],
+    # compare keeps every trial's row until it writes them: at most 2^20.
+    ["compare", "--trials", "1048577"],
+    ["compare", "--trials", "100000000000"],
     ["compare", "--seed", "-1"],
     ["compare", "--objective", "sphere", "--planted-t", "1"],
     # With nothing to find, M outgrows the 64-bit draw of j before u reaches

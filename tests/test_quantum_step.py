@@ -292,6 +292,41 @@ def test_compare_trial_selects_once(monkeypatch):
     assert len(calls) == len(seeds)
 
 
+@pytest.mark.parametrize("planted_t", [0, 5, 64])
+def test_planted_on_rows_equals_the_row_form(planted_t, monkeypatch):
+    scans = []
+    scan = quantum_step.classical_search_step
+
+    def capturing(points, objective, *args):
+        scans.append((points, objective))
+        return scan(points, objective, *args)
+
+    monkeypatch.setattr(quantum_step, "classical_search_step", capturing)
+    config = step_config(
+        search_points_count=64, search_radius=10, fixed_point_format=FixedPointFormat(8, 0)
+    )
+    compare_backends(
+        None, PatternBasis.coordinate(2), config, PARAMS, seeds=range(3),
+        planted_t=planted_t,
+    )
+    selections = [(p, f) for p, f in scans if len(p) == 64]  # not the rechecks
+    assert len(selections) == 3
+    for points, objective in selections:
+        row_form = np.array([objective(y) for y in points])
+        assert np.count_nonzero(row_form == -1.0) == planted_t
+        assert np.array_equal(objective.on_rows(points), row_form)
+        assert np.array_equal(objective.on_rows(points[::-1]), row_form[::-1])
+        # Rows off the selection, -0.0 and NaN among them, are unmarked in
+        # both forms: rows match by their bytes.
+        others = np.vstack(
+            [points + 0.5, -points[:, ::-1] - 1000.0,
+             [[-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [np.inf, -np.inf]]]
+        )
+        expected = np.array([objective(y) for y in others])
+        assert (expected == 1.0).all()
+        assert np.array_equal(objective.on_rows(others), expected)
+
+
 def test_compare_refuses_an_unreachable_tau_before_evaluating():
     calls = []
 

@@ -27,6 +27,12 @@ def state(layout, **amps):
     return SparseState(layout, {k: v for k, v in amps.items()})
 
 
+def spread_over(strings):
+    """The reflection over point strings, each given as one unit of its width."""
+    rows = np.array([[int(s, 2)] for s in strings], dtype=np.int64).reshape(-1, 1)
+    return HouseholderPrepare(rows, len(strings[0]) if strings else 1)
+
+
 def test_layout_validation_and_slicing():
     lay = RegisterLayout(8, 4)
     assert lay.total_bits == 16
@@ -121,7 +127,7 @@ def test_apply_phase_examples():
 
 
 def test_householder_defining_property():
-    op = HouseholderPrepare(["01", "10"])
+    op = spread_over(["01", "10"])
     out = op(SparseState.zero(L2))
     assert out.amplitude("0100") == pytest.approx(INV_SQRT2)
     assert out.amplitude("1000") == pytest.approx(INV_SQRT2)
@@ -129,21 +135,33 @@ def test_householder_defining_property():
 
 
 def test_householder_degenerate_zero_target():
-    op = HouseholderPrepare(["00"])
+    op = spread_over(["00"])
     out = op(SparseState.zero(L2))
     assert out.amplitude("0000") == 1.0
 
 
 def test_householder_errors():
     with pytest.raises(EmptyTargetsError):
-        HouseholderPrepare([])
+        spread_over([])
     with pytest.raises(ValueError):
-        HouseholderPrepare(["01", "01"])
+        spread_over(["01", "01"])
+    # Rows of one width in units of one width: a unit past it is refused,
+    # where strings of unequal widths were.
     with pytest.raises(ValueError):
-        HouseholderPrepare(["01", "1"])
-    op = HouseholderPrepare(["011"])
+        HouseholderPrepare(np.array([[1], [4]]), 2)
+    with pytest.raises(ValueError):
+        HouseholderPrepare(np.array([[1], [2]]), 0)
+    op = spread_over(["011"])
     with pytest.raises(ValueError):
         op(SparseState.zero(L2))
+
+
+def test_householder_slot_strings_split_rows_into_coordinates():
+    op = HouseholderPrepare(np.array([[1, 0], [0, 3]]), 2)
+    assert op.point_width == 4
+    assert op.support_strings() == ["0100", "0011", "0000"]
+    assert op.order.tolist() == [1, 0]
+    assert op.zero_slot == 2
 
 
 def reference_householder_vector(targets):
@@ -181,11 +199,12 @@ def test_householder_vector_is_bit_identical_to_the_dict_construction(
     if with_zero and 0 not in chosen:
         chosen[rng.integers(n_targets)] = 0
     targets = [format(int(i), f"0{width}b") for i in chosen]
-    op = HouseholderPrepare(targets)
+    op = spread_over(targets)
     points, vector = reference_householder_vector(targets)
-    assert op.points == points
-    assert np.array_equal(op.vector, vector)
     assert op.is_identity == (not points)
+    if points:
+        assert op.support_strings() == points
+    assert np.array_equal(op.vector, vector)
 
 
 def _operator_matrix(op, point_width, suffix="00"):
@@ -202,7 +221,7 @@ def _operator_matrix(op, point_width, suffix="00"):
 
 
 def test_householder_self_inverse_explicit_matrix():
-    op = HouseholderPrepare(["01", "10"])
+    op = spread_over(["01", "10"])
     mat = _operator_matrix(op, 2)
     np.testing.assert_allclose(mat @ mat, np.eye(4), atol=1e-12)
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-12)  # unitary + Hermitian
@@ -217,7 +236,7 @@ def test_householder_self_inverse_exhaustive(width, n_targets, seed):
         format(i, f"0{width}b")
         for i in rng.choice(2**width, size=n_targets, replace=False)
     ]
-    op = HouseholderPrepare(targets)
+    op = spread_over(targets)
     layout = RegisterLayout(width, 1)
     for col in range(2**width):
         bits = format(col, f"0{width}b") + "00"
@@ -234,7 +253,7 @@ def test_operators_preserve_norm():
     amps = rng.normal(size=20) + 1j * rng.normal(size=20)
     amps /= np.linalg.norm(amps)
     s = SparseState(layout, dict(zip(keys, amps)))
-    op = HouseholderPrepare([format(i, "04b") for i in (1, 5, 9, 14)])
+    op = spread_over([format(i, "04b") for i in (1, 5, 9, 14)])
     for transformed in (
         apply_basis_map(s, lambda b: b[::-1]),
         apply_phase(s, lambda b: b[0] == "1", -1),
