@@ -7,7 +7,7 @@ by construction and must never touch the quantum counters.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["OracleLedger"]
 
@@ -19,15 +19,17 @@ class OracleLedger:
     qsearch_rounds: int = 0
     q_applications: int = 0
 
+    # vars(), not dataclasses' asdict, astuple or replace, which recurse.
     def copy(self) -> "OracleLedger":
-        return replace(self)
+        return OracleLedger(**vars(self))
 
     def delta_since(self, earlier: "OracleLedger") -> "OracleLedger":
-        return OracleLedger(*(a - b for a, b in zip(astuple(self), astuple(earlier))))
+        before = vars(earlier)
+        return OracleLedger(**{k: v - before[k] for k, v in vars(self).items()})
 
     @property
     def total_calls(self) -> int:
         return self.classical_calls + self.quantum_calls
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -416,7 +416,9 @@ def select_search_points(
     scale = 1 << fmt.frac_bits
     # A point's key is the bytes of its int64 unit row, exact at any width.
     incumbent_key = (state.iterate * scale).astype(np.int64).tobytes()
-    found: Dict[bytes, np.ndarray] = {}
+    key_type = np.dtype((np.void, 8 * basis.dimension))  # one row's bytes
+    found: Set[bytes] = set()
+    pieces: List[np.ndarray] = []  # each chunk's taken rows, in draw order
 
     def take(z: np.ndarray) -> None:
         # Add the new points of the z rows in order until there are N.
@@ -429,15 +431,17 @@ def select_search_points(
         # grid it raises, out of range the row is skipped.
         raises = off_grid[np.arange(len(z)), bad.argmax(axis=1)]
         end = int(raises.argmax()) if raises.any() else len(z)
-        keep = ~bad[:end].any(axis=1) & z[:end].any(axis=1)
-        units = np.where(bad, 0, scaled).astype(np.int64)
-        for i in np.flatnonzero(keep):
-            key = units[i].tobytes()
+        rows = np.flatnonzero(~bad[:end].any(axis=1) & z[:end].any(axis=1))
+        keys = scaled[rows].astype(np.int64).view(key_type).ravel().tolist()
+        taken = []
+        for i, key in zip(rows.tolist(), keys):
             if key != incumbent_key and key not in found:
-                found[key] = y[i]
+                found.add(key)
+                taken.append(i)
                 if len(found) == n_wanted:
-                    return
-        if end < len(z):
+                    break
+        pieces.append(y[taken])
+        if len(found) < n_wanted and end < len(z):
             encode_point_exact(y[end], fmt)  # raises the off-grid EncodingError
 
     chunk = max(64, min(n_wanted, DRAW_CHUNK_VALUES // p))
@@ -456,7 +460,7 @@ def select_search_points(
             take(np.array(block))
     if len(found) < n_wanted:
         raise _exhausted(len(found), n_wanted)
-    return np.array(list(found.values()))
+    return np.concatenate(pieces)
 
 
 def candidates_record(kind: str, iteration: int, points: np.ndarray) -> dict:

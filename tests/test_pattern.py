@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +431,90 @@ def test_select_search_points_equals_per_point_reference(case):
     assert _selection_outcome(
         select_search_points, state, basis, config
     ) == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_select_search_points_equals_reference_at_the_compare_setting(seed):
+    # The benchmark's compare op: N = 1024 in 2-D around the origin, 8/0.
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=1024,
+        search_radius=40,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=seed,
+    )
+    state = MeshState(np.zeros(2), 1.0, 0.0)
+    basis = PatternBasis.coordinate(2)
+    assert _selection_outcome(
+        select_search_points, state, basis, config
+    ) == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+def test_select_search_points_skips_redraws_in_a_later_chunk():
+    # In 1-D, z = (a, b) steps a - b from the origin. Seed 31's first chunk
+    # of 64 draws reaches 6 of the 8 points; the second chunk draws the
+    # incumbent and points the first chunk took before it reaches 4 and -4.
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=8,
+        search_radius=4,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=31,
+    )
+    z = np.random.default_rng([31, 0, 0]).integers(0, 5, size=(128, 2))
+    steps = z[:, 0] - z[:, 1]
+    first = set(steps[:64][z[:64].any(axis=1)].tolist()) - {0}
+    assert first == {-3, -2, -1, 1, 2, 3}
+    second = list(zip(steps[64:96].tolist(), z[64:96].any(axis=1).tolist()))
+    assert (0, True) in second and any(s in first for s, _ in second)
+    assert not {4, -4} & {s for s, _ in second}
+
+    state = MeshState(np.zeros(1), 1.0, 0.0)
+    basis = PatternBasis.coordinate(1)
+    points = select_search_points(state, basis, config)
+    assert points.ravel().tolist() == [-2.0, 2.0, -1.0, 3.0, -3.0, 1.0, 4.0, -4.0]
+    assert _selection_outcome(
+        select_search_points, state, basis, config
+    ) == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+def test_select_search_points_stops_before_an_off_grid_row_it_does_not_need():
+    # Seed 31 steps -2, 2, then -1: a quarter step leaves the 0.5 grid only
+    # after the two points are taken, in the same chunk.
+    config = GpsConfig(
+        initial_mesh_size=0.25,
+        search_points_count=2,
+        search_radius=4,
+        fixed_point_format=FixedPointFormat(8, 1),
+        rng_seed=31,
+    )
+    state = MeshState(np.zeros(1), 0.25, 0.0)
+    points = select_search_points(state, PatternBasis.coordinate(1), config)
+    assert points.ravel().tolist() == [-0.5, 0.5]
+    with pytest.raises(EncodingError):
+        select_search_points(state, PatternBasis.coordinate(1), replace(config, search_points_count=4))
+
+
+def test_select_search_points_at_the_cap_returns_one_owned_array():
+    # N = 2^20, the most GpsConfig accepts, drawn in several chunks.
+    fmt = FixedPointFormat(32, 0)
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=2**20,
+        search_radius=10**6,
+        fixed_point_format=fmt,
+    )
+    state = MeshState(np.zeros(2), 1.0, 0.0)
+    points = select_search_points(state, PatternBasis.coordinate(2), config)
+    assert points.shape == (2**20, 2) and points.dtype == np.float64
+    # One C-contiguous copy that owns its data keeps no draw chunk alive.
+    assert points.flags.c_contiguous and points.flags.owndata
+    assert np.all(points == np.floor(points))
+    assert np.all((points >= fmt.min_units) & (points <= fmt.max_units))
+    units = points.astype(np.int64)
+    ordered = units[np.lexsort(units.T[::-1])]
+    assert np.all(np.any(ordered[1:] != ordered[:-1], axis=1))  # distinct
+    assert not np.any(np.all(units == 0, axis=1))  # not the incumbent
 
 
 def test_select_search_points_refuses_more_points_than_the_register_holds(
