@@ -92,12 +92,12 @@ class QSearchParams:
 class QSearchOutcome:
     """Result of one search invocation.
 
-    ``result`` is the measured full-width bitstring on success and None on
+    ``result`` is the measured candidate slot on success and None on
     failure; the counters echo the loop variables at exit.  The search's
     oracle calls and Q applications are in the ledger it was given.
     """
 
-    result: Optional[str]
+    result: Optional[int]
     rounds_executed: int
     u_rounds: int
 
@@ -340,12 +340,12 @@ def _run_search(
         ledger.qsearch_rounds += 1
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
-        measured = measure(iterate(j), rng)
-        desired = is_desired(measured, problem.layout)
+        k = measure(iterate(j), rng)
+        desired = problem.marks.item(k) < 0
         if on_round is not None:
-            on_round(RoundRecord(l, m, j, u, measured, desired))
+            on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
         if desired:
-            return QSearchOutcome(measured, l, u)
+            return QSearchOutcome(k, l, u)
         if finite:
             if u >= u_limit:
                 return QSearchOutcome(None, l, u)

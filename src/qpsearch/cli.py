@@ -182,10 +182,10 @@ def _load_config(args: argparse.Namespace, keys: dict) -> dict:
         kind, default = keys[key].kind, keys[key].default
         if kind and not (value is None and default is None) and not kind.has(value):
             raise ConfigError(f"{key} must be {kind.name}, got {value!r}")
-    for key in ("dimension", "trials"):
-        if config[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {config[key]}")
-    if config["dimension"] > MAX_DIMENSION:
+    # Each command holds every trial's lines until it writes them all.
+    if not 1 <= config["trials"] <= 1 << 20:
+        raise ConfigError(f"trials must lie in [1, 2^20], got {config['trials']}")
+    if not 1 <= config["dimension"] <= MAX_DIMENSION:
         raise ConfigError(
             f"dimension must lie in [1, {MAX_DIMENSION}], got {config['dimension']}"
         )
@@ -347,9 +347,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             n_points = gps_config.search_points_count
             if not 0 <= planted <= n_points:
                 raise ConfigError(f"planted_t must lie in [0, {n_points}], got {planted}")
-        # compare holds every trial's row until it writes them all.
-        if config["trials"] > 1 << 20:
-            raise ConfigError(f"trials must lie in [1, 2^20], got {config['trials']}")
         seeds = range(config["seed"], config["seed"] + config["trials"])
     report = compare_backends(
         objective, basis, gps_config, params, seeds, planted_t=planted
@@ -407,12 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser is first built, so replacing a module-level ``cmd_*`` name later
     does not reach ``main``.
     """
-    parser = argparse.ArgumentParser(
+    # No prefix matching: the flags accepted are exactly the ones declared.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="qpsearch",
         description="Pattern search with a classical or quantum-simulated "
         "search step.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     run = sub.add_parser("run", help="run one optimization experiment")
     _add_config_flags(run, RUN_KEYS)

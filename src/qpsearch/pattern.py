@@ -245,6 +245,8 @@ class GpsConfig:
             raise ValueError("mesh_size_tolerance must be positive and finite")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.max_oracle_calls is not None and self.max_oracle_calls < 0:
+            raise ValueError(f"max_oracle_calls must be >= 0, got {self.max_oracle_calls}")
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,9 @@ def quantum_search_step(
     The points are ``candidates`` as returned by ``select_search_points``,
     which is called here when they are not given.  The incumbent's value is
     reused from the mesh state (no oracle call); on a successful measurement
-    the decoded point is re-checked classically and only a strict
-    improvement is accepted.  Returns None on failure, after which the
-    caller polls.
+    the candidate in the measured slot is re-checked classically and only a
+    strict improvement is accepted.  Returns None on failure, after which
+    the caller polls.
     """
     if candidates is None:
         candidates = select_search_points(state, basis, config)
@@ -130,8 +130,8 @@ def quantum_search_step(
 
     result = "failure"
     accepted: Optional[ImprovedPoint] = None
-    if outcome.result is not None:
-        k = problem.slot(outcome.result)
+    k = outcome.result
+    if k is not None:  # slot 0 is a result
         # The recheck rejects a saturation artifact, whose sign bit lied.
         accepted = classical_search_step(
             candidates[k : k + 1], objective, state.incumbent_value, ledger

@@ -6,8 +6,8 @@ the N candidates, each with its value and comparison registers, and the
 all-zeros string.  A ``SearchProblem`` is that index space, in the slot order
 of its spreading reflection: it computes the candidates' comparisons
 (f_j - f_k) mod 2^d, their marks and the measurement order once.  An
-``IndexState`` holds one real float64 amplitude per slot of its problem and
-names the full-width string of a slot only when a measurement returns it.
+``IndexState`` holds one real float64 amplitude per slot of its problem, and
+measuring it returns a slot, whose full-width string is formatted on request.
 
 ``SparseState`` is the reference simulator: a finite map from full-width
 basis bitstrings to complex amplitudes, on which reversible basis maps,
@@ -214,12 +214,6 @@ class SearchProblem:
         x = (((x << bits) | self.units.item(slot)) << bits) | self.comparisons.item(slot)
         return format(x, f"0{self.layout.total_bits}b")
 
-    def slot(self, bits: str) -> int:
-        """The candidate slot whose point is the point part of ``bits``."""
-        d, x = self.layout.value_bits, int(self.layout.point_part(bits), 2)
-        row = [x >> (d * i) & ((1 << d) - 1) for i in range(self.layout.dimension)]
-        return int(np.flatnonzero((self.point_units == row[::-1]).all(axis=1))[0])
-
 
 class IndexState:
     """Real amplitudes over the slots of a SearchProblem, one float64 per slot."""
@@ -417,53 +411,46 @@ class HouseholderPrepare:
         return SparseState._raw(state.layout, new)
 
 
-def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str:
-    """Born-rule measurement in the computational basis.
+def _born(state: SparseState | IndexState):
+    """The Born rule's outcomes in sorted string order, their probabilities
+    and one running sum of those, whose last entry is the checked norm^2.
 
-    The draw is fully determined by ``rng``: one ``rng.random()`` scaled by
-    the norm, then support strings accumulated in sorted order, so results
-    are reproducible regardless of construction history.  On an IndexState
-    the candidates are read as prepared by A; amplitudes below the pruning
-    threshold, which a SparseState drops, are skipped, and only the measured
-    candidate's full-width string is built.
-    """
+    A SparseState's outcomes are its basis strings; an IndexState's are its
+    candidate slots as prepared by A, where a probability below the pruning
+    threshold, which a SparseState drops, counts as 0."""
     if isinstance(state, IndexState):
-        problem = state.problem
-        n = problem.n_points
-        probs = state.amplitudes[:n] ** 2
+        outcomes = state.problem.order
+        probs = state.amplitudes[outcomes] ** 2
         probs[probs < PRUNE_THRESHOLD * PRUNE_THRESHOLD] = 0.0
-        # Sequential sums (cumsum), in slot order as the sparse map adds them.
-        norm_sq = float(probs.cumsum()[-1])
-        if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
-            raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")
-        r = rng.random() * norm_sq
-        sorted_probs = probs[problem.order]
-        k = int(sorted_probs.cumsum().searchsorted(r, side="right"))
-        if k == n:  # r landed on the floating-point boundary
-            k = int(sorted_probs.nonzero()[0][-1])
-        return problem.basis_string(int(problem.order[k]))
-    norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
+    else:
+        outcomes = sorted(state.amplitudes)
+        probs = np.array([abs(state.amplitudes[b]) ** 2 for b in outcomes])
+    cumulative = probs.cumsum()
+    norm_sq = float(cumulative[-1]) if len(cumulative) else 0.0
     if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
         raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")
-    r = rng.random() * norm_sq
-    acc = 0.0
-    last = None
-    for b in sorted(state.amplitudes):
-        acc += abs(state.amplitudes[b]) ** 2
-        last = b
-        if r < acc:
-            return b
-    return last  # guard against r landing on the floating-point boundary
+    return outcomes, probs, cumulative
+
+
+def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str | int:
+    """Born-rule measurement in the computational basis: a SparseState's
+    basis string, or an IndexState's candidate slot.
+
+    The draw is fully determined by ``rng``: one ``rng.random()`` scaled by
+    the norm, located among the outcomes' running sum in sorted string order,
+    so results are reproducible regardless of construction history.
+    """
+    outcomes, probs, cumulative = _born(state)
+    k = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
+    if k == len(probs):  # r landed on the floating-point boundary
+        k = int(probs.nonzero()[0][-1])
+    return outcomes[k] if isinstance(state, SparseState) else int(outcomes[k])
 
 
 def sample_counts(
     state: SparseState, draws: int, rng: np.random.Generator
 ) -> Dict[str, int]:
     """Batched Born sampling: measurement outcome counts over ``draws``."""
-    norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
-    if abs(norm_sq - 1.0) > MEASURE_NORM_TOLERANCE:
-        raise NormalizationError(f"cannot measure: norm^2 = {norm_sq}")
-    keys = sorted(state.amplitudes)
-    probs = np.array([abs(state.amplitudes[b]) ** 2 for b in keys]) / norm_sq
-    counts = rng.multinomial(draws, probs)
-    return {b: int(c) for b, c in zip(keys, counts) if c}
+    outcomes, probs, cumulative = _born(state)
+    counts = rng.multinomial(draws, probs / cumulative[-1])
+    return {b: int(c) for b, c in zip(outcomes, counts) if c}

@@ -278,8 +278,36 @@ def test_found_state_always_has_negative_comparison():
         problem, _ = make_planted_problem(n, t, rng=np.random.default_rng(seed))
         out = modified_qsearch(problem, params, rng=np.random.default_rng(seed))
         assert out.succeeded
-        assert is_desired(out.result, problem.layout)
-        assert problem.layout.point_part(out.result) in set(point_strings(problem))
+        bits = problem.basis_string(out.result)
+        assert is_desired(bits, problem.layout)
+        assert problem.layout.point_part(bits) == point_strings(problem)[out.result]
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_search_formats_strings_only_for_round_records(t, monkeypatch):
+    """The loop decides by the problem's marks: with no on_round it formats
+    no basis string, whether it finds or fails; with one, one per round."""
+    formatted = []
+    basis_string = SearchProblem.basis_string
+
+    def counting_basis_string(self, slot):
+        formatted.append(slot)
+        return basis_string(self, slot)
+
+    monkeypatch.setattr(SearchProblem, "basis_string", counting_basis_string)
+    problem, _ = make_planted_problem(64, t, rng=np.random.default_rng(5))
+    params = QSearchParams(c=1.5, tau=0.01)
+    out = modified_qsearch(problem, params, rng=np.random.default_rng(0))
+    assert out.succeeded == (t > 0) and formatted == []
+    records = []
+    modified_qsearch(problem, params, rng=np.random.default_rng(0), on_round=records.append)
+    assert len(formatted) == len(records) == out.rounds_executed + 1
+
+
+def test_slot_zero_is_a_found_result():
+    problem, _ = make_planted_problem(16, 1, marked_indices=[0])
+    out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0))
+    assert out.result == 0 and out.succeeded
 
 
 def test_round_records_and_ledger_accounting():
@@ -421,7 +449,8 @@ def _recomputing_search(problem, params, rng, finite):
     sign_idx = problem.layout.comparison_sign_index
     l = u = q_apps = 0
     ledger.qsearch_rounds += 1
-    measured = measure(ops.apply(zero, ledger), rng)
+    slot = measure(ops.apply(zero, ledger), rng)
+    measured = problem.basis_string(slot)
     records.append(amplify.RoundRecord(0, 0, 0, 0, measured, measured[sign_idx] == "1"))
     while not records[-1].desired:
         if finite and u >= params.u_limit:
@@ -438,9 +467,10 @@ def _recomputing_search(problem, params, rng, finite):
         for _ in range(j):
             state = apply_Q(state, ops, ledger)
         q_apps += j
-        measured = measure(state, rng)
+        slot = measure(state, rng)
+        measured = problem.basis_string(slot)
         records.append(amplify.RoundRecord(l, m, j, u, measured, measured[sign_idx] == "1"))
-    return measured, l, u, q_apps, ledger, records
+    return slot, l, u, q_apps, ledger, records
 
 
 # The original loop ends only when something is marked.

@@ -97,7 +97,8 @@ def _check_engines(problem, t):
         assert abs(desired_probability(index_state) - expected) <= 1e-9
         assert abs(desired_probability(reference) - expected) <= 1e-9
         for seed in range(3):
-            assert measure(index_state, np.random.default_rng([seed, j])) == measure(
+            slot = measure(index_state, np.random.default_rng([seed, j]))
+            assert problem.basis_string(slot) == measure(
                 reference, np.random.default_rng([seed, j])
             )
         reference = apply_Q(reference, ops)
@@ -245,7 +246,6 @@ def test_row_order_zero_slot_and_basis_strings_are_the_string_forms(case):
         value = format(int(problem.units[k]), f"0{d}b")
         comparison = format(int(problem.comparisons[k]), f"0{d}b")
         assert problem.basis_string(k) == x + value + comparison
-        assert problem.slot(problem.basis_string(k)) == k
 
 
 @pytest.mark.parametrize("n,t", list(_planted_cases()))

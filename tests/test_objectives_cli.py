@@ -278,6 +278,10 @@ REFUSED = [
     # compare keeps every trial's row until it writes them: at most 2^20.
     ["compare", "--trials", "1048577"],
     ["compare", "--trials", "100000000000"],
+    # run holds every trial's lines too, under the same bound.
+    ["run", "--trials", "100000000000"],
+    # A negative budget would stop the run before its first iteration.
+    ["run", "--config", '{"max_oracle_calls": -1}'],
     ["compare", "--seed", "-1"],
     ["compare", "--objective", "sphere", "--planted-t", "1"],
     # With nothing to find, M outgrows the 64-bit draw of j before u reaches
@@ -391,6 +395,18 @@ def test_config_flags_are_those_of_the_table(capsys):
         "--config", "--dimension", "--objective", "--output", "--planted-t",
         "--search-points-count", "--search-radius", "--seed", "--tau", "--trials",
     ])
+
+
+@pytest.mark.parametrize(
+    "argv", [["compare", "--c", "1.7"], ["run", "--max", "3"]], ids=" ".join
+)
+def test_a_flag_prefix_is_not_a_flag(argv, capsys):
+    """compare's c key has no flag, so --c begins only --config, and --max
+    begins only run's --max-iterations: neither is read as that flag."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
 def test_run_refused_midway_leaves_existing_output_untouched(tmp_path, capsys):

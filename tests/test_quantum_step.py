@@ -255,6 +255,25 @@ def test_run_finishes_on_non_finite_objective_values(bad, backend):
             assert after < before, record
 
 
+def test_step_accepts_candidate_zero():
+    """Slot 0 is a result like any other: its recheck reads candidates[0:1]."""
+    basis = PatternBasis.coordinate(2)
+    config = step_config()
+    state = MeshState(np.zeros(2), 1.0, 0.0)
+    candidates = select_search_points(state, basis, config)
+
+    def only_first(x):
+        return -1.0 if np.array_equal(x, candidates[0]) else 1.0
+
+    ledger = OracleLedger()
+    out = quantum_search_step(
+        state, basis, config, PARAMS, only_first, ledger, candidates=candidates
+    )
+    assert out is not None and out.value == -1.0
+    assert np.array_equal(out.point, candidates[0])
+    assert ledger.classical_calls == 1
+
+
 def test_step_given_candidates_matches_own_selection():
     basis = PatternBasis.coordinate(2)
     config = step_config(rng_seed=5)

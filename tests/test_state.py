@@ -8,8 +8,10 @@ from qpsearch.state import (
     CollisionError,
     EmptyTargetsError,
     HouseholderPrepare,
+    IndexState,
     NormalizationError,
     RegisterLayout,
+    SearchProblem,
     SparseState,
     apply_basis_map,
     apply_phase,
@@ -284,6 +286,30 @@ def test_measure_born_frequencies():
     s = state(L1, **{"000": 0.6, "111": 0.8j})
     hits = sum(measure(s, rng) == "111" for _ in range(draws))
     assert abs(hits / draws - 0.64) < 0.01
+
+
+def test_measure_and_sample_counts_refuse_an_unnormalized_state_of_either_form():
+    problem = SearchProblem(np.arange(4)[:, None], "000", np.ones(4, dtype=np.int64))
+    for unnormalized in (
+        SparseState._raw(L1, {"000": 0.7}),
+        SparseState._raw(L1, {}),
+        IndexState(problem, np.full(problem.size, 0.4)),  # norm^2 0.64 over 4 slots
+    ):
+        with pytest.raises(NormalizationError):
+            measure(unnormalized, np.random.default_rng(0))
+        with pytest.raises(NormalizationError):
+            sample_counts(unnormalized, 10, np.random.default_rng(0))
+
+
+def test_measure_returns_each_forms_own_label():
+    """A SparseState's measurement is a basis string, an IndexState's a
+    candidate slot as a Python int."""
+    problem = SearchProblem(np.arange(4)[:, None], "000", np.ones(4, dtype=np.int64))
+    amplitudes = np.zeros(problem.size)
+    amplitudes[0] = 1.0
+    slot = measure(IndexState(problem, amplitudes), np.random.default_rng(0))
+    assert slot == 0 and type(slot) is int
+    assert measure(state(L1, **{"101": 1.0}), np.random.default_rng(0)) == "101"
 
 
 def test_sample_counts_matches_born_rule():
