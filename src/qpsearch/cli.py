@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,6 +192,25 @@ def _load_config(args: argparse.Namespace, keys: dict) -> dict:
     return config
 
 
+def _gps_settings(config: dict, keys: dict):
+    """The coordinate basis, GpsConfig and QSearchParams of a checked config.
+
+    A key named like a GpsConfig field sets it, as a float when its kind is
+    NUMBER; seed sets rng_seed, total_bits and frac_bits the register
+    format, and c and tau the loop constants.  A field the command has no key
+    for keeps its default.
+    """
+    basis = PatternBasis.coordinate(config["dimension"])
+    params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
+    fmt = FixedPointFormat(config["total_bits"], config["frac_bits"])
+    settings = {"fixed_point_format": fmt, "rng_seed": config["seed"]}
+    for key in (field.name for field in fields(GpsConfig)):
+        if key in keys:
+            value = config[key]
+            settings[key] = float(value) if keys[key].kind is NUMBER else value
+    return basis, GpsConfig(**settings), params
+
+
 def _line(record: dict) -> str:
     return json.dumps(record, sort_keys=True) + "\n"
 
@@ -232,21 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.count_marked and not config["emit_rounds"]:
             raise ConfigError("--count-marked needs --emit-rounds")
         objective = make_objective(config["objective"], n)
-        basis = PatternBasis.coordinate(n)
-        params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
-        fmt = FixedPointFormat(config["total_bits"], config["frac_bits"])
-        first = GpsConfig(
-            initial_mesh_size=float(config["initial_mesh_size"]),
-            expansion_factor=float(config["expansion_factor"]),
-            contraction_factor=float(config["contraction_factor"]),
-            mesh_size_tolerance=float(config["mesh_size_tolerance"]),
-            max_iterations=config["max_iterations"],
-            search_points_count=config["search_points_count"],
-            search_radius=config["search_radius"],
-            fixed_point_format=fmt,
-            rng_seed=config["seed"],
-            max_oracle_calls=config["max_oracle_calls"],
-        )
+        basis, first, params = _gps_settings(config, RUN_KEYS)
 
     lines = []
     for trial in range(config["trials"]):
@@ -326,16 +331,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args, COMPARE_KEYS)
     with _refuse_bad_values():
         n = config["dimension"]
-        basis = PatternBasis.coordinate(n)
-        fmt = FixedPointFormat(config["total_bits"], config["frac_bits"])
-        gps_config = GpsConfig(
-            initial_mesh_size=float(config["initial_mesh_size"]),
-            search_points_count=config["search_points_count"],
-            search_radius=config["search_radius"],
-            fixed_point_format=fmt,
-            rng_seed=config["seed"],
-        )
-        params = QSearchParams(c=float(config["c"]), tau=float(config["tau"]))
+        basis, gps_config, params = _gps_settings(config, COMPARE_KEYS)
         objective = None
         planted = config["planted_t"]
         if config["objective"] is not None:

@@ -38,10 +38,7 @@ def _sphere(n: int) -> Objective:
 
 def _quadratic100(n: int) -> Objective:
     # Diagonal quadratic with condition number 100.
-    if n == 1:
-        weights = np.array([1.0])
-    else:
-        weights = np.geomspace(1.0, 100.0, n)
+    weights = np.geomspace(1.0, 100.0, n)
 
     def f(x: np.ndarray) -> float:
         return float(np.dot(weights, np.asarray(x) ** 2))

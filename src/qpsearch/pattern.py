@@ -287,7 +287,7 @@ class GpsRun:
     """Full trace of one run plus why it stopped."""
 
     records: List[IterationRecord]
-    stop_reason: str  # mesh-tolerance | iteration-cap | budget-exhausted
+    stop_reason: str  # mesh-tolerance | iteration-cap | budget-exhausted | mesh-resolution
     final_state: MeshState
     ledger: OracleLedger
 
@@ -523,7 +523,9 @@ def gps_run(
     compute_t: bool = False,
 ) -> GpsRun:
     """Run the outer loop until the mesh is finer than the tolerance, the
-    iteration cap is hit, or the oracle budget runs out.
+    iteration cap is hit, the oracle budget runs out, or a contraction takes
+    the mesh steps off the register grid (checked from iteration 1 on, so
+    an initial mesh off the grid raises EncodingError instead).
 
     Each iteration tries the chosen search backend first and polls only on
     search failure.  The trace's incumbent values are non-increasing.  With
@@ -545,7 +547,12 @@ def gps_run(
             f"initial point has shape {x0.shape}, basis dimension is "
             f"{basis.dimension}"
         )
-    encode_point_exact(x0, config.fixed_point_format)
+    fmt = config.fixed_point_format
+    encode_point_exact(x0, fmt)
+    scale = 2**fmt.frac_bits
+    # D's distinct entries as Python floats, whose products overflow to inf
+    # without a warning.
+    entries = set(basis.directions.ravel().tolist())
 
     ledger = OracleLedger()
     ledger.classical_calls += 1
@@ -564,6 +571,12 @@ def gps_run(
             and ledger.total_calls >= config.max_oracle_calls
         ):
             stop = "budget-exhausted"
+            break
+        # Each step mesh_size * d must be whole register units (inf is not).
+        if state.iteration > 0 and not all(
+            (state.mesh_size * scale * d).is_integer() for d in entries
+        ):
+            stop = "mesh-resolution"
             break
 
         if search_backend == "classical":

@@ -118,7 +118,7 @@ class SparseState:
     __slots__ = ("layout", "amplitudes")
 
     def __init__(self, layout: RegisterLayout, amplitudes: Mapping[str, complex]):
-        amps = _finalize(dict(amplitudes), layout.total_bits, validate_keys=True)
+        amps = _finalize(dict(amplitudes), layout.total_bits)
         self.layout = layout
         self.amplitudes = amps
 
@@ -235,14 +235,12 @@ class IndexState:
         return self.problem.layout
 
 
-def _finalize(
-    amps: Dict[str, complex], width: int, validate_keys: bool = False
-) -> Dict[str, complex]:
-    """Prune tiny amplitudes, restore the pruned mass, check normalization."""
-    if validate_keys:
-        for b in amps:
-            if len(b) != width or any(ch not in "01" for ch in b):
-                raise ValueError(f"invalid basis string {b!r} for width {width}")
+def _finalize(amps: Dict[str, complex], width: int) -> Dict[str, complex]:
+    """Check the basis strings, prune tiny amplitudes, restore the pruned
+    mass, check normalization."""
+    for b in amps:
+        if len(b) != width or any(ch not in "01" for ch in b):
+            raise ValueError(f"invalid basis string {b!r} for width {width}")
     norm_sq = 0.0
     pruned: list[str] = []
     thresh_sq = PRUNE_THRESHOLD * PRUNE_THRESHOLD

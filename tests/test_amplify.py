@@ -369,6 +369,11 @@ def test_planted_problem_construction():
         make_planted_problem(0, 0)
 
 
+def test_planted_problem_refuses_a_marked_index_past_the_points():
+    with pytest.raises(ValueError, match="marked_indices inconsistent"):
+        make_planted_problem(4, 1, marked_indices=[5])
+
+
 def test_search_problem_validation():
     with pytest.raises(ValueError):
         SearchProblem(np.zeros((0, 1), dtype=int), "0000", np.array([], dtype=int))
@@ -396,6 +401,11 @@ def test_qsearch_params_validation():
         QSearchParams(tau=0.0)
     with pytest.raises(ValueError):
         QSearchParams(tau=1.5)
+
+
+def test_qsearch_params_refuses_a_round_cap_below_one():
+    with pytest.raises(ValueError, match="max_total_rounds must be positive"):
+        QSearchParams(max_total_rounds=0)
 
 
 # The orbit Q^j A|0> of one problem, read off the plane of A|0> and Q A|0>.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qpsearch
+from qpsearch import amplify, fixedpoint, ledger, objectives, pattern, quantum_step, state
 from qpsearch.cli import COMPARE_KEYS, RUN_KEYS, main
 from qpsearch.objectives import UnknownObjectiveError, make_objective, objective_names
 
@@ -27,6 +28,11 @@ def test_registry_contents():
     step = make_objective("step", 2)
     assert step(np.array([0.75, 0.5])) == 0.0
     assert step(np.array([2.5, -3.5])) == 5.0
+
+
+def test_quadratic100_in_one_dimension_is_the_square():
+    # geomspace(1, 100, 1) is [1.0]: one weight, no special case.
+    assert make_objective("quadratic100", 1)(np.array([3.0])) == 9.0
 
 
 def test_registry_errors():
@@ -173,6 +179,35 @@ def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("backend", ["classical", "quantum"])
+@pytest.mark.parametrize(
+    "argv,iterations,mesh_size",
+    [
+        # 2^-10 is the default register's grid; the contraction to 2^-11 is not.
+        (["--mesh-size-tolerance", "0.0001"], 14, 2.0**-11),
+        # An integer register: the first contraction below 1 leaves the grid.
+        (["--config", '{"total_bits": 8, "frac_bits": 0, "initial_mesh_size": 1, '
+          '"initial_point": [3, 3]}'], 5, 0.5),
+    ],
+    ids=["tolerance-1e-4", "integer-register"],
+)
+def test_run_stops_when_the_mesh_leaves_the_register_grid(
+    argv, iterations, mesh_size, backend, tmp_path
+):
+    if argv[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(argv[1])
+        argv = ["--config", str(config)]
+    out = tmp_path / "t.jsonl"
+    assert run_cli("run", *argv, "--backend", backend, "--output", str(out)) == 0
+    records = read_jsonl(out)
+    summary = records[-1]
+    assert summary["stop_reason"] == "mesh-resolution"
+    assert summary["iterations"] == iterations == len(records) - 1
+    assert summary["final_mesh_size"] == mesh_size
+    assert records[-2]["mesh_size"] == 2 * mesh_size  # the last mesh on the grid
+
+
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
 def test_run_finishes_from_an_incumbent_the_register_cannot_hold(tmp_path, backend):
     # rosenbrock(2, 2) = 401 is far above the default 16/10 register's
     # maximum of 31.999; the quantum step saturates the incumbent's value.
@@ -242,6 +277,8 @@ REFUSED = [
     ["run", "--config", '{"initial_point": [Infinity, 0.5]}'],
     ["run", "--config", '{"initial_mesh_size": Infinity}'],
     ["run", "--config", '{"mesh_size_tolerance": NaN}'],
+    # Valid JSON that is not an object of keys.
+    ["run", "--config", "[1, 2]"],
     # An initial point that is not n numbers.
     ["run", "--config", '{"initial_point": [[0.5], [0.5]]}'],
     ["run", "--config", '{"initial_point": "ab"}'],
@@ -531,3 +568,18 @@ def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
     config = summary["config"]
     assert (config["objective"], config["backend"], config["seed"]) == ("sphere", "quantum", 0)
     assert (config["tau"], config["emit_rounds"], config["max_iterations"]) == (0.01, False, 3)
+
+
+MODULES = (amplify, fixedpoint, ledger, objectives, pattern, quantum_step, state)
+
+
+def test_the_package_exports_exactly_each_modules_all():
+    exported = {
+        name
+        for name, value in vars(qpsearch).items()
+        if not name.startswith("_") and not isinstance(value, type(qpsearch))
+    }
+    assert exported == {name for module in MODULES for name in module.__all__}
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(qpsearch, name) is getattr(module, name), name

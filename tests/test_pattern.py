@@ -95,6 +95,11 @@ def test_positive_spanning_edge_cases():
     assert not positive_spanning_check(np.hstack([eye, -eye[:, :2]]))
 
 
+def test_positive_spanning_refuses_a_matrix_with_no_rows():
+    with pytest.raises(DimensionMismatchError, match="at least one row"):
+        positive_spanning_check(np.zeros((0, 2)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_positive_spanning_refuses_non_finite_entries(bad):
     # NaN used to fail inside the SVD, and inf to read as not spanning.
@@ -188,6 +193,24 @@ def test_pattern_basis_refuses_non_finite_generating_entries(bad):
     g[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         PatternBasis(g, np.hstack([np.eye(2, dtype=int), -np.eye(2, dtype=int)]))
+
+
+def test_pattern_basis_refuses_mismatched_shapes():
+    with pytest.raises(DimensionMismatchError, match="must be square"):
+        PatternBasis(np.ones((2, 3)), np.eye(2, dtype=int))
+    with pytest.raises(DimensionMismatchError, match="must be 2 x p"):
+        PatternBasis(np.eye(2), np.eye(3, dtype=int))
+
+
+def test_mesh_state_refuses_a_mesh_size_of_zero():
+    with pytest.raises(ValueError, match="mesh size must be positive"):
+        MeshState(np.zeros(1), 0.0, 0.0)
+
+
+def test_mesh_point_refuses_z_of_the_wrong_length():
+    state = MeshState(np.zeros(2), 1.0, 0.0)
+    with pytest.raises(DimensionMismatchError, match="z must have length 4"):
+        mesh_point(state, PatternBasis.coordinate(2), [1, 0, 0])
 
 
 def test_mesh_point_examples():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qpsearch.amplify import PreparationOperator, make_planted_problem
 from qpsearch.state import (
     CollisionError,
     EmptyTargetsError,
@@ -325,3 +326,21 @@ def test_measure_reproducible_for_fixed_seed():
     a = [measure(s, np.random.default_rng(123)) for _ in range(10)]
     b = [measure(s, np.random.default_rng(123)) for _ in range(10)]
     assert a == b
+
+
+def test_pack_refuses_a_register_of_the_wrong_width():
+    with pytest.raises(ValueError, match="do not match the layout widths"):
+        RegisterLayout(4, 2).pack("0", "00", "00")
+
+
+def test_sparse_state_prunes_a_tiny_amplitude_and_stays_normalized():
+    s = SparseState(L1, {"000": 0.6, "001": 0.8, "010": 1e-13})
+    assert set(s.amplitudes) == {"000", "001"}
+    assert sum(abs(a) ** 2 for a in s.amplitudes.values()) == pytest.approx(1.0)
+
+
+def test_spread_refuses_an_unnormalized_index_state():
+    problem, _ = make_planted_problem(4, 1, rng=np.random.default_rng(0))
+    prepared = PreparationOperator(problem).apply(IndexState.zero(problem))
+    with pytest.raises(NormalizationError, match="norm"):
+        problem.spread(IndexState(problem, 2 * prepared.amplitudes))
