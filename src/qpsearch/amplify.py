@@ -12,6 +12,11 @@ where load, oracle and add only relabel slots: A and A^-1 are both the
 spreading reflection, S_chi multiplies by the problem's sign vector and S0
 negates the zero point's slot.  On a SparseState, the reference simulator,
 the same operators act string by string.
+
+A search that marks nothing and records no rounds simulates no state: no
+round can succeed and no slot is read, so a round's measurement is just its
+one rng.random().  The schedule, the j draws and their int64 guard, the
+ledger counts, the tau stop and the round cap run as in the simulated loop.
 """
 from __future__ import annotations
 
@@ -328,7 +333,8 @@ def _run_search(
         rng = np.random.default_rng(0)
     if ledger is None:
         ledger = OracleLedger()
-    iterate = _plane(problem)
+    blind = on_round is None and not problem.n_marked  # see the module docstring
+    iterate = None if blind else _plane(problem)
     u_limit = params.u_limit
     schedule = _schedule(problem.n_points, params)
 
@@ -340,8 +346,12 @@ def _run_search(
         ledger.qsearch_rounds += 1
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
-        k = measure(iterate(j), rng)
-        desired = problem.marks.item(k) < 0
+        if blind:
+            rng.random()  # the one draw measure would take
+            desired = False
+        else:
+            k = measure(iterate(j), rng)
+            desired = problem.marks.item(k) < 0
         if on_round is not None:
             on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
         if desired:

@@ -85,11 +85,6 @@ def _build_problem(
     return SearchProblem(units, incumbent_bits, value_units & mask)
 
 
-def _marked_count(problem: SearchProblem) -> int:
-    """The number t of marked candidates (test/report mode only)."""
-    return int(np.count_nonzero(problem.marks < 0))
-
-
 def quantum_search_step(
     state: MeshState,
     basis: PatternBasis,
@@ -151,7 +146,7 @@ def quantum_search_step(
             "ledger_delta": delta.as_dict(),
         }
         if compute_t:
-            event["t"] = _marked_count(problem)
+            event["t"] = problem.n_marked
         event_sink(event)
     return accepted
 

@@ -169,11 +169,11 @@ class SearchProblem:
     ``x_j || f_j || (f_j - f_k) mod 2^d``.  A moves no amplitude off these
     slots, so the loop's operators act on them as O(N) vector operations.
     After A the zero point's slot holds no amplitude beyond rounding and is
-    never measured.
+    never measured.  ``n_marked`` is t, the number of marked candidates.
     """
 
     __slots__ = ("point_units", "incumbent_value_bits", "units", "spread", "layout",
-                 "comparisons", "marks", "zero", "size", "order")
+                 "comparisons", "marks", "n_marked", "zero", "size", "order")
 
     def __init__(
         self, point_units: np.ndarray, incumbent_value_bits: str, units: np.ndarray
@@ -195,8 +195,10 @@ class SearchProblem:
         self.zero = spread.zero_slot
         self.size = max(n, self.zero + 1)
         # S_chi as a sign vector: -1 where the comparison register is negative.
+        negative = (self.comparisons & (1 << (vb - 1))) != 0
         self.marks = np.ones(self.size)
-        self.marks[:n][(self.comparisons & (1 << (vb - 1))) != 0] = -1.0
+        self.marks[:n][negative] = -1.0
+        self.n_marked = int(np.count_nonzero(negative))
         # Measurement visits candidates in sorted string order; point parts
         # are distinct, so this is the order of the full-width strings.
         self.order = spread.order

@@ -519,19 +519,86 @@ def test_qsearch_safety_cap_equals_recomputing_reference():
 
 
 def test_search_applies_q_once_per_problem(monkeypatch):
-    calls = []
-    counted = amplify.apply_Q
+    """A search simulates Q once per problem, and one that marks nothing and
+    records no rounds simulates no state: it leaves the same ledger."""
+    calls = {}
 
-    def counting_apply_Q(*args, **kwargs):
-        calls.append(1)
-        return counted(*args, **kwargs)
+    def count(name):
+        counted = getattr(amplify, name)
 
-    monkeypatch.setattr(amplify, "apply_Q", counting_apply_Q)
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(amplify, name, counting)
+
+    count("apply_Q")
+    count("measure")
+
+    def search(problem, on_round):
+        calls.update(apply_Q=0, measure=0)
+        ledger = OracleLedger()
+        out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0),
+                               ledger=ledger, on_round=on_round)
+        return out, ledger, dict(calls)
+
     problem, _ = make_planted_problem(1024, 0)
-    ledger = OracleLedger()
-    out = modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0), ledger=ledger)
+    out, ledger, counts = search(problem, [].append)
     assert out.result is None and ledger.q_applications > 1000
-    assert len(calls) == 1
+    assert counts["apply_Q"] == 1
+    blind_out, blind_ledger, counts = search(problem, None)
+    assert counts == {"apply_Q": 0, "measure": 0}
+    assert blind_out == out and blind_ledger == ledger
+    _, _, counts = search(make_planted_problem(1024, 1)[0], None)
+    assert counts["apply_Q"] == 1
+
+
+def _search_with_and_without_rounds(search, problem, params, seed):
+    """Run one search from one seed with round records and without: per run,
+    the outcome or the raised error's type and message, the ledger and the
+    generator's state afterwards."""
+    runs = []
+    for on_round in ([].append, None):
+        rng, ledger = np.random.default_rng(seed), OracleLedger()
+        try:
+            result = search(problem, params, rng=rng, ledger=ledger, on_round=on_round)
+        except (DomainError, SafetyCapReachedError) as exc:
+            result = (type(exc), str(exc))
+        runs.append((result, ledger, rng.bit_generator.state))
+    return runs
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 1024])
+@pytest.mark.parametrize(
+    "search,params",
+    [
+        (modified_qsearch, QSearchParams()),
+        (modified_qsearch, QSearchParams(tau=0.05)),
+        (qsearch, QSearchParams(max_total_rounds=12)),  # raises at the cap
+    ],
+)
+def test_search_that_marks_nothing_equals_the_simulated_search(search, params, n):
+    """With t = 0 and no round records the loop simulates no state; what it
+    returns or raises, its ledger and its generator stream stay those of the
+    simulated loop."""
+    problem, _ = make_planted_problem(n, 0)
+    for seed in range(5):
+        simulated, blind = _search_with_and_without_rounds(search, problem, params, seed)
+        assert blind == simulated
+        if search is qsearch:
+            assert simulated[0][0] is SafetyCapReachedError
+
+
+def test_search_that_marks_nothing_is_refused_where_the_simulated_search_is():
+    """tau = 1e-14 at N = 16: both forms refuse round 108's j draw with the
+    same error, after the same ledger and the same draws."""
+    problem, _ = make_planted_problem(16, 0)
+    for seed in range(5):
+        simulated, blind = _search_with_and_without_rounds(
+            modified_qsearch, problem, QSearchParams(tau=1e-14), seed
+        )
+        assert blind == simulated
+        assert simulated[0][0] is DomainError and "round 108 " in simulated[0][1]
 
 
 @pytest.mark.parametrize(

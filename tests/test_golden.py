@@ -11,6 +11,12 @@ The ``run`` cases start from the criterion-6 points, whose values fit the
 default 16/10 register (quadratic100 from the CLI default (0.75, 0.75) does
 not).  The real-objective ``compare`` case uses rosenbrock from the origin in
 format 8/0: one candidate improves and most values saturate the register.
+
+The ``-quiet`` cases are the quantum ``run`` cases without ``--emit-rounds``.
+Without round records a search step that marks nothing simulates no state, so
+they are the cases that reach that path.  Their hashes were recorded at commit
+e07cbd2, where every search step still ran the simulator: they pin that a
+quiet run prints what the simulated run printed.
 """
 import hashlib
 import json
@@ -48,6 +54,14 @@ GOLDEN = {
     "run-step-classical-1": "24e6d69b5cf614af8df2006a8365e5710cbba7b46c5a1c85d9b03d567fa025f6",
     "run-step-quantum-0": "1d4bdc8ffff62253be1e41f914cb97b17a0f732d0967b71a2c5e9e35290527d0",
     "run-step-quantum-1": "44db1428b2fd790e26f86bfe8df1ab838b00f28760e0460c1ee8c7b4a30b06a7",
+    "run-quadratic100-quantum-0-quiet": "9e41f7cc8395f34812e0a8fdce978342d7e0fa7a5a6e43fb0f8e54dc30660b7a",
+    "run-quadratic100-quantum-1-quiet": "7fd4f772831c7993ecba59fb16200a762012cf565bf18c7ed98c87442d83b64f",
+    "run-rosenbrock-quantum-0-quiet": "5f3419b3bf8181fb68e190da23f61fc65e458b6b902e0067bf80fa04087dde50",
+    "run-rosenbrock-quantum-1-quiet": "163ab31a6a37485b5a5c425a3c6c09f837259980ae0a2284999a980f8e43c3aa",
+    "run-sphere-quantum-0-quiet": "e101c88673a407c9034a82066aa45b21c1b090e38678cf8bcce8fb5dca0dc70a",
+    "run-sphere-quantum-1-quiet": "44dc717f0667c75acf3a0ee1ddf4c02a8b7e58a754b1dc359f22912de14d5753",
+    "run-step-quantum-0-quiet": "19b783689b4160504b406540d0b7e8344c1801094b4d063a395c8ab1018859ed",
+    "run-step-quantum-1-quiet": "34ec60d1ec68d129b44e6faddfa4e78cb6a5803ae7e53ff6608cf1e3d54c5c1f",
     "compare-planted": "5bf2768c3ec0d0ff37dca2b7db37c992a090e1259ade8617b0243fc1c2dd0666",
     "compare-rosenbrock": "dbe23a93f1276d171f92eaa8c739137bf20bb542b45a7eba996da453993cf65e",
 }
@@ -62,10 +76,11 @@ def _argv(case: str, tmp_path) -> list:
         config.write_text(json.dumps({"objective": "rosenbrock", "planted_t": None}))
         return ["compare", "--config", str(config), "--search-points-count", "64",
                 "--search-radius", "4", "--trials", "4"]
-    _, objective, backend, seed = case.split("-")
+    _, objective, backend, seed, *quiet = case.split("-")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"objective": objective, "initial_point": START[objective]}))
-    return ["run", "--config", str(config), "--backend", backend, "--seed", seed, *RUN_FLAGS]
+    flags = [f for f in RUN_FLAGS if not (quiet and f == "--emit-rounds")]
+    return ["run", "--config", str(config), "--backend", backend, "--seed", seed, *flags]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

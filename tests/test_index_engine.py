@@ -17,7 +17,7 @@ from qpsearch.amplify import (
 from qpsearch.fixedpoint import FixedPointFormat, encode_point_exact, encode_scalar_saturating
 from qpsearch.ledger import OracleLedger
 from qpsearch.pattern import GpsConfig, MeshState, PatternBasis, select_search_points
-from qpsearch.quantum_step import _build_problem, _marked_count, quantum_search_step
+from qpsearch.quantum_step import _build_problem, quantum_search_step
 from qpsearch.state import EmptyTargetsError, IndexState, RegisterLayout, measure
 
 TOL = 1e-12
@@ -115,7 +115,7 @@ def test_index_engine_matches_reference_planted(n, t):
 def test_index_engine_matches_reference_search_step(name, problem):
     assert "0" * problem.layout.point_bits in point_strings(problem)
     assert problem.size == problem.n_points  # no extra zero slot
-    t = _marked_count(problem)
+    t = problem.n_marked
     assert 0 < t < problem.n_points
     if name == "saturated":
         top = (1 << (problem.layout.value_bits - 1)) - 1
@@ -158,7 +158,7 @@ def test_sign_vector_marks_exactly_the_improving_points(d, data):
     assert set(by_point) == set(points)
     for k, x in enumerate(points):
         assert (marks[k] == -1.0) == is_desired(by_point[x], layout), (values[k], incumbent)
-    assert _marked_count(problem) == np.count_nonzero(marks == -1.0)
+    assert problem.n_marked == np.count_nonzero(marks == -1.0)
 
 
 def _assert_same_layout(array_built, string_built):
@@ -170,7 +170,7 @@ def _assert_same_layout(array_built, string_built):
     assert (a.zero, a.size) == (b.zero, b.size)
     assert [a.basis_string(i) for i in range(n)] == [b.basis_string(i) for i in range(n)]
     assert np.array_equal(a.units, b.units)
-    assert _marked_count(array_built) == _marked_count(string_built)
+    assert array_built.n_marked == string_built.n_marked
 
 
 def _signed(x):
@@ -275,7 +275,7 @@ def test_build_calls_the_objective_once_per_candidate():
     assert calls[1:] == [y.tobytes() for y in points]
     for _ in range(2):
         PreparationOperator(problem).prepare_from_zero()
-    _marked_count(problem)
+    assert 0 <= problem.n_marked <= problem.n_points
     assert len(calls) == 1 + problem.n_points
 
     calls.clear()
@@ -297,7 +297,7 @@ def test_search_problem_needs_units_that_fit_the_value_register():
         SearchProblem(points, "0000", None)
     problem = SearchProblem(points, "0000", np.array([15, 3]))
     assert problem.units.tolist() == [15, 3]
-    assert _marked_count(problem) == 1
+    assert problem.n_marked == 1
 
 
 @pytest.mark.parametrize("name,problem", list(_build_cases()))
