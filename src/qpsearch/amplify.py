@@ -20,10 +20,9 @@ ledger counts, the tau stop and the round cap run as in the simulated loop.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -310,17 +309,6 @@ def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
     return iterate
 
 
-def _schedule(n_points: int, params: QSearchParams) -> Iterator[Tuple[int, int, int]]:
-    """The loop's rounds l = 1, 2, ... as (l, M, u): M = ceil(c^l), and u
-    counts the rounds so far whose M exceeds sqrt(N) (M^2 > N exactly)."""
-    u = 0
-    for l in itertools.count(1):
-        m = math.ceil(params.c**l)
-        if m * m > n_points:
-            u += 1
-        yield l, m, u
-
-
 def _run_search(
     problem: SearchProblem,
     params: QSearchParams,
@@ -336,9 +324,9 @@ def _run_search(
     blind = on_round is None and not problem.n_marked  # see the module docstring
     iterate = None if blind else _plane(problem)
     u_limit = params.u_limit
-    schedule = _schedule(problem.n_points, params)
 
-    # Round 0 measures A|0> itself.
+    # Round 0 measures A|0> itself.  Round l draws j from [1, M], M = ceil(c^l),
+    # and u counts the rounds so far whose M exceeds sqrt(N) (M^2 > N exactly).
     l = m = j = u = 0
     while True:
         # The ledger counts each round as prepared afresh: A, then j iterates
@@ -364,7 +352,9 @@ def _run_search(
                 f"no desired state found in {l} rounds; with zero marked "
                 "states the original loop would never terminate"
             )
-        l, m, u = next(schedule)
+        l += 1
+        m = math.ceil(params.c**l)
+        u += m * m > problem.n_points
         if m + 1 > 1 << 63:  # rng.integers draws int64s
             raise (DomainError if finite else SafetyCapReachedError)(
                 f"no desired state found; round {l} would draw j from [1, {m}], "
@@ -417,24 +407,41 @@ def failure_round_bound(n_points: int, params: QSearchParams) -> int:
     )
 
 
-def last_failing_round(n_points: int, params: QSearchParams) -> int:
-    """The round at which a finite search over N points that finds nothing
-    gives up.
+MAX_SCHEDULE_ROUNDS = 100_000  # the longest failing search; see the README
 
-    Runs the loop's own schedule, M = ceil(c^l) with u advancing while
-    M^2 > N, and raises DomainError if a round before that one would draw j
-    past numpy's int64 range, so that a tau no failing search can reach is
-    refused before anything is evaluated.
-    """
-    for l, m, u in _schedule(n_points, params):
-        if m + 1 > 1 << 63:  # as in _run_search
-            raise DomainError(
-                f"tau={params.tau} is out of reach at N={n_points}: a search "
-                f"that finds nothing would reach round {l} and draw j from "
-                f"[1, {m}], past numpy's int64 range (c={params.c})"
-            )
-        if u >= params.u_limit:
-            return l
+
+def _first_round_above(c: float, k: int) -> int:
+    """The first round l >= 1 with ceil(c**l) > k >= 1: estimated from
+    logarithms, then fixed up with the schedule's own c**l."""
+    l = max(1, math.floor(math.log(k) / math.log1p(c - 1.0)))
+    while l > 1 and c ** (l - 1) > k:
+        l -= 1
+    while not c**l > k:
+        l += 1
+    return l
+
+
+def last_failing_round(n_points: int, params: QSearchParams) -> int:
+    """The round L at which a finite search over N points that finds nothing
+    gives up: u counts from the first round l0 with M > isqrt(N), that is
+    M^2 > N, so L = l0 - 1 + ceil(u_limit).  Raises DomainError, before
+    anything is evaluated, if a round up to L would draw j past numpy's int64
+    range (a tau no failing search can reach) or if L > MAX_SCHEDULE_ROUNDS."""
+    c = params.c
+    last = _first_round_above(c, math.isqrt(n_points)) - 1 + math.ceil(params.u_limit)
+    far = _first_round_above(c, (1 << 63) - 1)  # M + 1 > 2^63, as in _run_search
+    if far <= last:
+        raise DomainError(
+            f"tau={params.tau} is out of reach at N={n_points}: a search "
+            f"that finds nothing would reach round {far} and draw j from "
+            f"[1, {math.ceil(c**far)}], past numpy's int64 range (c={c})"
+        )
+    if last > MAX_SCHEDULE_ROUNDS:
+        raise DomainError(
+            f"c={c} is too close to 1 at N={n_points}: a failing search would "
+            f"run {last} rounds, past {MAX_SCHEDULE_ROUNDS} (tau={params.tau})"
+        )
+    return last
 
 
 def analytic_success_probability(n: int, t: int, j: int) -> float:

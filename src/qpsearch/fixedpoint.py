@@ -113,10 +113,11 @@ def encode_units_saturating(
         raise error(f"cannot encode {v} in {fmt.total_bits}-bit format")
     # Values more than one unit past the range saturate whatever their size;
     # clipping them first keeps the scaling finite.
-    x = np.clip(x, fmt.min_value - 1.0, fmt.max_value + 1.0)
+    x = np.maximum(np.minimum(x, fmt.max_value + 1.0), fmt.min_value - 1.0)
     scaled = x * (1 << fmt.frac_bits)
-    rounded = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
-    clamped = np.clip(rounded, fmt.min_units, fmt.max_units)
+    # |s| + 0.5 rounds as -(s - 0.5) does for s < 0: ties go away from zero.
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    clamped = np.maximum(np.minimum(rounded, fmt.max_units), fmt.min_units)
     return clamped.astype(np.int64), clamped != rounded
 
 

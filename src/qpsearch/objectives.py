@@ -2,7 +2,7 @@
 
 The registry ships a convex bowl, an ill-conditioned quadratic, the banana
 valley, and a staircase plateau whose flat regions force search steps to
-come up empty.
+come up empty.  Each has an ``on_rows(X)`` array form, equal bit for bit.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ def _sphere(n: int) -> Objective:
     def f(x: np.ndarray) -> float:
         return float(np.dot(x, x))
 
+    f.on_rows = lambda X: np.vecdot(X, X)  # one BLAS dot per row, as np.dot
     return f
 
 
@@ -43,6 +44,8 @@ def _quadratic100(n: int) -> Objective:
     def f(x: np.ndarray) -> float:
         return float(np.dot(weights, np.asarray(x) ** 2))
 
+    # Squared in C order, as each row's square is: a strided dot rounds apart.
+    f.on_rows = lambda X: np.vecdot(weights, np.ascontiguousarray(X) ** 2)
     return f
 
 
@@ -53,6 +56,10 @@ def _rosenbrock(n: int) -> Objective:
     def f(x: np.ndarray) -> float:
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
+    # A float64's ** 2 is libm's pow, as np.float_power is per entry; an
+    # array's ** 2 is x * x, which pow rounds apart from now and then.
+    pw = np.float_power
+    f.on_rows = lambda X: 100.0 * pw(X[:, 1] - pw(X[:, 0], 2), 2) + pw(1.0 - X[:, 0], 2)
     return f
 
 
@@ -62,6 +69,7 @@ def _step(n: int) -> Objective:
     def f(x: np.ndarray) -> float:
         return float(np.sum(np.floor(np.abs(x))))
 
+    f.on_rows = lambda X: np.floor(np.abs(X)).sum(axis=1)  # whole terms: exact in any order
     return f
 
 

@@ -431,9 +431,9 @@ def select_search_points(
         bad = off_grid | (scaled < fmt.min_units) | (scaled > fmt.max_units)
         # encode_point_exact stops at a row's first bad coordinate: off the
         # grid it raises, out of range the row is skipped.
-        raises = off_grid[np.arange(len(z)), bad.argmax(axis=1)]
-        end = int(raises.argmax()) if raises.any() else len(z)
-        rows = np.flatnonzero(~bad[:end].any(axis=1) & z[:end].any(axis=1))
+        raises = off_grid[np.arange(len(z)), bad.argmax(axis=1)] if off_grid.any() else ()
+        end = int(np.argmax(raises)) if np.any(raises) else len(z)
+        rows = np.flatnonzero(~bad[:end].any(axis=1))  # z = 0 gives the incumbent's key
         keys = scaled[rows].astype(np.int64).view(key_type).ravel().tolist()
         taken = []
         for i, key in zip(rows.tolist(), keys):

@@ -56,6 +56,12 @@ def _row_bytes(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
+def _values(points: np.ndarray, objective: Callable[[np.ndarray], float]) -> np.ndarray:
+    # Unledgered: one on_rows call if the objective has that form, else one per row.
+    on_rows = getattr(objective, "on_rows", None)
+    return on_rows(points) if on_rows else np.array([float(objective(y)) for y in points])
+
+
 def _build_problem(
     points: np.ndarray,
     incumbent_value: float,
@@ -66,22 +72,18 @@ def _build_problem(
     their order: candidate k's point register holds the units
     ``points[k] * 2^q`` of each coordinate in two's complement.
 
-    The objective's values simulate the oracle F and are not ledgered
-    classical calls: one ``objective.on_rows(points)`` call when the
-    objective has that array form, else one call per candidate.  Values, the
-    incumbent's among them, saturate at the register's ends, NaN and +inf at
-    the top and -inf at the bottom: an improving candidate above the
-    register maximum goes unmarked, and the classical recheck after
-    measurement rejects any mark the saturation or a wrapped difference gets
-    wrong.
+    The objective's values (``_values``) simulate the oracle F and are not
+    ledgered classical calls.  Values, the incumbent's among them, saturate
+    at the register's ends, NaN and +inf at the top and -inf at the bottom:
+    an improving candidate above the register maximum goes unmarked, and the
+    classical recheck after measurement rejects any mark the saturation or a
+    wrapped difference gets wrong.
     """
     fmt = config.fixed_point_format
     mask = (1 << fmt.total_bits) - 1
     units = (points * (1 << fmt.frac_bits)).astype(np.int64) & mask
     incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
-    on_rows = getattr(objective, "on_rows", None)
-    values = on_rows(points) if on_rows else [float(objective(y)) for y in points]
-    value_units, _ = encode_units_saturating(_finite(values), fmt)
+    value_units, _ = encode_units_saturating(_finite(_values(points, objective)), fmt)
     return SearchProblem(units, incumbent_bits, value_units & mask)
 
 
@@ -229,7 +231,7 @@ def compare_backends(
 
             t = planted_t
         else:
-            t = sum(1 for y in points if float(objective(y)) < incumbent)
+            t = int(np.count_nonzero(_values(points, objective) < incumbent))
 
         classical_ledger = OracleLedger()
         c_outcome = classical_search_step(

@@ -1,4 +1,5 @@
 """Amplification: preparation operator, reflections, Q dynamics, both loops."""
+import itertools
 import math
 
 import numpy as np
@@ -623,6 +624,48 @@ def test_last_failing_round_refuses_an_unreachable_tau():
     assert last_failing_round(16, QSearchParams(tau=2e-13)) == 105
     with pytest.raises(DomainError, match=r"tau=5e-14 .* round 108 "):
         last_failing_round(16, QSearchParams(tau=5e-14))
+
+
+def walked_last_failing_round(n_points, params):
+    """The reference: walk the loop's schedule to the round where u reaches
+    u_limit, or to the first j draw past int64 (returned as an error)."""
+    u = 0
+    for l in itertools.count(1):
+        m = math.ceil(params.c**l)
+        if m + 1 > 1 << 63:
+            return ("int64", l, m)
+        u += m * m > n_points
+        if u >= params.u_limit:
+            return l
+
+
+@pytest.mark.parametrize("c", [1.001, 1.01, 1.1, 1.3, 1.5, 1.7, 1.9, 1.999])
+def test_last_failing_round_equals_the_walk(c):
+    for n in [1, 2, 3, 4, 15, 16, 17, 64, 255, 256, 1024, 4096, 2**20]:
+        for tau in [0.9, 0.5, 0.05, 0.01, 1e-6, 5e-14, 1e-300]:
+            params = QSearchParams(c=c, tau=tau)
+            walked = walked_last_failing_round(n, params)
+            if isinstance(walked, int):
+                assert last_failing_round(n, params) == walked, (n, tau)
+            else:
+                _, l, m = walked
+                with pytest.raises(DomainError, match=rf"round {l} .*\[1, {m}\]"):
+                    last_failing_round(n, params)
+
+
+def test_last_failing_round_refuses_a_schedule_past_the_cap(monkeypatch):
+    """At N = 256 a failing search runs 27,744 rounds at c = 1.0001 and
+    277,277 at c = 1.00001, found without a walk."""
+    assert last_failing_round(256, QSearchParams(c=1.0001)) == 27_744
+    with pytest.raises(DomainError, match=r"c=1\.00001 .* 277277 rounds, past 100000"):
+        last_failing_round(256, QSearchParams(c=1.00001))
+    with pytest.raises(DomainError, match=r"past 100000"):
+        last_failing_round(16, QSearchParams(c=1 + 2**-52))
+    monkeypatch.setattr(amplify, "MAX_SCHEDULE_ROUNDS", 27_744)
+    assert last_failing_round(256, QSearchParams(c=1.0001)) == 27_744
+    monkeypatch.setattr(amplify, "MAX_SCHEDULE_ROUNDS", 27_743)
+    with pytest.raises(DomainError, match=r"27744 rounds, past 27743"):
+        last_failing_round(256, QSearchParams(c=1.0001))
 
 
 @pytest.mark.parametrize("n,tau", [(1, 0.5), (16, 0.01), (16, 2e-13), (1024, 1e-6)])

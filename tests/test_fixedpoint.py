@@ -213,6 +213,44 @@ def test_vectorized_encoder_matches_the_scalar_rule(case):
         assert (u, sat) == expected, v
 
 
+def clip_where_units_saturating(values, fmt):
+    """The array rule before it was written in plain ufuncs: np.clip and a
+    np.where of floor(s + 0.5) and ceil(s - 0.5)."""
+    x = np.clip(np.asarray(values, dtype=float), fmt.min_value - 1.0, fmt.max_value + 1.0)
+    scaled = x * (1 << fmt.frac_bits)
+    rounded = np.where(scaled >= 0, np.floor(scaled + 0.5), np.ceil(scaled - 0.5))
+    clamped = np.clip(rounded, fmt.min_units, fmt.max_units)
+    return clamped.astype(np.int64), clamped != rounded
+
+
+@st.composite
+def formats_and_edge_values(draw):
+    d = draw(st.integers(2, 32))
+    fmt = FixedPointFormat(d, draw(st.integers(0, d - 1)))
+    near = st.integers(4 * fmt.min_units, 4 * fmt.max_units)
+    ties = near.map(lambda k: math.ldexp(k + 0.5, -fmt.frac_bits))
+    edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                             1e308, -1e308, math.ldexp(0.5, -fmt.frac_bits),
+                             math.ldexp(-0.5, -fmt.frac_bits)])
+    subnormals = st.floats(-2.2e-308, 2.2e-308)
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(st.one_of(ties, edges, subnormals, anything),
+                           min_size=1, max_size=20))
+    return fmt, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(formats_and_edge_values())
+@example((FixedPointFormat(4, 1), [0.25, -0.25, 0.75, -0.75, -0.0, 5e-324, -5e-324]))
+@example((FixedPointFormat(32, 0), [1e308, -1e308, 2147483647.5, -2147483648.5]))
+def test_encoder_matches_the_clip_where_rule(case):
+    fmt, values = case
+    units, saturated = encode_units_saturating(values, fmt)
+    expected_units, expected_saturated = clip_where_units_saturating(values, fmt)
+    assert units.tolist() == expected_units.tolist()
+    assert saturated.tolist() == expected_saturated.tolist()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("fmt", [F40, FixedPointFormat(32, 31), FixedPointFormat(18, 8)])
 def test_vectorized_encoder_refuses_non_finite_values(bad, fmt):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qpsearch
 from qpsearch import amplify, fixedpoint, ledger, objectives, pattern, quantum_step, state
@@ -33,6 +35,43 @@ def test_registry_contents():
 def test_quadratic100_in_one_dimension_is_the_square():
     # geomspace(1, 100, 1) is [1.0]: one weight, no special case.
     assert make_objective("quadratic100", 1)(np.array([3.0])) == 9.0
+
+
+REGISTER_MAX = 2.0**31  # the largest magnitude a 32-bit register holds
+
+
+@st.composite
+def objective_rows(draw):
+    """A registry objective with an (N, n) array of rows for it: standard
+    normals or uniform values scaled up to the register range, optionally
+    rounded to a 2^-q grid, in C or Fortran order."""
+    name = draw(st.sampled_from(objective_names()))
+    n = 2 if name == "rosenbrock" else draw(st.sampled_from([*range(1, 9), 1024]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 40)), n)
+    scale = 2.0 ** draw(st.integers(0, 31))
+    if draw(st.booleans()):
+        rows = rng.standard_normal(shape) * scale
+    else:
+        rows = rng.uniform(-scale, scale, shape)
+    rows = np.clip(rows, -REGISTER_MAX, REGISTER_MAX)
+    q = draw(st.none() | st.integers(0, 31))
+    if q is not None:
+        rows = np.ldexp(np.round(np.ldexp(rows, q)), -q)
+    return name, np.array(rows, order=draw(st.sampled_from("CF")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective_rows())
+# libm's pow squares the second difference one unit above x * x.
+@example(("rosenbrock", np.array([[-181.328125, -88.296875], [155.171875, 73.59375]])))
+def test_on_rows_equals_the_row_form_bit_for_bit(case):
+    name, rows = case
+    f = make_objective(name, rows.shape[1])
+    by_row = np.array([f(x) for x in rows])
+    on_rows = f.on_rows(rows)
+    assert on_rows.shape == by_row.shape and on_rows.dtype == np.float64
+    assert on_rows.view(np.int64).tolist() == by_row.view(np.int64).tolist()
 
 
 def test_registry_errors():
@@ -306,6 +345,9 @@ REFUSED = [
     ["run", "--backend", "classical", "--config",
      '{"search_radius": 9223372036854775808}'],
     ["compare", "--search-radius", "9223372036854775808"],
+    # About 1.4e7 rounds per failing search, past MAX_SCHEDULE_ROUNDS.
+    ["run", "--c", "1.0000001", "--max-iterations", "1"],
+    ["compare", "--config", '{"c": 1.0000001}'],
     # 2^70 points: past 2^20, refused before any draw.
     ["run", "--search-points-count", "1180591620717411303424"],
     ["compare", "--search-points-count", "1180591620717411303424"],
