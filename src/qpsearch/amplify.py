@@ -323,7 +323,8 @@ def _run_search(
         ledger = OracleLedger()
     blind = on_round is None and not problem.n_marked  # see the module docstring
     iterate = None if blind else _plane(problem)
-    u_limit = params.u_limit
+    u_limit, c, n_points = params.u_limit, params.c, problem.n_points
+    random, integers = rng.random, rng.integers
 
     # Round 0 measures A|0> itself.  Round l draws j from [1, M], M = ceil(c^l),
     # and u counts the rounds so far whose M exceeds sqrt(N) (M^2 > N exactly).
@@ -335,7 +336,7 @@ def _run_search(
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
         if blind:
-            rng.random()  # the one draw measure would take
+            random()  # the one draw measure would take
             desired = False
         else:
             k = measure(iterate(j), rng)
@@ -353,14 +354,14 @@ def _run_search(
                 "states the original loop would never terminate"
             )
         l += 1
-        m = math.ceil(params.c**l)
-        u += m * m > problem.n_points
+        m = math.ceil(c**l)
+        u += m * m > n_points
         if m + 1 > 1 << 63:  # rng.integers draws int64s
             raise (DomainError if finite else SafetyCapReachedError)(
                 f"no desired state found; round {l} would draw j from [1, {m}], "
                 f"past numpy's int64 range (c={params.c}, tau={params.tau})"
             )
-        j = int(rng.integers(1, m + 1))
+        j = int(integers(1, m + 1))
 
 
 def qsearch(

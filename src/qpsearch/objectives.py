@@ -67,7 +67,7 @@ def _step(n: int) -> Objective:
     # Staircase plateau: constant inside unit cells, so search steps over a
     # fine mesh find no strict improvement (t = 0).
     def f(x: np.ndarray) -> float:
-        return float(np.sum(np.floor(np.abs(x))))
+        return float(np.floor(np.abs(x)).sum())
 
     f.on_rows = lambda X: np.floor(np.abs(X)).sum(axis=1)  # whole terms: exact in any order
     return f

@@ -416,10 +416,11 @@ def select_search_points(
             f"bits holds only {2**width - 1} besides the incumbent"
         )
     scale = 1 << fmt.frac_bits
+    lo, hi = fmt.min_units, fmt.max_units
     # A point's key is the bytes of its int64 unit row, exact at any width.
-    incumbent_key = (state.iterate * scale).astype(np.int64).tobytes()
+    # The incumbent's key goes in first, so it is never taken.
+    seen: Set[bytes] = {(state.iterate * scale).astype(np.int64).tobytes()}
     key_type = np.dtype((np.void, 8 * basis.dimension))  # one row's bytes
-    found: Set[bytes] = set()
     pieces: List[np.ndarray] = []  # each chunk's taken rows, in draw order
 
     def take(z: np.ndarray) -> None:
@@ -428,41 +429,45 @@ def select_search_points(
             y = state.iterate + state.mesh_size * (z.astype(float) @ basis.directions.T)
             scaled = y * scale
         off_grid = scaled != np.floor(scaled)
-        bad = off_grid | (scaled < fmt.min_units) | (scaled > fmt.max_units)
-        # encode_point_exact stops at a row's first bad coordinate: off the
-        # grid it raises, out of range the row is skipped.
-        raises = off_grid[np.arange(len(z)), bad.argmax(axis=1)] if off_grid.any() else ()
-        end = int(np.argmax(raises)) if np.any(raises) else len(z)
-        rows = np.flatnonzero(~bad[:end].any(axis=1))  # z = 0 gives the incumbent's key
+        bad = off_grid | (scaled < lo) | (scaled > hi)
+        end = len(z)
+        if off_grid.any():
+            # encode_point_exact stops at a row's first bad coordinate: off
+            # the grid it raises, out of range the row is skipped.
+            raises = off_grid[np.arange(end), bad.argmax(axis=1)]
+            if raises.any():
+                end = int(raises.argmax())
+        rows = (~bad[:end].any(axis=1)).nonzero()[0]
         keys = scaled[rows].astype(np.int64).view(key_type).ravel().tolist()
         taken = []
         for i, key in zip(rows.tolist(), keys):
-            if key != incumbent_key and key not in found:
-                found.add(key)
+            if key not in seen:
+                seen.add(key)
                 taken.append(i)
-                if len(found) == n_wanted:
+                if len(seen) > n_wanted:
                     break
         pieces.append(y[taken])
-        if len(found) < n_wanted and end < len(z):
+        if len(seen) <= n_wanted and end < len(z):
             encode_point_exact(y[end], fmt)  # raises the off-grid EncodingError
 
     chunk = max(64, min(n_wanted, DRAW_CHUNK_VALUES // p))
     max_draws = 50 * n_wanted
     draws = 0
-    while len(found) < n_wanted and draws < max_draws:
+    while len(seen) <= n_wanted and draws < max_draws:
         k = min(chunk, max_draws - draws)
         take(rng.integers(0, cap + 1, size=(k, p)))
         draws += k
-    if len(found) < n_wanted:
+    if len(seen) <= n_wanted:
         total = _axis_mesh_count(state, basis, config)
         if total is not None and total - 1 < n_wanted:
             raise _exhausted(total - 1, n_wanted)
         small_z = _small_z_enumeration(p, cap)
-        while len(found) < n_wanted and (block := list(islice(small_z, chunk))):
+        while len(seen) <= n_wanted and (block := list(islice(small_z, chunk))):
             take(np.array(block))
-    if len(found) < n_wanted:
-        raise _exhausted(len(found), n_wanted)
-    return np.concatenate(pieces)
+    if len(seen) <= n_wanted:
+        raise _exhausted(len(seen) - 1, n_wanted)
+    # One chunk's y[taken] is already a fresh C-ordered array of its own.
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def candidates_record(kind: str, iteration: int, points: np.ndarray) -> dict:
@@ -534,12 +539,12 @@ def gps_run(
     """
     if search_backend not in ("classical", "quantum"):
         raise ValueError(f"unknown search backend {search_backend!r}")
+    # Both backends refuse loop constants that no failing search can run.
+    if qsearch_params is None:
+        qsearch_params = QSearchParams()
+    last_failing_round(config.search_points_count, qsearch_params)
     if search_backend == "quantum":
         from .quantum_step import quantum_search_step
-
-        if qsearch_params is None:
-            qsearch_params = QSearchParams()
-        last_failing_round(config.search_points_count, qsearch_params)
 
     x0 = np.asarray(initial_point, dtype=float)
     if x0.shape != (basis.dimension,):

@@ -330,7 +330,9 @@ class HouseholderPrepare:
             raise ValueError(f"need a 2-D array of integer units, got shape {rows.shape}")
         if not len(rows):
             raise EmptyTargetsError("need at least one target point")
-        if unit_bits < 1 or not ((rows >= 0) & (rows < 1 << unit_bits)).all():
+        # Nonzero where a unit is negative or >= 2^b: a shift past the width
+        # fills with the sign bit, and a count of 64 fits even an int8.
+        if unit_bits < 1 or (rows >> min(unit_bits, 64)).any():
             raise ValueError(f"target units must lie in [0, 2^{unit_bits})")
         self.rows = rows = rows.astype(np.int64, copy=False)
         self.point_width = rows.shape[1] * unit_bits

@@ -348,6 +348,9 @@ REFUSED = [
     # About 1.4e7 rounds per failing search, past MAX_SCHEDULE_ROUNDS.
     ["run", "--c", "1.0000001", "--max-iterations", "1"],
     ["compare", "--config", '{"c": 1.0000001}'],
+    # The classical backend refuses the loop constants the quantum one does.
+    ["run", "--backend", "classical", "--c", "1.0000001", "--max-iterations", "1"],
+    ["run", "--backend", "classical", "--tau", "5e-14", "--max-iterations", "1"],
     # 2^70 points: past 2^20, refused before any draw.
     ["run", "--search-points-count", "1180591620717411303424"],
     ["compare", "--search-points-count", "1180591620717411303424"],

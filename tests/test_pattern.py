@@ -473,6 +473,30 @@ def test_select_search_points_equals_reference_at_the_compare_setting(seed):
     ) == _selection_outcome(reference_select_search_points, state, basis, config)
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_select_search_points_returns_a_fresh_array_at_the_gps_setting(dimension, seed):
+    # The benchmark's GPS runs: N = 16, radius 4, format 18/8, a 0.5 mesh
+    # around a start on the quarter grid.  The first chunk's 64 draws hold
+    # the 16 points, and the one gather of them is returned as it is.
+    config = GpsConfig(
+        initial_mesh_size=0.5,
+        search_points_count=16,
+        search_radius=4,
+        fixed_point_format=FixedPointFormat(18, 8),
+        rng_seed=seed,
+    )
+    start = np.random.default_rng(seed).integers(0, 9, size=dimension) / 4 - 1
+    state = MeshState(start, 0.5, 0.0, seed)
+    basis = PatternBasis.coordinate(dimension)
+    points = select_search_points(state, basis, config)
+    assert points.dtype == np.float64 and points.shape == (16, dimension)
+    assert points.flags.c_contiguous and points.flags.owndata and points.base is None
+    assert _selection_outcome(
+        select_search_points, state, basis, config
+    ) == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
 def test_select_search_points_skips_redraws_in_a_later_chunk():
     # In 1-D, z = (a, b) steps a - b from the origin. Seed 31's first chunk
     # of 64 draws reaches 6 of the 8 points; the second chunk draws the

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpsearch.amplify import PreparationOperator, make_planted_problem
 from qpsearch.state import (
@@ -157,6 +159,36 @@ def test_householder_errors():
     op = spread_over(["011"])
     with pytest.raises(ValueError):
         op(SparseState.zero(L2))
+
+
+@st.composite
+def unit_rows_and_width(draw):
+    """Integer rows around the edges of [0, 2^b): int64 and uint64 units at
+    b = 1..64, and 8-bit units at widths past any shift count they hold."""
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.uint64, np.int8, np.uint8])))
+    info = np.iinfo(dtype)
+    b = draw(st.integers(1, 64) | st.integers(65, 300))
+    edges = [v for v in (-(1 << b), -1, 0, 1, (1 << b) - 1, 1 << b, (1 << b) + 1,
+                         int(info.min), int(info.max))
+             if info.min <= v <= info.max]
+    unit = st.sampled_from(edges) | st.integers(int(info.min), int(info.max))
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[unit] * width), min_size=1, max_size=6, unique=True))
+    return np.array(rows, dtype=dtype), b
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_rows_and_width())
+def test_householder_refuses_the_units_the_comparison_formula_refuses(case):
+    # The shift check stands in for this formula, kept here as the reference.
+    rows, b = case
+    refused = not ((rows >= 0) & (rows < 1 << b)).all()
+    try:
+        HouseholderPrepare(rows, b)
+    except ValueError as exc:
+        assert refused == str(exc).startswith("target units must lie in")
+    else:
+        assert not refused
 
 
 def test_householder_slot_strings_split_rows_into_coordinates():
