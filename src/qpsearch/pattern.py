@@ -34,6 +34,7 @@ __all__ = [
     "poll_set",
     "poll_step",
     "select_search_points",
+    "step_rng",
     "candidates_record",
     "update_mesh",
     "classical_search_step",
@@ -385,6 +386,21 @@ def _axis_mesh_count(
     return count
 
 
+def step_rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
+    """``np.random.default_rng([seed, iteration, stream])``, seeded with the
+    entropy SeedSequence derives from that list: the 32-bit words of each
+    number, low word first, 0 as one word.  Stream 0 selects search points,
+    1 drives the quantum search loop and 2 plants compare's marked points."""
+    words = []
+    for n in (seed, iteration, stream):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, np.uint32))
+
+
 def select_search_points(
     state: MeshState,
     basis: PatternBasis,
@@ -396,14 +412,16 @@ def select_search_points(
     minus zero, at most 50*N of them, from a generator seeded by
     (rng_seed, iteration, 0); if they yield fewer than N points, small z are
     enumerated systematically.  The incumbent itself is excluded.  z is
-    drawn in chunks of max(64, min(N, DRAW_CHUNK_VALUES // p)) rows, whose
-    size numpy's draws do not depend on, and each chunk is checked as an
-    array, but points are taken in draw order up to the N-th, so the result
-    is that of drawing and encoding one z at a time: the first off-grid
-    point reached raises EncodingError and out-of-range points are skipped.
+    drawn in chunks of C = max(64, min(N, DRAW_CHUNK_VALUES // p)) rows,
+    except that the second tops up with max(64, min(C, 2 * M)) rows for the
+    M points still missing.  numpy's draws do not depend on chunk sizes, and
+    each chunk is checked as an array, but points are taken in draw order up
+    to the N-th, so the result is that of drawing and encoding one z at a
+    time: the first off-grid point reached raises EncodingError and
+    out-of-range points are skipped.
     Returns the (N, n) float64 array of the points in selection order.
     """
-    rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
+    rng = step_rng(config.rng_seed, state.iteration, 0)
     fmt = config.fixed_point_format
     n_wanted = config.search_points_count
     cap = config.search_radius
@@ -453,9 +471,13 @@ def select_search_points(
     chunk = max(64, min(n_wanted, DRAW_CHUNK_VALUES // p))
     max_draws = 50 * n_wanted
     draws = 0
+    size = chunk
     while len(seen) <= n_wanted and draws < max_draws:
-        k = min(chunk, max_draws - draws)
+        k = min(size, max_draws - draws)
         take(rng.integers(0, cap + 1, size=(k, p)))
+        # The second chunk tops up, to twice the points still missing; any
+        # later chunk is full size again.
+        size = chunk if draws else max(64, min(chunk, 2 * (n_wanted + 1 - len(seen))))
         draws += k
     if len(seen) <= n_wanted:
         total = _axis_mesh_count(state, basis, config)

@@ -31,6 +31,7 @@ from .pattern import (
     candidates_record,
     classical_search_step,
     select_search_points,
+    step_rng,
 )
 
 __all__ = [
@@ -112,7 +113,7 @@ def quantum_search_step(
     if event_sink is not None:
         event_sink(candidates_record("search", state.iteration, candidates))
     problem = _build_problem(candidates, state.incumbent_value, objective, config)
-    qsearch_rng = np.random.default_rng([config.rng_seed, state.iteration, 1])
+    qsearch_rng = step_rng(config.rng_seed, state.iteration, 1)
     on_round = None
     if event_sink is not None:
         before = ledger.copy()
@@ -214,7 +215,7 @@ def compare_backends(
         points = select_search_points(state, basis, cfg)
 
         if planted_t is not None:
-            plant_rng = np.random.default_rng([cfg.rng_seed, 0, 2])
+            plant_rng = step_rng(cfg.rng_seed, 0, 2)
             marked = plant_rng.choice(len(points), size=planted_t, replace=False)
             # Keyed by each candidate's float64 coordinate bytes: the step
             # objective is only ever called with the rows of points.

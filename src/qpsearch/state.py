@@ -185,7 +185,8 @@ class SearchProblem:
             raise ValueError(f"incumbent value {incumbent_value_bits!r} is not binary")
         n = len(spread.rows)
         units = np.asarray(units)
-        if units.shape != (n,) or not ((units >= 0) & (units < 1 << vb)).all():
+        if (units.dtype.kind not in "iu" or units.shape != (n,)
+                or not ((units >= 0) & (units < 1 << vb)).all()):
             raise ValueError(f"need one {vb}-bit unsigned value per point")
         self.point_units = spread.rows
         self.incumbent_value_bits = incumbent_value_bits
@@ -337,14 +338,26 @@ class HouseholderPrepare:
         self.rows = rows = rows.astype(np.int64, copy=False)
         self.point_width = rows.shape[1] * unit_bits
         self._strings = None  # the slot strings, once a SparseState needs them
-        # Column 0 first: the order of the point strings.
-        self.order = order = np.lexsort(rows.T[::-1])
-        ranked = rows[order]
-        same = (ranked[1:] == ranked[:-1]).all(axis=1)
+        # Whole units packed into uint64 words, column 0 in the highest bits
+        # of the first word, compare as the point strings do; the order of
+        # the strings is then a lexsort of the words, word 0 first.
+        per = max(1, min(64 // unit_bits, rows.shape[1]))
+        units = rows.view(np.uint64).T
+        words = []
+        for start in range(0, len(units), per):
+            word = units[start]
+            for column in units[start + 1 : start + per]:
+                word = word << unit_bits | column
+            words.append(word)
+        self.order = order = np.lexsort(words[::-1])
+        ranked = [word[order] for word in words]
+        same = ranked[0][1:] == ranked[0][:-1]
+        for word in ranked[1:]:
+            same &= word[1:] == word[:-1]
         if same.any():
-            raise ValueError(f"duplicate target point {ranked[same.argmax()].tolist()}")
+            raise ValueError(f"duplicate target point {rows[order[same.argmax()]].tolist()}")
         n = len(rows)
-        self.zero_slot = k = n if ranked[0].any() else int(order[0])
+        self.zero_slot = k = n if any(word[0] for word in ranked) else int(order[0])
         w = np.zeros(max(n, k + 1))
         w[:n] = 1.0 / math.sqrt(n)
         w[k] -= 1.0
@@ -364,7 +377,8 @@ class HouseholderPrepare:
         """The slots' point strings, in order: one shared list, built on first use."""
         if self._strings is None:
             unit, width = f"0{self.point_width // self.rows.shape[1]}b", self.point_width
-            points = ["".join(format(u, unit) for u in row) for row in self.rows.tolist()]
+            units = self.rows.view(np.uint64).tolist()  # 64-bit units wrap in int64
+            points = ["".join(format(u, unit) for u in row) for row in units]
             self._strings = points + ["0" * width] * (self.zero_slot == len(points))
         return self._strings
 

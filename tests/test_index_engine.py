@@ -290,7 +290,8 @@ def test_build_calls_the_objective_once_per_candidate():
 
 def test_search_problem_needs_units_that_fit_the_value_register():
     points = unit_rows(["0001", "0010"], 4)
-    for bad in ([1], [1, 16], [-1, 2], [[1, 2]]):
+    # Floats and bools were truncated to units, where they must be refused.
+    for bad in ([1], [1, 16], [-1, 2], [[1, 2]], [1.5, 3.9], [True, False]):
         with pytest.raises(ValueError, match="4-bit unsigned value per point"):
             SearchProblem(points, "0000", np.array(bad))
     with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from qpsearch.pattern import (
     poll_step,
     positive_spanning_check,
     select_search_points,
+    step_rng,
     update_mesh,
 )
 
@@ -473,6 +474,83 @@ def test_select_search_points_equals_reference_at_the_compare_setting(seed):
     ) == _selection_outcome(reference_select_search_points, state, basis, config)
 
 
+class _RecordingRng:
+    """A step generator that records the row count of each z chunk drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, []
+
+    def integers(self, low, high, size):
+        self.rows.append(size[0])
+        return self.rng.integers(low, high, size=size)
+
+
+def _recorded_selection(monkeypatch, state, basis, config):
+    made = []
+
+    def recording(*seed):
+        made.append(_RecordingRng(step_rng(*seed)))
+        return made[-1]
+
+    monkeypatch.setattr(pattern, "step_rng", recording)
+    return _selection_outcome(select_search_points, state, basis, config), made[0].rows
+
+
+@pytest.mark.parametrize(
+    "n_points,cap",
+    [(1024, 16), (1024, 17), (256, 8)],  # 1,089, 1,225 and 289 reachable points
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_select_search_points_equals_reference_when_the_top_up_falls_short(
+    monkeypatch, n_points, cap, seed
+):
+    # The second chunk draws twice the points still missing, too few here,
+    # and full chunks follow it.
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=n_points,
+        search_radius=cap,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=seed,
+    )
+    state = MeshState(np.zeros(2), 1.0, 0.0, seed)
+    basis = PatternBasis.coordinate(2)
+    outcome, rows = _recorded_selection(monkeypatch, state, basis, config)
+    assert rows[0] == n_points and 64 <= rows[1] < n_points
+    assert len(rows) > 2 and rows[2] == n_points
+    assert outcome == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+def test_select_search_points_equals_reference_when_the_draw_budget_cuts_the_top_up(
+    monkeypatch,
+):
+    # N = 2 draws at most 100 z: the first chunk's 64, then 36 of the top-up's
+    # 64.  Steps of up to 10^6 rarely land in [-128, 127], so the small z
+    # enumeration supplies the points.
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=2,
+        search_radius=10**6,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=5,
+    )
+    state = MeshState(np.zeros(1), 1.0, 0.0)
+    basis = PatternBasis.coordinate(1)
+    outcome, rows = _recorded_selection(monkeypatch, state, basis, config)
+    assert rows == [64, 36]
+    assert outcome == _selection_outcome(reference_select_search_points, state, basis, config)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64 + 3, 10**30])
+@pytest.mark.parametrize("iteration", [0, 2**32, 2**40])
+def test_step_rng_equals_the_generator_seeded_by_the_list(seed, iteration):
+    for stream in (0, 1, 2):
+        rng = np.random.default_rng([seed, iteration, stream])
+        assert step_rng(seed, iteration, stream).bit_generator.state == rng.bit_generator.state
+    with pytest.raises(ValueError):
+        step_rng(seed, -1, 0)
+
+
 @pytest.mark.parametrize("dimension", [2, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_select_search_points_returns_a_fresh_array_at_the_gps_setting(dimension, seed):
@@ -832,7 +910,7 @@ def test_gps_config_refuses_more_than_2_to_the_20_points():
     [
         (2, 256, 8, 0.5),  # draws only
         (3, 1024, 40, 1.0),  # draws only, 1024-row chunks become 64
-        (1, 128, 64, 1.0),  # every reachable point: seeds 1 and 2 run the top-up
+        (1, 128, 64, 1.0),  # every reachable point: seeds 1 and 2 enumerate small z
         (2, 256, 8, 0.3),  # the first drawn point is off the grid
     ],
 )

@@ -199,6 +199,47 @@ def test_householder_slot_strings_split_rows_into_coordinates():
     assert op.zero_slot == 2
 
 
+@st.composite
+def packed_sort_cases(draw):
+    """int64 rows of 1 to 5 units of b = 1..64 bits, so that a row packs into
+    one, two or more words; units repeat, so rows can too, and the all-zeros
+    row is among the candidates."""
+    b = draw(st.integers(1, 64))
+    top = (1 << min(b, 63)) - 1  # an int64 unit lies below 2^63
+    unit = st.sampled_from([0, 1, top - 1, top]) | st.integers(0, top)
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[unit] * width), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (0,) * width)
+    return np.array(rows, dtype=np.int64), b
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_sort_cases())
+def test_householder_sorts_and_refuses_as_the_unit_column_lexsort(case):
+    # The sort of the unit columns that packed words replaced, kept here as
+    # the reference.
+    rows, b = case
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    same = (ranked[1:] == ranked[:-1]).all(axis=1)
+    if same.any():
+        with pytest.raises(ValueError) as exc:
+            HouseholderPrepare(rows, b)
+        assert str(exc.value) == f"duplicate target point {ranked[same.argmax()].tolist()}"
+    else:
+        op = HouseholderPrepare(rows, b)
+        assert op.order.tolist() == order.tolist()
+        assert op.zero_slot == (len(rows) if ranked[0].any() else order[0])
+
+
+def test_householder_sorts_64_bit_units_past_the_int64_range_as_strings():
+    # 2^63 as an int64 is negative, which sorted it before 1.
+    op = HouseholderPrepare(np.array([[1 << 63], [1]], dtype=np.uint64), 64)
+    assert op.order.tolist() == [1, 0]
+    assert op.support_strings()[:2] == ["1" + "0" * 63, "0" * 63 + "1"]
+
+
 def reference_householder_vector(targets):
     """|w> as the string-keyed construction built it: a dict of coefficients
     in target order, the zero string last unless it is a target, normalized
