@@ -13,15 +13,16 @@ spreading reflection, S_chi multiplies by the problem's sign vector and S0
 negates the zero point's slot.  On a SparseState, the reference simulator,
 the same operators act string by string.
 
-A search that marks nothing and records no rounds simulates no state: no
-round can succeed and no slot is read, so a round's measurement is just its
-one rng.random().  The schedule, the j draws and their int64 guard, the
-ledger counts, the tau stop and the round cap run as in the simulated loop.
+Both loops iterate one schedule, built by ``_schedule`` with the tau stop,
+the round cap and the int64 guard.  A search that marks nothing and records
+no rounds simulates no state: no round can succeed or read a slot, so a
+round's measurement is its one rng.random(), on the same schedule and draws.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -72,8 +73,8 @@ class SafetyCapReachedError(RuntimeError):
 
 @dataclass(frozen=True)
 class QSearchParams:
-    """Loop constants: growth rate c in (1,2), miss tolerance tau, and the
-    round cap that only the original (non-terminating) loop uses."""
+    """Constants of the one search schedule: growth rate c in (1, 2), miss
+    tolerance tau, and the integer round cap of the original loop alone."""
 
     c: float = 1.5
     tau: float = 0.01
@@ -84,7 +85,10 @@ class QSearchParams:
             raise ValueError(f"c must lie in (1, 2), got {self.c}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.max_total_rounds < 1:
+        cap = self.max_total_rounds
+        if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+            raise ValueError(f"max_total_rounds must be an integer, got {cap!r}")
+        if cap < 1:
             raise ValueError("max_total_rounds must be positive")
 
     @property
@@ -317,21 +321,19 @@ def _run_search(
     on_round: Optional[Callable[[RoundRecord], None]],
     finite: bool,
 ) -> QSearchOutcome:
+    rounds, stop = _schedule(problem.n_points, params, finite)
     if rng is None:
         rng = np.random.default_rng(0)
     if ledger is None:
         ledger = OracleLedger()
     blind = on_round is None and not problem.n_marked  # see the module docstring
     iterate = None if blind else _plane(problem)
-    u_limit, c, n_points = params.u_limit, params.c, problem.n_points
     random, integers = rng.random, rng.integers
 
-    # Round 0 measures A|0> itself.  Round l draws j from [1, M], M = ceil(c^l),
-    # and u counts the rounds so far whose M exceeds sqrt(N) (M^2 > N exactly).
-    l = m = j = u = 0
-    while True:
-        # The ledger counts each round as prepared afresh: A, then j iterates
-        # of two oracle calls each.
+    for l, (m, u) in enumerate(rounds):
+        # Round 0 measures A|0>; round l applies j iterates, j from [1, M], and
+        # the ledger counts it prepared afresh: two oracle calls per iterate.
+        j = int(integers(1, m + 1)) if l else 0
         ledger.qsearch_rounds += 1
         ledger.quantum_calls += 1 + 2 * j
         ledger.q_applications += j
@@ -345,23 +347,9 @@ def _run_search(
             on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
         if desired:
             return QSearchOutcome(k, l, u)
-        if finite:
-            if u >= u_limit:
-                return QSearchOutcome(None, l, u)
-        elif l >= params.max_total_rounds:
-            raise SafetyCapReachedError(
-                f"no desired state found in {l} rounds; with zero marked "
-                "states the original loop would never terminate"
-            )
-        l += 1
-        m = math.ceil(c**l)
-        u += m * m > n_points
-        if m + 1 > 1 << 63:  # rng.integers draws int64s
-            raise (DomainError if finite else SafetyCapReachedError)(
-                f"no desired state found; round {l} would draw j from [1, {m}], "
-                f"past numpy's int64 range (c={params.c}, tau={params.tau})"
-            )
-        j = int(integers(1, m + 1))
+    if stop is None:
+        return QSearchOutcome(None, l, u)
+    raise stop
 
 
 def qsearch(
@@ -422,27 +410,59 @@ def _first_round_above(c: float, k: int) -> int:
     return l
 
 
-def last_failing_round(n_points: int, params: QSearchParams) -> int:
-    """The round L at which a finite search over N points that finds nothing
-    gives up: u counts from the first round l0 with M > isqrt(N), that is
-    M^2 > N, so L = l0 - 1 + ceil(u_limit).  Raises DomainError, before
-    anything is evaluated, if a round up to L would draw j past numpy's int64
-    range (a tau no failing search can reach) or if L > MAX_SCHEDULE_ROUNDS."""
-    c = params.c
-    last = _first_round_above(c, math.isqrt(n_points)) - 1 + math.ceil(params.u_limit)
-    far = _first_round_above(c, (1 << 63) - 1)  # M + 1 > 2^63, as in _run_search
-    if far <= last:
-        raise DomainError(
-            f"tau={params.tau} is out of reach at N={n_points}: a search "
-            f"that finds nothing would reach round {far} and draw j from "
-            f"[1, {math.ceil(c**far)}], past numpy's int64 range (c={c})"
+@lru_cache(maxsize=8)
+def _rounds(n_points: int, c: float, end: int) -> Tuple[Tuple[int, int], ...]:
+    """Rounds 0 to ``end`` of a schedule, each as (M, u); see _schedule."""
+    rounds, u = [(0, 0)], 0
+    for l in range(1, end + 1):
+        m = math.ceil(c**l)
+        u += m * m > n_points
+        rounds.append((m, u))
+    return tuple(rounds)
+
+
+def _schedule(
+    n_points: int, params: QSearchParams, finite: bool
+) -> Tuple[Tuple[Tuple[int, int], ...], Optional[Exception]]:
+    """A search loop's rounds over N points, and what follows the last one.
+
+    Each round is (M, u): round 0 is (0, 0), round l has M = ceil(c^l), and u
+    counts the rounds so far with M > sqrt(N) (M^2 > N exactly).  The finite
+    loop ends at the first round with u >= u_limit, the original loop at its
+    round cap, and both before a j draw past numpy's int64 range.  The stop
+    is None where the finite loop gives up, else the error to raise.  Raises
+    DomainError, before any round runs, past MAX_SCHEDULE_ROUNDS rounds.
+    """
+    c, end = params.c, params.max_total_rounds
+    if finite:  # u counts from the first round with M > isqrt(N)
+        end = _first_round_above(c, math.isqrt(n_points)) - 1 + math.ceil(params.u_limit)
+    stop = None if finite else SafetyCapReachedError(
+        f"no desired state found in {end} rounds; with zero marked "
+        "states the original loop would never terminate"
+    )
+    far = _first_round_above(c, (1 << 63) - 1)  # M + 1 > 2^63: rng.integers draws int64s
+    if far <= end:
+        end, stop = far - 1, (DomainError if finite else SafetyCapReachedError)(
+            f"no desired state found; round {far} would draw j from "
+            f"[1, {math.ceil(c**far)}], past numpy's int64 range (c={c}, tau={params.tau})"
         )
-    if last > MAX_SCHEDULE_ROUNDS:
+    if end > MAX_SCHEDULE_ROUNDS:
         raise DomainError(
             f"c={c} is too close to 1 at N={n_points}: a failing search would "
-            f"run {last} rounds, past {MAX_SCHEDULE_ROUNDS} (tau={params.tau})"
+            f"run {end} rounds, past {MAX_SCHEDULE_ROUNDS} (tau={params.tau})"
         )
-    return last
+    return _rounds(n_points, c, end), stop
+
+
+def last_failing_round(n_points: int, params: QSearchParams) -> int:
+    """The round L at which a finite search over N points that finds nothing
+    gives up.  Raises DomainError, before anything is evaluated, where its
+    schedule does: past MAX_SCHEDULE_ROUNDS, or at a j draw past numpy's
+    int64 range (a tau no failing search can reach)."""
+    rounds, stop = _schedule(n_points, params, True)
+    if stop is not None:
+        raise DomainError(f"tau={params.tau} is out of reach at N={n_points}: {stop}")
+    return len(rounds) - 1
 
 
 def analytic_success_probability(n: int, t: int, j: int) -> float:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from qpsearch import amplify
 from qpsearch.amplify import (
     PreparationOperator,
     QSearchParams,
@@ -71,6 +72,47 @@ def test_criterion_2_stopping_rule_failure_bound():
         "criterion 2 (stopping-rule failure bound)",
         f"N=64 t=1 tau={tau}: {failures}/{trials} failures "
         f"({fraction:.4f}) <= {bound:.4f}",
+    )
+
+
+def _mean_success(m: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """q(M): the mean over j in [1, M] of sin^2((2j+1) theta), sin^2 theta =
+    t/N, summed in closed form with phi = 2 theta; 1 where t = N."""
+    phi = 2 * np.arcsin(np.sqrt(t / n))
+    q = 0.5 - (np.sin((2 * m + 2) * phi) - np.sin(2 * phi)) / (4 * m * np.sin(phi))
+    return np.where(t == n, 1.0, q)
+
+
+def test_criterion_2_closed_form_mean_success():
+    for n in (1, 2, 3, 16, 64):
+        t = np.arange(1, n + 1)[:, None]
+        m = np.arange(1, 21)[None, :]
+        direct = [
+            [np.mean([analytic_success_probability(n, ti, j) for j in range(1, mi + 1)])
+             for mi in range(1, 21)]
+            for ti in range(1, n + 1)
+        ]
+        assert np.max(np.abs(_mean_success(m, t, n) - direct)) <= 1e-12, n
+
+
+def test_criterion_2_exact_miss_probability_from_the_schedule():
+    """Round 0 misses with probability 1 - t/N and round l >= 1 with
+    1 - q(M_l), independently, so a search misses with their product."""
+    worst = {}
+    for tau in (0.01, 0.05):
+        params = QSearchParams(c=1.5, tau=tau)
+        for n in (2**k for k in range(13)):
+            rounds, stop = amplify._schedule(n, params, True)
+            assert stop is None
+            m = np.array([m_l for m_l, _ in rounds[1:]], dtype=float)[None, :]
+            t = np.arange(1, n + 1)[:, None]
+            miss = (1 - t[:, 0] / n) * np.prod(1 - _mean_success(m, t, n), axis=1)
+            assert np.all(miss <= tau), (n, tau, miss.max())
+            worst[tau] = max(worst.get(tau, 0.0), float(miss.max()))
+    report(
+        "criterion 2 (exact miss probability)",
+        "N=2^0..2^12, every t in [1, N]: worst miss "
+        + ", ".join(f"{v:.1e} <= tau={k}" for k, v in worst.items()),
     )
 
 

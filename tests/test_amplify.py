@@ -409,6 +409,17 @@ def test_qsearch_params_refuses_a_round_cap_below_one():
         QSearchParams(max_total_rounds=0)
 
 
+def test_qsearch_params_refuses_a_round_cap_that_is_not_an_integer():
+    """12.5 used to cap the original loop at 13 rounds and True at 1."""
+    for cap in (12.5, 12.0, True, False, "12", None):
+        with pytest.raises(ValueError, match="max_total_rounds must be an integer"):
+            QSearchParams(max_total_rounds=cap)
+    params = QSearchParams(max_total_rounds=np.int64(12))
+    problem, _ = make_planted_problem(8, 0)
+    with pytest.raises(SafetyCapReachedError, match="in 12 rounds"):
+        qsearch(problem, params, rng=np.random.default_rng(0))
+
+
 # The orbit Q^j A|0> of one problem, read off the plane of A|0> and Q A|0>.
 
 
@@ -626,15 +637,18 @@ def test_last_failing_round_refuses_an_unreachable_tau():
         last_failing_round(16, QSearchParams(tau=5e-14))
 
 
-def walked_last_failing_round(n_points, params):
+def walked_last_failing_round(n_points, params, rounds):
     """The reference: walk the loop's schedule to the round where u reaches
-    u_limit, or to the first j draw past int64 (returned as an error)."""
+    u_limit, or to the first j draw past int64 (returned as an error).  Each
+    round walked is appended to ``rounds`` as its (M, u), round 0 first."""
+    rounds.append((0, 0))
     u = 0
     for l in itertools.count(1):
         m = math.ceil(params.c**l)
         if m + 1 > 1 << 63:
             return ("int64", l, m)
         u += m * m > n_points
+        rounds.append((m, u))
         if u >= params.u_limit:
             return l
 
@@ -644,13 +658,30 @@ def test_last_failing_round_equals_the_walk(c):
     for n in [1, 2, 3, 4, 15, 16, 17, 64, 255, 256, 1024, 4096, 2**20]:
         for tau in [0.9, 0.5, 0.05, 0.01, 1e-6, 5e-14, 1e-300]:
             params = QSearchParams(c=c, tau=tau)
-            walked = walked_last_failing_round(n, params)
+            walked_rounds = []
+            walked = walked_last_failing_round(n, params, walked_rounds)
+            rounds, stop = amplify._schedule(n, params, True)
+            assert list(rounds) == walked_rounds, (n, tau)
             if isinstance(walked, int):
+                assert stop is None
                 assert last_failing_round(n, params) == walked, (n, tau)
             else:
                 _, l, m = walked
+                assert isinstance(stop, DomainError)
                 with pytest.raises(DomainError, match=rf"round {l} .*\[1, {m}\]"):
                     last_failing_round(n, params)
+    if c == 1.5:
+        # The original loop's schedule: the same rounds, up to its round cap
+        # or up to round 107, the last whose j draw fits an int64.
+        walked_rounds = []
+        assert walked_last_failing_round(16, QSearchParams(tau=1e-300), walked_rounds) == (
+            "int64", 108, math.ceil(1.5**108))
+        rounds, stop = amplify._schedule(16, QSearchParams(max_total_rounds=12), False)
+        assert list(rounds) == walked_rounds[:13]
+        assert isinstance(stop, SafetyCapReachedError) and "found in 12 rounds" in str(stop)
+        rounds, stop = amplify._schedule(16, QSearchParams(), False)
+        assert list(rounds) == walked_rounds
+        assert isinstance(stop, SafetyCapReachedError) and "round 108 " in str(stop)
 
 
 def test_last_failing_round_refuses_a_schedule_past_the_cap(monkeypatch):

@@ -17,9 +17,16 @@ Without round records a search step that marks nothing simulates no state, so
 they are the cases that reach that path.  Their hashes were recorded at commit
 e07cbd2, where every search step still ran the simulator: they pin that a
 quiet run prints what the simulated run printed.
+
+``DEMOS`` holds the hashes of each demo's stdout, run as its own process with
+RuntimeWarnings as errors, as a user runs it.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +74,17 @@ GOLDEN = {
 }
 
 
+DEMOS = {
+    "01_fixed_point_registers.py": "51d6954e46463f04b1144de0557f879302457302941baaff6f481393fa07d9d0",
+    "02_amplitude_amplification.py": "2a04c6d5665e79331306f108fd7d528a227cd0a3a5bb653ab05815ab3cbbdbc6",
+    "03_finite_termination.py": "431f4d09e1b40c9717a4e3aa51be716e1b7a2ddf7a204c101f72bf7cdd5b311f",
+    "04_pattern_search.py": "9e7ef1f985c0fa9e99294b6bcf38b23521f8511494932eea5aa306c219627bf0",
+    "05_quantum_vs_classical.py": "a46350692877ae6dfe991e4d6ea15029d96cb7d2b44a3c5313a1218d68f93201",
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def _argv(case: str, tmp_path) -> list:
     if case == "compare-planted":
         return ["compare", "--search-points-count", "256", "--search-radius", "20",
@@ -88,3 +106,19 @@ def test_golden_trace(case, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(_argv(case, tmp_path) + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
+
+
+def test_demos_cover_every_demo_script():
+    assert sorted(DEMOS) == sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_demo_stdout(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "demos" / demo)],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMOS[demo]

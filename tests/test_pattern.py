@@ -338,16 +338,30 @@ def test_select_search_points_off_grid_mesh():
 
 def reference_select_search_points(state, basis, config):
     """The per-point selection loop that the array version replaced: draw one
-    z at a time and encode its point with encode_point_exact."""
+    z at a time and encode its point with encode_point_exact.
+
+    Every basis drawn here is G [I, -I], so y depends on z only through
+    k = z+ - z- (exactly, as G is dyadic), and considering a y again changes
+    nothing.  So each k is considered once, and the small z walk visits only
+    each k's first z, (k+, k-), by increasing 1-norm, lexicographic within.
+    Once every k has been considered, no further draw can add a point.
+    """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
     n_wanted = config.search_points_count
     cap = config.search_radius
-    p = basis.num_directions
+    n, p = basis.dimension, basis.num_directions
+    eye = np.eye(n, dtype=int)
+    assert np.array_equal(basis.integer_combinations, np.hstack([eye, -eye]))
     xk_bits = encode_point_exact(state.iterate, fmt)
     found = {}
+    tried = set()
 
     def consider(z):
+        k = tuple(a - b for a, b in zip(z[:n], z[n:]))
+        if not any(k) or k in tried:  # k = 0 is the incumbent
+            return
+        tried.add(k)
         y = state.iterate + state.mesh_size * (
             basis.directions @ np.asarray(z, dtype=float)
         )
@@ -358,17 +372,30 @@ def reference_select_search_points(state, basis, config):
         if bits != xk_bits and bits not in found:
             found[bits] = y
 
+    def signed(total, parts):
+        # Every k in Z^parts with |k|_1 = total and each |k_i| <= cap.
+        if parts == 1:
+            yield from {(total,), (-total,)} if total <= cap else ()
+            return
+        for a in range(-min(total, cap), min(total, cap) + 1):
+            yield from ((a,) + rest for rest in signed(total - abs(a), parts - 1))
+
+    def first_z():
+        for total in range(1, n * cap + 1):
+            yield from sorted(
+                tuple(max(v, 0) for v in k) + tuple(max(-v, 0) for v in k)
+                for k in signed(total, n)
+            )
+
     draws = 0
-    while len(found) < n_wanted and draws < 50 * n_wanted:
-        z = rng.integers(0, cap + 1, size=p)
+    nonzero_k = (2 * cap + 1) ** n - 1
+    while len(found) < n_wanted and draws < 50 * n_wanted and len(tried) < nonzero_k:
         draws += 1
-        if z.any():
-            consider(z)
-    if len(found) < n_wanted:
-        for z in pattern._small_z_enumeration(p, cap):
-            consider(z)
-            if len(found) >= n_wanted:
-                break
+        consider(rng.integers(0, cap + 1, size=p).tolist())
+    for z in first_z():
+        if len(found) >= n_wanted:
+            break
+        consider(z)
     if len(found) < n_wanted:
         raise MeshExhaustedError(
             f"only {len(found)} distinct representable mesh points exist, "
