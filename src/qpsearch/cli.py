@@ -211,8 +211,12 @@ def _gps_settings(config: dict, keys: dict):
     return basis, GpsConfig(**settings), params
 
 
+# json.dumps(..., sort_keys=True) builds a new encoder per call; one is enough.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
+    return _ENCODER.encode(record) + "\n"
 
 
 def _write_output(path: Optional[str], lines: list) -> None:
@@ -261,7 +265,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
             def sink(event, _trial=trial):
                 if event["type"] in ("qsearch-round", "quantum-search-step"):
-                    lines.append(_line({"trial": _trial, **event}))
+                    record = {"trial": _trial, **event}
+                    if not args.count_marked:
+                        record.pop("t", None)
+                    lines.append(_line(record))
         run = gps_run(
             objective,
             basis,
@@ -270,7 +277,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             initial_point,
             qsearch_params=params,
             event_sink=sink,
-            compute_t=args.count_marked,
         )
         lines.extend(_line({**rec.as_record(), "trial": trial}) for rec in run.records)
         resolved = {

@@ -87,17 +87,18 @@ def positive_spanning_check(directions: np.ndarray) -> bool:
     # Scaled per row, a row of small entries cannot hide under the rounding
     # of the others.
     d = d / np.abs(d).max(axis=1, keepdims=True)
-    return _nnls_reaches(d, -d.sum(axis=1), 1e-9 * p)
+    return _nnls_reaches(d, 1e-9 * p)
 
 
-def _nnls_reaches(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Whether min ||a @ x - b|| over x >= 0 is at most ``tol``, by the
+def _nnls_reaches(a: np.ndarray, tol: float) -> bool:
+    """Whether min ||a @ x + a @ 1|| over x >= 0 is at most ``tol``, by the
     Lawson-Hanson active-set method (Lawson and Hanson 1974, ch. 23).
 
     Stops at the first residual at most ``tol``, or when the Kuhn-Tucker
     conditions hold.  Raises after 3p outer steps rather than guess.
     """
     p = a.shape[1]
+    b = -a.sum(axis=1)
     x = np.zeros(p)
     passive = np.zeros(p, dtype=bool)  # the set P; the rest is held at 0
     rounding = 8 * p * np.finfo(float).eps
@@ -105,8 +106,9 @@ def _nnls_reaches(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
         r = b - a @ x
         if np.linalg.norm(r) <= tol:
             return True
-        # A gradient entry within its own rounding error counts as zero.
-        noise = rounding * (abs(a).T @ (abs(b) + abs(a) @ x))
+        # A gradient entry within its own rounding error counts as zero, the
+        # rounding of b = -a @ 1 included: a row that cancels leaves only that.
+        noise = rounding * (abs(a).T @ (abs(a) @ (1 + x)))
         w = np.where(passive, -np.inf, a.T @ r - noise)
         j = int(np.argmax(w))
         if w[j] <= 0:  # x is the minimizer, and its residual exceeds tol
@@ -270,7 +272,7 @@ class IterationRecord:
     ledger_snapshot: OracleLedger
 
     def as_record(self) -> dict:
-        """The ``iteration`` trace event: the snapshot's fields plus its
+        """The ``iteration`` trace record: the snapshot's fields plus its
         ledger counts."""
         return {
             "type": "iteration",
@@ -377,6 +379,8 @@ def _axis_mesh_count(
     count = 1
     for x, g_i in zip(state.iterate.tolist(), np.diag(g).tolist()):
         step = abs(float(state.mesh_size) * g_i) * scale
+        if step == math.inf:  # every move along the axis leaves the range
+            continue
         if step < 1 or not step.is_integer():
             return None
         s, u = int(step), int(x * scale)
@@ -547,7 +551,6 @@ def gps_run(
     initial_point: Sequence[float],
     qsearch_params=None,
     event_sink: Optional[Callable[[dict], None]] = None,
-    compute_t: bool = False,
 ) -> GpsRun:
     """Run the outer loop until the mesh is finer than the tolerance, the
     iteration cap is hit, the oracle budget runs out, or a contraction takes
@@ -555,9 +558,10 @@ def gps_run(
     an initial mesh off the grid raises EncodingError instead).
 
     Each iteration tries the chosen search backend first and polls only on
-    search failure.  The trace's incumbent values are non-increasing.  With
-    ``compute_t`` each quantum search step's event reports its true marked
-    count t.
+    search failure.  The trace's incumbent values are non-increasing.  The
+    iteration records are the returned ``GpsRun.records``; ``event_sink``
+    receives each step's candidates, and with the quantum backend its round
+    and step events (see ``quantum_search_step``).
     """
     if search_backend not in ("classical", "quantum"):
         raise ValueError(f"unknown search backend {search_backend!r}")
@@ -615,14 +619,7 @@ def gps_run(
             )
         else:
             outcome = quantum_search_step(
-                state,
-                basis,
-                config,
-                qsearch_params,
-                objective,
-                ledger,
-                event_sink=event_sink,
-                compute_t=compute_t,
+                state, basis, config, qsearch_params, objective, ledger, event_sink
             )
 
         if outcome is not None:
@@ -643,8 +640,6 @@ def gps_run(
             ledger.copy(),
         )
         records.append(record)
-        if event_sink is not None:
-            event_sink(record.as_record())
         state = update_mesh(state, outcome, config)
 
     return GpsRun(records, stop, state, ledger)

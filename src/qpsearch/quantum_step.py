@@ -96,7 +96,6 @@ def quantum_search_step(
     objective: Callable[[np.ndarray], float],
     ledger: OracleLedger,
     event_sink: Optional[Callable[[dict], None]] = None,
-    compute_t: bool = False,
     candidates: Optional[np.ndarray] = None,
 ) -> Optional[ImprovedPoint]:
     """Search N mesh points with the finite-termination quantum loop.
@@ -106,21 +105,21 @@ def quantum_search_step(
     reused from the mesh state (no oracle call); on a successful measurement
     the candidate in the measured slot is re-checked classically and only a
     strict improvement is accepted.  Returns None on failure, after which
-    the caller polls.
+    the caller polls.  ``event_sink`` receives the candidates, each round and
+    the step, whose ``t`` is ``SearchProblem.n_marked``, the count of
+    candidates the comparison register marks.
     """
     if candidates is None:
         candidates = select_search_points(state, basis, config)
-    if event_sink is not None:
-        event_sink(candidates_record("search", state.iteration, candidates))
     problem = _build_problem(candidates, state.incumbent_value, objective, config)
     qsearch_rng = step_rng(config.rng_seed, state.iteration, 1)
     on_round = None
     if event_sink is not None:
+        event_sink(candidates_record("search", state.iteration, candidates))
         before = ledger.copy()
-        iteration = state.iteration
 
         def on_round(rec):
-            event_sink({"type": "qsearch-round", "iteration": iteration, **asdict(rec)})
+            event_sink({"type": "qsearch-round", "iteration": state.iteration, **asdict(rec)})
 
     outcome = modified_qsearch(
         problem, params, rng=qsearch_rng, ledger=ledger, on_round=on_round
@@ -138,7 +137,7 @@ def quantum_search_step(
 
     if event_sink is not None:
         delta = ledger.delta_since(before)
-        event = {
+        event_sink({
             "type": "quantum-search-step",
             "iteration": state.iteration,
             "n_points": problem.n_points,
@@ -146,11 +145,9 @@ def quantum_search_step(
             "u_rounds": outcome.u_rounds,
             "q_applications": delta.q_applications,
             "result": result,
+            "t": problem.n_marked,
             "ledger_delta": delta.as_dict(),
-        }
-        if compute_t:
-            event["t"] = problem.n_marked
-        event_sink(event)
+        })
     return accepted
 
 

@@ -169,6 +169,9 @@ def spanning_cases(draw):
 @example(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]))  # a half-plane
 @example(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]))  # minimal positive basis
 @example(np.array([[1.0, -1.0, 2.0], [1.0, -1.0, 2.0]]))  # rank 1
+# Zero columns, and a gradient that is only the rounding of -D @ 1: the
+# entering column's coefficient came out 0 and the back-off divided 0 by 0.
+@example(np.array([[0, 0, 0, 0.25, 0.5, 0], [0, 0, 0, 0.5, -3.5, 3]]))
 def test_positive_spanning_agrees_with_the_lp(d):
     assert positive_spanning_check(d) == lp_positive_spanning(d)
 
@@ -731,6 +734,19 @@ def test_select_search_points_refuses_a_too_coarse_mesh_without_walking(
         f"{n_points} requested",
     ):
         select_search_points(state, PatternBasis.coordinate(n), config)
+
+
+def test_select_search_points_refuses_an_infinite_step_without_walking(monkeypatch):
+    # mesh_size * 2^q overflows: no move stays in range, so the axes count
+    # one position each, where the top-up would walk 9^6 combinations in 3-D.
+    def no_top_up(p, cap):
+        raise AssertionError("walked the small-z top-up")
+
+    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    config = GpsConfig(initial_mesh_size=1e308)
+    state = MeshState(np.full(3, 0.75), 1e308, 0.0)
+    with pytest.raises(MeshExhaustedError, match="only 0 distinct .* 16 requested"):
+        select_search_points(state, PatternBasis.coordinate(3), config)
 
 
 def test_update_mesh():

@@ -102,7 +102,6 @@ def test_step_rejects_wrapped_comparison():
         lambda x: 7.0,
         ledger,
         event_sink=events.append,
-        compute_t=True,
     )
     assert out is None
     step_event = next(e for e in events if e["type"] == "quantum-search-step")
@@ -120,7 +119,7 @@ def test_step_event_contents():
     events = []
     out = quantum_search_step(
         state, basis, config, PARAMS, sphere, ledger,
-        event_sink=events.append, compute_t=True,
+        event_sink=events.append,
     )
     kinds = [e["type"] for e in events]
     assert kinds[0] == "search-candidates"
@@ -133,6 +132,50 @@ def test_step_event_contents():
     assert step["result"] == ("found" if out is not None else "failure")
     delta = step["ledger_delta"]
     assert delta["quantum_calls"] == delta["qsearch_rounds"] + 2 * delta["q_applications"]
+
+
+@pytest.mark.parametrize("incumbent", [sphere([3.0, 2.0]), 0.0])  # some marked, none
+def test_step_event_reports_the_problems_marked_count(monkeypatch, incumbent):
+    # No option asks for t: every step event holds its problem's n_marked.
+    problems = []
+    search = quantum_step.modified_qsearch
+
+    def capturing(problem, *args, **kwargs):
+        problems.append(problem)
+        return search(problem, *args, **kwargs)
+
+    monkeypatch.setattr(quantum_step, "modified_qsearch", capturing)
+    state = MeshState(np.array([3.0, 2.0]), 1.0, incumbent)
+    events = []
+    quantum_search_step(
+        state, PatternBasis.coordinate(2), step_config(), PARAMS, sphere, OracleLedger(),
+        event_sink=events.append,
+    )
+    (problem,) = problems
+    step = events[-1]
+    assert step["type"] == "quantum-search-step"
+    # No value saturates here, so the marks are the improving candidates.
+    improving = sum(sphere(y) < incumbent for y in events[0]["points"])
+    assert step["t"] == problem.n_marked == improving
+    assert (improving > 0) == (incumbent > 0)
+
+
+@pytest.mark.parametrize("backend", ["classical", "quantum"])
+def test_gps_run_keeps_iterations_out_of_the_sink(backend):
+    # Iteration records travel in GpsRun.records only; the sink gets the
+    # candidates and, from the quantum backend, the round and step events.
+    events = []
+    run = gps_run(
+        sphere, PatternBasis.coordinate(2), step_config(max_iterations=6), backend,
+        [3.0, 2.0], qsearch_params=PARAMS, event_sink=events.append,
+    )
+    kinds = {e["type"] for e in events}
+    assert "iteration" not in kinds
+    assert [r.iteration for r in run.records] == list(range(6))
+    step_kinds = {"qsearch-round", "quantum-search-step"} if backend == "quantum" else set()
+    assert kinds <= {"search-candidates", "poll-candidates"} | step_kinds
+    searches = [e["iteration"] for e in events if e["type"] == "search-candidates"]
+    assert searches == list(range(6))
 
 
 @st.composite
@@ -228,7 +271,7 @@ def test_step_saturates_an_incumbent_above_the_register():
     events = []
     out = quantum_search_step(
         state, basis, config, PARAMS, lambda x: table[x.tobytes()], OracleLedger(),
-        event_sink=events.append, compute_t=True, candidates=points,
+        event_sink=events.append, candidates=points,
     )
     assert events[-1]["t"] == 1
     assert out is not None and out.value == 3.0
@@ -284,7 +327,7 @@ def test_step_given_candidates_matches_own_selection():
         events = []
         out = quantum_search_step(
             state, basis, config, PARAMS, sphere, ledger,
-            event_sink=events.append, compute_t=True, candidates=candidates,
+            event_sink=events.append, candidates=candidates,
         )
         runs.append(((out.point.tolist(), out.value) if out else None, events, ledger))
     assert runs[0] == runs[1]
