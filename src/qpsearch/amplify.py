@@ -16,7 +16,8 @@ the same operators act string by string.
 Both loops iterate one schedule, built by ``_schedule`` with the tau stop,
 the round cap and the int64 guard.  A search that marks nothing and records
 no rounds simulates no state: no round can succeed or read a slot, so a
-round's measurement is its one rng.random(), on the same schedule and draws.
+round's measurement is its one rng.random(), on the same schedule and draws,
+and the ledger takes the whole search in one update.
 """
 from __future__ import annotations
 
@@ -326,27 +327,35 @@ def _run_search(
         rng = np.random.default_rng(0)
     if ledger is None:
         ledger = OracleLedger()
-    blind = on_round is None and not problem.n_marked  # see the module docstring
-    iterate = None if blind else _plane(problem)
     random, integers = rng.random, rng.integers
 
-    for l, (m, u) in enumerate(rounds):
-        # Round 0 measures A|0>; round l applies j iterates, j from [1, M], and
-        # the ledger counts it prepared afresh: two oracle calls per iterate.
-        j = int(integers(1, m + 1)) if l else 0
-        ledger.qsearch_rounds += 1
-        ledger.quantum_calls += 1 + 2 * j
+    if on_round is None and not problem.n_marked:  # see the module docstring
+        # The draws of every round in order, j then measure's one; the
+        # ledger takes all rounds at once, as a sum of j draws.
+        j = 0
+        for l, (m, u) in enumerate(rounds):
+            if l:
+                j += int(integers(1, m + 1))
+            random()
+        ledger.qsearch_rounds += len(rounds)
+        ledger.quantum_calls += len(rounds) + 2 * j
         ledger.q_applications += j
-        if blind:
-            random()  # the one draw measure would take
-            desired = False
-        else:
+    else:
+        iterate = _plane(problem)
+        for l, (m, u) in enumerate(rounds):
+            # Round 0 measures A|0>; round l applies j iterates, j from [1, M],
+            # and the ledger counts it prepared afresh: two oracle calls per
+            # iterate.
+            j = int(integers(1, m + 1)) if l else 0
+            ledger.qsearch_rounds += 1
+            ledger.quantum_calls += 1 + 2 * j
+            ledger.q_applications += j
             k = measure(iterate(j), rng)
             desired = problem.marks.item(k) < 0
-        if on_round is not None:
-            on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
-        if desired:
-            return QSearchOutcome(k, l, u)
+            if on_round is not None:
+                on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
+            if desired:
+                return QSearchOutcome(k, l, u)
     if stop is None:
         return QSearchOutcome(None, l, u)
     raise stop
@@ -421,6 +430,16 @@ def _rounds(n_points: int, c: float, end: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(rounds)
 
 
+@lru_cache(maxsize=8)
+def _ends(n_points: int, params: QSearchParams, finite: bool) -> Tuple[int, int]:
+    """A schedule's last round before the int64 guard, and the guard's first
+    round: _schedule's closed forms, kept per (N, c, tau, round cap, finite)."""
+    c, end = params.c, params.max_total_rounds
+    if finite:  # u counts from the first round with M > isqrt(N)
+        end = _first_round_above(c, math.isqrt(n_points)) - 1 + math.ceil(params.u_limit)
+    return end, _first_round_above(c, (1 << 63) - 1)  # M + 1 > 2^63: rng.integers draws int64s
+
+
 def _schedule(
     n_points: int, params: QSearchParams, finite: bool
 ) -> Tuple[Tuple[Tuple[int, int], ...], Optional[Exception]]:
@@ -430,17 +449,16 @@ def _schedule(
     counts the rounds so far with M > sqrt(N) (M^2 > N exactly).  The finite
     loop ends at the first round with u >= u_limit, the original loop at its
     round cap, and both before a j draw past numpy's int64 range.  The stop
-    is None where the finite loop gives up, else the error to raise.  Raises
-    DomainError, before any round runs, past MAX_SCHEDULE_ROUNDS rounds.
+    is None where the finite loop gives up, else the error to raise, made
+    afresh on each call.  Raises DomainError, before any round runs, past
+    MAX_SCHEDULE_ROUNDS rounds.
     """
-    c, end = params.c, params.max_total_rounds
-    if finite:  # u counts from the first round with M > isqrt(N)
-        end = _first_round_above(c, math.isqrt(n_points)) - 1 + math.ceil(params.u_limit)
+    c = params.c
+    end, far = _ends(n_points, params, finite)
     stop = None if finite else SafetyCapReachedError(
         f"no desired state found in {end} rounds; with zero marked "
         "states the original loop would never terminate"
     )
-    far = _first_round_above(c, (1 << 63) - 1)  # M + 1 > 2^63: rng.integers draws int64s
     if far <= end:
         end, stop = far - 1, (DomainError if finite else SafetyCapReachedError)(
             f"no desired state found; round {far} would draw j from "

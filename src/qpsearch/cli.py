@@ -423,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--count-marked", action="store_true",
-        help="with --emit-rounds, add the true marked count t to each "
-        "quantum-search-step record (quantum backend only)",
+        help="with --emit-rounds, add t, the count of candidates whose "
+        "comparison register reads negative, to each quantum-search-step "
+        "record (quantum backend only); saturated values and wrapped "
+        "differences can make t differ from the count of true improvements",
     )
     run.set_defaults(func=cmd_run)
 

@@ -103,7 +103,8 @@ def encode_units_saturating(
     the nearest integer with ties away from zero, then clamp.  Returns the
     int64 units and a mask of the values that were clamped.  Finite values
     of any magnitude saturate; an infinity raises OverflowError and NaN
-    ValueError, as converting them to an integer does.
+    ValueError, as converting them to an integer does.  The scalar encoders
+    apply the same rule to one Python float.
     """
     x = np.asarray(values, dtype=float)
     finite = np.isfinite(x)
@@ -121,6 +122,18 @@ def encode_units_saturating(
     return clamped.astype(np.int64), clamped != rounded
 
 
+def _scalar_units_saturating(value: float, fmt: FixedPointFormat) -> Tuple[int, bool]:
+    """encode_units_saturating's rule for one value, on a Python float."""
+    v = float(value)
+    if not math.isfinite(v):
+        error = ValueError if math.isnan(v) else OverflowError
+        raise error(f"cannot encode {v} in {fmt.total_bits}-bit format")
+    s = max(min(v, fmt.max_value + 1.0), fmt.min_value - 1.0) * (1 << fmt.frac_bits)
+    rounded = math.copysign(math.floor(abs(s) + 0.5), s)
+    clamped = max(min(rounded, fmt.max_units), fmt.min_units)
+    return int(clamped), clamped != rounded
+
+
 def encode_scalar(value: float, fmt: FixedPointFormat) -> str:
     """Encode a real scalar as a two's-complement bitstring.
 
@@ -128,13 +141,13 @@ def encode_scalar(value: float, fmt: FixedPointFormat) -> str:
     point, ties away from zero.  Raises FixedPointOverflowError when the
     rounded value is outside the representable range.
     """
-    units, saturated = encode_units_saturating([value], fmt)
-    if saturated[0]:
+    units, saturated = _scalar_units_saturating(value, fmt)
+    if saturated:
         raise FixedPointOverflowError(
             f"{value} does not fit in {fmt.total_bits}-bit format "
             f"(range [{fmt.min_value}, {fmt.max_value}])"
         )
-    return _units_to_bits(int(units[0]), fmt.total_bits)
+    return _units_to_bits(units, fmt.total_bits)
 
 
 def encode_scalar_saturating(value: float, fmt: FixedPointFormat) -> Tuple[str, bool]:
@@ -144,8 +157,8 @@ def encode_scalar_saturating(value: float, fmt: FixedPointFormat) -> Tuple[str, 
     occurred.  Intended for objective values whose range is not known up
     front; points are always encoded strictly.
     """
-    units, saturated = encode_units_saturating([value], fmt)
-    return _units_to_bits(int(units[0]), fmt.total_bits), bool(saturated[0])
+    units, saturated = _scalar_units_saturating(value, fmt)
+    return _units_to_bits(units, fmt.total_bits), saturated
 
 
 def decode_scalar(bits: str, fmt: FixedPointFormat) -> float:
@@ -218,16 +231,17 @@ def encode_point_exact(x: Sequence[float], fmt: FixedPointFormat) -> str:
     range and for infinities.
     """
     parts = []
+    scale, lo, hi = 1 << fmt.frac_bits, fmt.min_units, fmt.max_units
     for i, v in enumerate(x):
         v = float(v)
-        scaled = v * (1 << fmt.frac_bits)
+        scaled = v * scale
         if math.isnan(scaled) or (
             not math.isinf(scaled) and scaled != math.floor(scaled)
         ):
             raise EncodingError(
                 f"coordinate {i} = {v} is not on the 2^-{fmt.frac_bits} grid"
             )
-        if not fmt.min_units <= scaled <= fmt.max_units:
+        if not lo <= scaled <= hi:
             raise FixedPointOverflowError(
                 f"coordinate {i} = {v} outside representable range "
                 f"[{fmt.min_value}, {fmt.max_value}]",

@@ -444,6 +444,7 @@ def select_search_points(
     seen: Set[bytes] = {(state.iterate * scale).astype(np.int64).tobytes()}
     key_type = np.dtype((np.void, 8 * basis.dimension))  # one row's bytes
     pieces: List[np.ndarray] = []  # each chunk's taken rows, in draw order
+    any_column = np.ones(basis.dimension, bool)
 
     def take(z: np.ndarray) -> None:
         # Add the new points of the z rows in order until there are N.
@@ -459,7 +460,7 @@ def select_search_points(
             raises = off_grid[np.arange(end), bad.argmax(axis=1)]
             if raises.any():
                 end = int(raises.argmax())
-        rows = (~bad[:end].any(axis=1)).nonzero()[0]
+        rows = (~(bad[:end] @ any_column)).nonzero()[0]  # a bool matmul is any(axis=1)
         keys = scaled[rows].astype(np.int64).view(key_type).ravel().tolist()
         taken = []
         for i, key in zip(rows.tolist(), keys):

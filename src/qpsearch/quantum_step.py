@@ -10,6 +10,7 @@ two's-complement overflow inside the comparison register.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = sys.float_info.max
 
 
 def _finite(values):
@@ -83,7 +84,9 @@ def _build_problem(
     fmt = config.fixed_point_format
     mask = (1 << fmt.total_bits) - 1
     units = (points * (1 << fmt.frac_bits)).astype(np.int64) & mask
-    incumbent_bits, _ = encode_scalar_saturating(float(_finite(incumbent_value)), fmt)
+    # _finite on one float: min keeps its first argument against NaN.
+    incumbent = max(-_FLOAT_MAX, min(_FLOAT_MAX, float(incumbent_value)))
+    incumbent_bits, _ = encode_scalar_saturating(incumbent, fmt)
     value_units, _ = encode_units_saturating(_finite(_values(points, objective)), fmt)
     return SearchProblem(units, incumbent_bits, value_units & mask)
 

@@ -169,11 +169,12 @@ class SearchProblem:
     ``x_j || f_j || (f_j - f_k) mod 2^d``.  A moves no amplitude off these
     slots, so the loop's operators act on them as O(N) vector operations.
     After A the zero point's slot holds no amplitude beyond rounding and is
-    never measured.  ``n_marked`` is t, the number of marked candidates.
+    never measured.  ``n_marked`` is t, the number of marked candidates;
+    ``marks``, S_chi as a sign vector over the slots, is built on first read.
     """
 
     __slots__ = ("point_units", "incumbent_value_bits", "units", "spread", "layout",
-                 "comparisons", "marks", "n_marked", "zero", "size", "order")
+                 "comparisons", "_marks", "n_marked", "zero", "size", "order")
 
     def __init__(
         self, point_units: np.ndarray, incumbent_value_bits: str, units: np.ndarray
@@ -185,8 +186,9 @@ class SearchProblem:
             raise ValueError(f"incumbent value {incumbent_value_bits!r} is not binary")
         n = len(spread.rows)
         units = np.asarray(units)
+        # Nonzero where a unit is negative or >= 2^d, as in HouseholderPrepare.
         if (units.dtype.kind not in "iu" or units.shape != (n,)
-                or not ((units >= 0) & (units < 1 << vb)).all()):
+                or (units >> min(vb, 64)).any()):
             raise ValueError(f"need one {vb}-bit unsigned value per point")
         self.point_units = spread.rows
         self.incumbent_value_bits = incumbent_value_bits
@@ -195,14 +197,20 @@ class SearchProblem:
         self.comparisons = (self.units - int(incumbent_value_bits, 2)) & ((1 << vb) - 1)
         self.zero = spread.zero_slot
         self.size = max(n, self.zero + 1)
-        # S_chi as a sign vector: -1 where the comparison register is negative.
-        negative = (self.comparisons & (1 << (vb - 1))) != 0
-        self.marks = np.ones(self.size)
-        self.marks[:n][negative] = -1.0
-        self.n_marked = int(np.count_nonzero(negative))
+        self.n_marked = int(np.count_nonzero(self.comparisons >= 1 << (vb - 1)))
+        self._marks = None
         # Measurement visits candidates in sorted string order; point parts
         # are distinct, so this is the order of the full-width strings.
         self.order = spread.order
+
+    @property
+    def marks(self) -> np.ndarray:
+        """S_chi as a sign vector: -1 where the comparison register is negative."""
+        if self._marks is None:
+            self._marks = marks = np.ones(self.size)
+            negative = self.comparisons >= 1 << (self.layout.value_bits - 1)
+            marks[: len(negative)][negative] = -1.0
+        return self._marks
 
     @property
     def n_points(self) -> int:
@@ -319,11 +327,11 @@ class HouseholderPrepare:
     are the targets, then the all-zeros point unless it is one of them;
     ``zero_slot`` is that point's slot, and ``order`` lists the targets in
     string order.  ``vector`` holds |w>'s coefficients in slot order, so on
-    an IndexState over the same slots the reflection is ``v - 2 (w . v) w``.
+    an IndexState over the same slots the reflection is ``v - 2 (w . v) w``;
+    it and ``is_identity`` are computed on first read.
     """
 
-    __slots__ = ("rows", "point_width", "order", "vector", "zero_slot", "is_identity",
-                 "_strings")
+    __slots__ = ("rows", "point_width", "order", "zero_slot", "_vector", "_strings")
 
     def __init__(self, rows: np.ndarray, unit_bits: int):
         rows = np.asarray(rows)
@@ -337,6 +345,7 @@ class HouseholderPrepare:
             raise ValueError(f"target units must lie in [0, 2^{unit_bits})")
         self.rows = rows = rows.astype(np.int64, copy=False)
         self.point_width = rows.shape[1] * unit_bits
+        self._vector = None
         self._strings = None  # the slot strings, once a SparseState needs them
         # Whole units packed into uint64 words, column 0 in the highest bits
         # of the first word, compare as the point strings do; the order of
@@ -357,21 +366,26 @@ class HouseholderPrepare:
         if same.any():
             raise ValueError(f"duplicate target point {rows[order[same.argmax()]].tolist()}")
         n = len(rows)
-        self.zero_slot = k = n if any(word[0] for word in ranked) else int(order[0])
-        w = np.zeros(max(n, k + 1))
-        w[:n] = 1.0 / math.sqrt(n)
-        w[k] -= 1.0
-        # Summed in order, as adding up the coefficients one by one would.
-        norm_sq = float((w * w).cumsum()[-1])
-        if norm_sq < 1e-30:
-            # psi_targets == |0...0>: the reflection degenerates to identity.
-            self.is_identity = True
-            self.vector = np.array([])
-        else:
-            # Only the zero point's coefficient can vanish, and only when it
-            # is the sole target, which is the identity case above.
-            self.is_identity = False
-            self.vector = w * (1.0 / math.sqrt(norm_sq))
+        self.zero_slot = n if any(word[0] for word in ranked) else int(order[0])
+
+    @property
+    def vector(self) -> np.ndarray:
+        if self._vector is None:
+            n, k = len(self.rows), self.zero_slot
+            w = np.zeros(max(n, k + 1))
+            w[:n] = 1.0 / math.sqrt(n)
+            w[k] -= 1.0
+            # Summed in order, as adding up the coefficients one by one would.
+            norm_sq = float((w * w).cumsum()[-1])
+            # psi_targets == |0...0> leaves no |w>: the reflection degenerates
+            # to identity.  Only the zero point's coefficient can vanish, and
+            # only when it is the sole target.
+            self._vector = np.array([]) if norm_sq < 1e-30 else w * (1.0 / math.sqrt(norm_sq))
+        return self._vector
+
+    @property
+    def is_identity(self) -> bool:
+        return not len(self.vector)
 
     def support_strings(self) -> List[str]:
         """The slots' point strings, in order: one shared list, built on first use."""
@@ -388,9 +402,9 @@ class HouseholderPrepare:
                 f"operator built for {self.point_width}-bit point register, "
                 f"state has {state.layout.point_bits}"
             )
-        if self.is_identity:
-            return state
         w = self.vector
+        if not len(w):  # the identity
+            return state
         if isinstance(state, IndexState):
             v = state.amplitudes
             v = v - (2.0 * v.dot(w)) * w

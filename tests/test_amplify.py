@@ -565,6 +565,24 @@ def test_search_applies_q_once_per_problem(monkeypatch):
     assert counts["apply_Q"] == 1
 
 
+def test_quiet_search_that_marks_nothing_builds_neither_reflection_nor_marks():
+    """A t = 0 search without round records reads neither the spreading
+    reflection's vector nor the S_chi marks, so neither is built; reading
+    them afterwards builds the same values as a problem that simulated."""
+    for n in (1, 16, 1024):
+        quiet, _ = make_planted_problem(n, 0)
+        out = modified_qsearch(quiet, QSearchParams(), rng=np.random.default_rng(0))
+        assert out.result is None
+        assert quiet.spread._vector is None and quiet._marks is None
+        simulated, _ = make_planted_problem(n, 0)
+        modified_qsearch(simulated, QSearchParams(), rng=np.random.default_rng(0),
+                         on_round=[].append)
+        assert simulated.spread._vector is not None and simulated._marks is not None
+        assert np.array_equal(quiet.marks, simulated.marks)
+        assert np.array_equal(quiet.spread.vector, simulated.spread.vector)
+        assert quiet.spread.is_identity == simulated.spread.is_identity
+
+
 def _search_with_and_without_rounds(search, problem, params, seed):
     """Run one search from one seed with round records and without: per run,
     the outcome or the raised error's type and message, the ledger and the
@@ -697,6 +715,31 @@ def test_last_failing_round_refuses_a_schedule_past_the_cap(monkeypatch):
     monkeypatch.setattr(amplify, "MAX_SCHEDULE_ROUNDS", 27_743)
     with pytest.raises(DomainError, match=r"27744 rounds, past 27743"):
         last_failing_round(256, QSearchParams(c=1.0001))
+
+
+def test_last_failing_round_refuses_again_after_a_cached_success():
+    """The schedule's ends are kept per (N, c, tau, round cap, finite); the
+    refusals are not: a repeat call refuses what the first refused, with the
+    same message, after a success at the same N and c."""
+    assert last_failing_round(16, QSearchParams(tau=2e-13)) == 105
+    # At N = 21993^2, c = 1.0001, u counts from round 99,990.
+    n = 21993**2
+    assert last_failing_round(n, QSearchParams(c=1.0001, tau=0.5)) == 99_992
+    for size, params, match in [
+        (16, QSearchParams(tau=5e-14), r"tau=5e-14 .* round 108 "),
+        (n, QSearchParams(c=1.0001, tau=0.01), r"c=1\.0001 .* 100006 rounds, past 100000"),
+    ]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError, match=match) as refused:
+                last_failing_round(size, params)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+    # The original loop's stop is a fresh error on every call.
+    params = QSearchParams(max_total_rounds=12)
+    _, first = amplify._schedule(16, params, False)
+    _, second = amplify._schedule(16, params, False)
+    assert first is not second and str(first) == str(second)
 
 
 @pytest.mark.parametrize("n,tau", [(1, 0.5), (16, 0.01), (16, 2e-13), (1024, 1e-6)])

@@ -272,3 +272,74 @@ def test_vectorized_encoder_refuses_non_finite_values(bad, fmt):
         encode_units_saturating(mixed, fmt)
     with pytest.raises(other):
         encode_units_saturating(mixed[::-1], fmt)
+
+
+def scalar_edge_values(fmt):
+    """Values the scalar and array forms of the rounding rule must agree on
+    in ``fmt``: signed zeros, subnormals, ties, the range ends and one unit
+    past them, and the largest floats."""
+    res, ties = fmt.resolution, []
+    for k in (0, 1, 2, 3, fmt.max_units - 1, fmt.max_units, fmt.max_units + 1):
+        ties += [math.ldexp(k + 0.5, -fmt.frac_bits), math.ldexp(-k - 0.5, -fmt.frac_bits)]
+    ends = []
+    for end in (fmt.max_value, fmt.min_value):
+        for v in (end, end + res, end - res, end + 1.0, end - 1.0):
+            ends += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    return ties + ends + [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                          2.2250738585072014e-308, -2.2250738585072014e-308,
+                          1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def assert_scalar_forms_match_the_array_form(v, fmt):
+    d = fmt.total_bits
+    units, saturated = encode_units_saturating([v], fmt)
+    bits, sat = format(int(units[0]) & ((1 << d) - 1), f"0{d}b"), bool(saturated[0])
+    got = encode_scalar_saturating(v, fmt)
+    assert got == (bits, sat) and type(got[1]) is bool, (v, fmt)
+    if sat:
+        with pytest.raises(FixedPointOverflowError, match=r"does not fit in"):
+            encode_scalar(v, fmt)
+    else:
+        assert encode_scalar(v, fmt) == bits, (v, fmt)
+
+
+@st.composite
+def formats_and_scalar_values(draw):
+    d = draw(st.integers(2, 32))
+    fmt = FixedPointFormat(d, draw(st.integers(0, d - 1)))
+    near = st.integers(4 * fmt.min_units, 4 * fmt.max_units)
+    ties = near.map(lambda k: math.ldexp(k + 0.5, -fmt.frac_bits))
+    subnormals = st.floats(-2.2e-308, 2.2e-308)
+    anything = st.floats(allow_nan=False, allow_infinity=False)
+    edges = st.sampled_from(scalar_edge_values(fmt))
+    values = draw(st.lists(st.one_of(edges, ties, subnormals, anything),
+                           min_size=1, max_size=20))
+    return fmt, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(formats_and_scalar_values())
+@example((FixedPointFormat(4, 1), [0.25, -0.25, 3.75, -4.25, 4.25, -4.75, 0.0, -0.0]))
+@example((FixedPointFormat(32, 31), [1e308, -1e308, 5e-324, -5e-324, 0.9999999997]))
+def test_scalar_encoders_equal_the_array_rule(case):
+    """encode_scalar_saturating and encode_scalar round one Python float;
+    both equal encode_units_saturating on a one-element array, bit for bit."""
+    fmt, values = case
+    for v in values:
+        assert_scalar_forms_match_the_array_form(v, fmt)
+
+
+def test_scalar_encoders_equal_the_array_rule_on_every_format():
+    for d in range(2, 33):
+        for q in range(d):
+            fmt = FixedPointFormat(d, q)
+            for v in scalar_edge_values(fmt):
+                assert_scalar_forms_match_the_array_form(v, fmt)
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises((ValueError, OverflowError)) as array_error:
+                    encode_units_saturating([bad], fmt)
+                for encode in (encode_scalar_saturating, encode_scalar):
+                    with pytest.raises(type(array_error.value)) as scalar_error:
+                        encode(bad, fmt)
+                    assert type(scalar_error.value) is type(array_error.value)
+                    assert str(scalar_error.value) == str(array_error.value)

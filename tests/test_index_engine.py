@@ -296,9 +296,38 @@ def test_search_problem_needs_units_that_fit_the_value_register():
             SearchProblem(points, "0000", np.array(bad))
     with pytest.raises(ValueError):
         SearchProblem(points, "0000", None)
+    # Every integer dtype, whether its range ends inside the register or past it.
+    for dtype, bad in [(np.int8, -1), (np.int8, 16), (np.uint8, 16), (np.int64, 1 << 62),
+                       (np.uint64, 1 << 63), (np.uint64, (1 << 64) - 1)]:
+        with pytest.raises(ValueError, match="4-bit unsigned value per point"):
+            SearchProblem(points, "0000", np.array([1, bad], dtype=dtype))
+    for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+        problem = SearchProblem(points, "0000", np.array([15, 0], dtype=dtype))
+        assert problem.units.tolist() == [15, 0] and problem.n_marked == 1
     problem = SearchProblem(points, "0000", np.array([15, 3]))
     assert problem.units.tolist() == [15, 3]
     assert problem.n_marked == 1
+
+
+@pytest.mark.parametrize(
+    "name,problem",
+    list(_build_cases()) + [(f"planted-{n}-{t}", make_planted_problem(n, t)[0])
+                            for n, t in _planted_cases()]
+    # Comparisons 8 and 7 sit on either side of the 4-bit sign boundary.
+    + [("sign-boundary", SearchProblem(np.arange(1, 5)[:, None], "0000",
+                                       np.array([8, 7, 0, 15])))],
+)
+def test_marks_are_the_sign_bits_of_the_comparisons(name, problem):
+    """Built on first read: -1 at each candidate whose comparison register's
+    top bit is set, +1 elsewhere, the zero point's slot included."""
+    problem = SearchProblem(problem.point_units, problem.incumbent_value_bits, problem.units)
+    assert problem._marks is None
+    top = problem.layout.value_bits - 1
+    expected = np.ones(problem.size)
+    expected[: problem.n_points] = [-1.0 if c >> top & 1 else 1.0
+                                    for c in problem.comparisons.tolist()]
+    assert np.array_equal(problem.marks, expected) and problem.marks is problem.marks
+    assert problem.n_marked == np.count_nonzero(expected < 0)
 
 
 @pytest.mark.parametrize("name,problem", list(_build_cases()))

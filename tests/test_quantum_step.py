@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qpsearch import quantum_step
 from qpsearch.amplify import DomainError, QSearchParams
-from qpsearch.fixedpoint import FixedPointFormat
+from qpsearch.fixedpoint import FixedPointFormat, encode_units_saturating
 from qpsearch.ledger import OracleLedger
 from qpsearch.pattern import (
     GpsConfig,
@@ -255,6 +255,22 @@ def test_step_never_accepts_a_non_improvement_above_the_register(table):
         assert result == "found"
         assert out.value == by_point[tuple(out.point)] < incumbent
     assert ledger.classical_calls == (0 if result == "failure" else 1)
+
+
+@pytest.mark.parametrize("fmt", [FixedPointFormat(4, 0), FixedPointFormat(16, 4),
+                                 FixedPointFormat(32, 31)])
+def test_build_problem_encodes_the_incumbent_as_the_array_rule_does(fmt):
+    """The incumbent is clamped to a finite float and encoded as one scalar;
+    its bits equal the candidates' array path, NaN and infinities included."""
+    config = step_config(fixed_point_format=fmt)
+    points = np.array([[0.0], [1.0]])
+    mask = (1 << fmt.total_bits) - 1
+    for incumbent in [np.nan, np.inf, -np.inf, 1e308, -1e308, 2.5, -0.0, 5e-324,
+                      np.float64(-7.25), fmt.max_value + fmt.resolution / 2]:
+        problem = quantum_step._build_problem(points, incumbent, lambda x: 0.0, config)
+        units, _ = encode_units_saturating(quantum_step._finite(np.array([incumbent])), fmt)
+        expected = format(int(units[0]) & mask, f"0{fmt.total_bits}b")
+        assert problem.incumbent_value_bits == expected, incumbent
 
 
 def test_step_saturates_an_incumbent_above_the_register():
