@@ -44,8 +44,10 @@ class ConfigError(Exception):
     pass
 
 
-# Building the coordinate basis checks its rank in O(n^3): 0.9 s at n = 1024
-# and 39 s at n = 4096 on 2 cores.
+# The first build of a coordinate basis in a process checks its rank in
+# O(n^3): 0.7-0.9 s at n = 1024 and 39 s at n = 4096 on 2 cores.  Later builds
+# of the same basis read the pattern module's memo of that check (0.09 s at
+# n = 1024, mostly the product G @ Z).
 MAX_DIMENSION = 1024
 
 

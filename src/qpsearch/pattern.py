@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -82,12 +83,41 @@ def positive_spanning_check(directions: np.ndarray) -> bool:
         raise ValueError("direction matrix has a non-finite entry")
     if p < n + 1:
         return False
-    if np.linalg.matrix_rank(d) < n:
+    return _memoized(_spans, d)
+
+
+# The basis checks are pure in the matrix, and a process builds the same few
+# bases again and again, so each check keeps its last two results, keyed on
+# the matrix's shape and float64 bytes; an exception is not kept.  A matrix
+# past the n = 1024 coordinate D's 2^21 entries (16 MiB) is checked without
+# the memo, so the two memos hold at most 4 x 16 = 64 MiB.
+MEMO_MAX_ENTRIES = 1 << 21
+
+
+def _memoized(check, m: np.ndarray) -> bool:
+    """``check(m.shape, m.tobytes())``, from its memo when m is small enough."""
+    key = (m.shape, m.tobytes())
+    return check(*key) if m.size <= MEMO_MAX_ENTRIES else check.__wrapped__(*key)
+
+
+@lru_cache(maxsize=2)
+def _spans(shape: Tuple[int, int], data: bytes) -> bool:
+    """The rank and cone test of ``positive_spanning_check`` on the finite D
+    of ``shape`` whose C-order float64 bytes are ``data``."""
+    d = np.frombuffer(data).reshape(shape)
+    if np.linalg.matrix_rank(d) < shape[0]:
         return False
     # Scaled per row, a row of small entries cannot hide under the rounding
     # of the others.
     d = d / np.abs(d).max(axis=1, keepdims=True)
-    return _nnls_reaches(d, 1e-9 * p)
+    return _nnls_reaches(d, 1e-9 * shape[1])
+
+
+@lru_cache(maxsize=2)
+def _singular(shape: Tuple[int, int], data: bytes) -> bool:
+    """Whether the finite square G of ``shape`` whose C-order float64 bytes
+    are ``data`` has |det G| <= 1e-12."""
+    return abs(np.linalg.det(np.frombuffer(data).reshape(shape))) <= 1e-12
 
 
 def _nnls_reaches(a: np.ndarray, tol: float) -> bool:
@@ -144,8 +174,14 @@ class PatternBasis:
     directions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.generating, dtype=float)
         z = np.asarray(self.integer_combinations)
+        # A float, uint64 or Python int entry past int64 would wrap in
+        # astype(int); inf and NaN are left to the non-finite refusal.
+        if z.dtype.kind in "ufO" and (
+            ((z >= 2**63) | (z < -(2**63))) & (abs(z) < math.inf)
+        ).any():
+            raise ValueError("combination matrix has an entry past the int64 range")
+        g = np.asarray(self.generating, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatchError(f"generating matrix must be square, got {g.shape}")
         n = g.shape[0]
@@ -157,7 +193,7 @@ class PatternBasis:
             raise ValueError("direction matrix has a non-finite entry")
         if not np.array_equal(z, np.round(z)):
             raise ValueError("combination matrix must be integer")
-        if abs(np.linalg.det(g)) <= 1e-12:
+        if _memoized(_singular, g):
             raise ValueError("generating matrix is singular")
         d = g @ z.astype(float)
         if not positive_spanning_check(d):

@@ -112,6 +112,8 @@ def test_positive_spanning_refuses_non_finite_entries(bad):
 
 def test_positive_spanning_raises_when_nnls_does_not_settle(monkeypatch):
     # A column that never enters is picked again each step until the 3p bound.
+    # The memo may hold the tripod's answer from an earlier test.
+    pattern._spans.cache_clear()
     monkeypatch.setattr(
         pattern, "_passive_solution", lambda a, b, passive: np.where(passive, -1.0, 0.0)
     )
@@ -188,6 +190,65 @@ def test_pattern_basis_construction():
         PatternBasis(np.eye(2), np.eye(2, dtype=int))
     with pytest.raises(ValueError):
         PatternBasis(np.eye(2), np.array([[0.5, 1], [1, 0]]))
+    # Entries int64 cannot hold used to wrap in astype(int), or, as Python
+    # ints past uint64, to raise TypeError; they are refused before the shapes.
+    for z in (
+        np.array([[2.0**63, -(2.0**63)]]),
+        np.array([[2**63, 1]], dtype=np.uint64),
+        [[2**64, -1]],
+        [[-(2**63) - 1, 1]],
+    ):
+        with pytest.raises(ValueError, match="past the int64 range"):
+            PatternBasis(np.eye(1), z)
+        with pytest.raises(ValueError, match="past the int64 range"):
+            PatternBasis(np.ones((2, 3)), z)
+    basis = PatternBasis(np.eye(1), np.array([[2.0**62, -(2.0**63)]]))
+    assert basis.integer_combinations.tolist() == [[2**62, -(2**63)]]
+
+
+# Entries whose spans and determinants vary: signed zeros, whole numbers and
+# fractions.
+MEMO_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.5, -0.75])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(MEMO_ENTRIES, min_size=12, max_size=12))
+@example([1.0, 0.0, -1.0, 0.0, 0.5, -0.0, 0.0, 1.0, 0.0, -1.0, -0.75, 3.0])
+@example([0.0] * 12)
+def test_basis_memos_agree_with_the_uncached_checks(entries):
+    data = np.array(entries)
+    hits = pattern._spans.cache_info().hits
+    # The same bytes under four shapes, twice round: the memo holds two
+    # matrices, so each is evicted before the second round meets it again.
+    for shape in [(2, 6), (3, 4), (4, 3), (6, 2)] * 2:
+        d = data.reshape(shape)
+        key = (shape, d.tobytes())
+        expected = pattern._spans.__wrapped__(*key)
+        assert pattern._spans(*key) == pattern._spans(*key) == expected
+        assert positive_spanning_check(d) == (shape[1] > shape[0] and expected)
+    assert pattern._spans.cache_info().hits >= hits + 8
+    for n in (1, 2, 3):
+        g = data[: n * n].reshape(n, n)
+        singular = pattern._singular.__wrapped__(g.shape, g.tobytes())
+        assert pattern._singular(g.shape, g.tobytes()) == singular
+        eye = np.eye(n, dtype=int)
+        for _ in range(2):  # the second build reads the memo
+            if singular:
+                with pytest.raises(ValueError, match="generating matrix is singular"):
+                    PatternBasis(g, np.hstack([eye, -eye]))
+            else:
+                basis = PatternBasis(g, np.hstack([eye, -eye]))
+                np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
+
+
+def test_coordinate_bases_share_no_array():
+    first, second = PatternBasis.coordinate(3), PatternBasis.coordinate(3)
+    for name in ("generating", "integer_combinations", "directions"):
+        a, b = getattr(first, name), getattr(second, name)
+        np.testing.assert_array_equal(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        a[0, 0] = 7
+        assert b[0, 0] == 1
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
