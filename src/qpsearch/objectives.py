@@ -6,6 +6,7 @@ come up empty.  Each has an ``on_rows(X)`` array form, equal bit for bit.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -37,9 +38,17 @@ def _sphere(n: int) -> Objective:
     return f
 
 
+@lru_cache(maxsize=8)
+def _weights(n: int) -> np.ndarray:
+    # Shared by every quadratic100 of dimension n, so read-only.
+    weights = np.geomspace(1.0, 100.0, n)
+    weights.flags.writeable = False
+    return weights
+
+
 def _quadratic100(n: int) -> Objective:
     # Diagonal quadratic with condition number 100.
-    weights = np.geomspace(1.0, 100.0, n)
+    weights = _weights(n)
 
     def f(x: np.ndarray) -> float:
         return float(np.dot(weights, np.asarray(x) ** 2))

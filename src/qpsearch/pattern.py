@@ -181,7 +181,7 @@ class PatternBasis:
             ((z >= 2**63) | (z < -(2**63))) & (abs(z) < math.inf)
         ).any():
             raise ValueError("combination matrix has an entry past the int64 range")
-        g = np.asarray(self.generating, dtype=float)
+        g = np.array(self.generating, dtype=float)  # owned: the caller's G may change
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatchError(f"generating matrix must be square, got {g.shape}")
         n = g.shape[0]
@@ -480,26 +480,33 @@ def select_search_points(
     seen: Set[bytes] = {(state.iterate * scale).astype(np.int64).tobytes()}
     key_type = np.dtype((np.void, 8 * basis.dimension))  # one row's bytes
     pieces: List[np.ndarray] = []  # each chunk's taken rows, in draw order
-    any_column = np.ones(basis.dimension, bool)
 
     def take(z: np.ndarray) -> None:
         # Add the new points of the z rows in order until there are N.
         with np.errstate(over="ignore"):  # an infinite coordinate is out of range
             y = state.iterate + state.mesh_size * (z.astype(float) @ basis.directions.T)
             scaled = y * scale
-        off_grid = scaled != np.floor(scaled)
-        bad = off_grid | (scaled < lo) | (scaled > hi)
         end = len(z)
-        if off_grid.any():
-            # encode_point_exact stops at a row's first bad coordinate: off
-            # the grid it raises, out of range the row is skipped.
-            raises = off_grid[np.arange(end), bad.argmax(axis=1)]
-            if raises.any():
-                end = int(raises.argmax())
-        rows = (~(bad[:end] @ any_column)).nonzero()[0]  # a bool matmul is any(axis=1)
-        keys = scaled[rows].astype(np.int64).view(key_type).ravel().tolist()
+        # One test for the common chunk: clamped to the range and floored,
+        # every coordinate is itself (NaN and +-inf are not).  The ufuncs cost
+        # less than np.clip's wrapper.
+        if (np.floor(np.minimum(np.maximum(scaled, lo), hi)) == scaled).all():
+            rows = range(end)
+        else:
+            off_grid = scaled != np.floor(scaled)
+            bad = off_grid | (scaled < lo) | (scaled > hi)
+            if off_grid.any():
+                # encode_point_exact stops at a row's first bad coordinate:
+                # off the grid it raises, out of range the row is skipped.
+                raises = off_grid[np.arange(end), bad.argmax(axis=1)]
+                if raises.any():
+                    end = int(raises.argmax())
+            any_column = np.ones(basis.dimension, bool)
+            kept = (~(bad[:end] @ any_column)).nonzero()[0]  # a bool matmul is any(axis=1)
+            rows, scaled = kept.tolist(), scaled[kept]
+        keys = scaled.astype(np.int64).view(key_type).ravel().tolist()
         taken = []
-        for i, key in zip(rows.tolist(), keys):
+        for i, key in zip(rows, keys):
             if key not in seen:
                 seen.add(key)
                 taken.append(i)
@@ -571,7 +578,31 @@ def classical_search_step(
 ) -> Optional[ImprovedPoint]:
     """First-improvement scan over the candidate points, one classical call
     each; None after exhausting all of them.  The poll and the quantum
-    step's recheck scan through it too."""
+    step's recheck scan through it too.
+
+    An objective with an ``on_rows`` form is read in one array call, and the
+    ledger counts the calls up to and including the first improvement (all
+    N when there is none), as the one-at-a-time scan does; any other
+    objective is called one point at a time and never past that point.
+    """
+    on_rows = getattr(objective, "on_rows", None)
+    if on_rows is not None:
+        n = len(points)
+        if n == 0:
+            return None
+        values = np.asarray(on_rows(np.asarray(points)), dtype=float)
+        if values.shape != (n,):
+            raise ValueError(
+                f"on_rows returned shape {values.shape} for {n} rows, "
+                "not one value per row"
+            )
+        better = values < incumbent_value
+        k = int(better.argmax())
+        if not better[k]:
+            ledger.classical_calls += n
+            return None
+        ledger.classical_calls += k + 1
+        return ImprovedPoint(points[k], float(values[k]))
     for y in points:
         ledger.classical_calls += 1
         fy = float(objective(y))

@@ -64,6 +64,23 @@ def _values(points: np.ndarray, objective: Callable[[np.ndarray], float]) -> np.
     return on_rows(points) if on_rows else np.array([float(objective(y)) for y in points])
 
 
+def _planted_objective(marked_rows: np.ndarray) -> Callable[[np.ndarray], float]:
+    """compare's step objective: -1.0 at the rows ``marked_rows`` and 1.0
+    everywhere else, a point matching a row by its float64 coordinate bytes
+    (the objective is only ever called with rows of the selected points)."""
+    by_key = {row.tobytes(): -1.0 for row in marked_rows}
+
+    def step_objective(x):
+        return by_key.get(x.tobytes(), 1.0)
+
+    # The same bytes, matched for all rows in one array call.
+    def on_rows(rows, _keys=_row_bytes(marked_rows)):
+        return np.where(np.isin(_row_bytes(rows), _keys), -1.0, 1.0)
+
+    step_objective.on_rows = on_rows
+    return step_objective
+
+
 def _build_problem(
     points: np.ndarray,
     incumbent_value: float,
@@ -217,19 +234,7 @@ def compare_backends(
         if planted_t is not None:
             plant_rng = step_rng(cfg.rng_seed, 0, 2)
             marked = plant_rng.choice(len(points), size=planted_t, replace=False)
-            # Keyed by each candidate's float64 coordinate bytes: the step
-            # objective is only ever called with the rows of points.
-            by_key = {points[i].tobytes(): -1.0 for i in marked}
-
-            def step_objective(x, _table=by_key):
-                return _table.get(x.tobytes(), 1.0)
-
-            # The same bytes, matched for all rows in one array call.
-            def on_rows(rows, _keys=_row_bytes(points[marked])):
-                return np.where(np.isin(_row_bytes(rows), _keys), -1.0, 1.0)
-
-            step_objective.on_rows = on_rows
-
+            step_objective = _planted_objective(points[marked])
             t = planted_t
         else:
             t = int(np.count_nonzero(_values(points, objective) < incumbent))

@@ -16,8 +16,9 @@ from qpsearch.fixedpoint import (
     FixedPointOverflowError,
     encode_point_exact,
 )
-from qpsearch import pattern
+from qpsearch import pattern, quantum_step
 from qpsearch.ledger import OracleLedger
+from qpsearch.objectives import make_objective, objective_names
 from qpsearch.pattern import (
     DimensionMismatchError,
     GpsConfig,
@@ -241,6 +242,20 @@ def test_basis_memos_agree_with_the_uncached_checks(entries):
                 np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
 
 
+@pytest.mark.parametrize("z_dtype", [int, float])
+def test_pattern_basis_keeps_no_array_of_the_caller(z_dtype):
+    # Writing to the caller's G or Z after the build changes no basis array.
+    g = np.eye(2)
+    z = np.hstack([np.eye(2), -np.eye(2)]).astype(z_dtype)
+    basis = PatternBasis(g, z)
+    names = ("generating", "integer_combinations", "directions")
+    built = {name: getattr(basis, name).copy() for name in names}
+    g[0, 0] = 0.0
+    z[0, 0] = 5
+    for name in names:
+        np.testing.assert_array_equal(getattr(basis, name), built[name])
+
+
 def test_coordinate_bases_share_no_array():
     first, second = PatternBasis.coordinate(3), PatternBasis.coordinate(3)
     for name in ("generating", "integer_combinations", "directions"):
@@ -426,9 +441,10 @@ def reference_select_search_points(state, basis, config):
         if not any(k) or k in tried:  # k = 0 is the incumbent
             return
         tried.add(k)
-        y = state.iterate + state.mesh_size * (
-            basis.directions @ np.asarray(z, dtype=float)
-        )
+        with np.errstate(over="ignore"):  # an infinite coordinate is out of range
+            y = state.iterate + state.mesh_size * (
+                basis.directions @ np.asarray(z, dtype=float)
+            )
         try:
             bits = encode_point_exact(y, fmt)
         except FixedPointOverflowError:
@@ -537,10 +553,26 @@ def _mixed_steps_case(scales, iterate, seed):
     return MeshState(np.array(iterate), 1.0, 0.0), basis, config
 
 
+def _coordinate_case(mesh, n_points, radius):
+    # The 2-D coordinate basis around the origin in format 8/0.
+    config = GpsConfig(
+        initial_mesh_size=mesh,
+        search_points_count=n_points,
+        search_radius=radius,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=5,
+    )
+    return MeshState(np.zeros(2), mesh, 0.0), PatternBasis.coordinate(2), config
+
+
 @settings(max_examples=150, deadline=None)
 @given(selection_cases())
 @example(_mixed_steps_case((0.25, 1.0), (0.0, 63.5), seed=3))
 @example(_mixed_steps_case((1.0, 0.25), (63.5, 0.0), seed=0))
+# Every coordinate of every chunk on the grid and in range.
+@example(_coordinate_case(1.0, 16, 4))
+# Steps of 2^1023: two or more overflow to inf, one leaves the range.
+@example(_coordinate_case(2.0**1023, 1, 2))
 def test_select_search_points_equals_per_point_reference(case):
     state, basis, config = case
     assert _selection_outcome(
@@ -849,6 +881,129 @@ def test_classical_search_step_mean_position():
         assert out is not None
         totals.append(ledger.classical_calls)
     assert abs(np.mean(totals) - (n + 1) / 2) < 2.0
+
+
+def _table_objective(values):
+    """An objective that reads row y's value from ``values[int(y[0])]``, in
+    both forms: any value, -inf and -0.0 included."""
+    table = np.array(values, dtype=float)
+
+    def f(y):
+        return table[int(y[0])]
+
+    f.on_rows = lambda rows: table[rows[:, 0].astype(int)]
+    return f
+
+
+def _scan_objective(kind, rows, marked):
+    if kind == "planted":
+        return quantum_step._planted_objective(rows[list(marked)])
+    if kind == "table":
+        return _table_objective(marked)
+    return make_objective(kind, rows.shape[1])
+
+
+SCAN_VALUES = st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def scan_cases(draw):
+    """A scan: an objective kind, its (N, n) candidate rows, the planted rows
+    or table values, and an incumbent (often one of the values, for ties)."""
+    kind = draw(st.sampled_from([*objective_names(), "planted", "table"]))
+    n = 2 if kind == "rosenbrock" else draw(st.integers(1, 3))
+    n_rows = draw(st.integers(0, 12))
+    coordinate = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.5, -3.0, 1e3]) | st.floats(
+        -1e6, 1e6, allow_nan=False
+    )
+    if draw(st.booleans()):  # non-finite coordinates
+        coordinate |= st.sampled_from([math.nan, math.inf, -math.inf])
+    rows = np.array(
+        draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=float,
+    ).reshape(n_rows, n)
+    marked = ()
+    if kind == "planted":
+        marked = tuple(draw(st.sets(st.integers(0, max(n_rows - 1, 0)), max_size=n_rows)))
+    elif kind == "table":
+        rows[:, 0] = np.arange(n_rows)
+        marked = tuple(draw(st.lists(SCAN_VALUES, min_size=n_rows, max_size=n_rows)))
+    objective = _scan_objective(kind, rows, marked)
+    with np.errstate(all="ignore"):
+        values = [float(objective(y)) for y in rows]
+    incumbent = draw(st.sampled_from(values) | SCAN_VALUES if values else SCAN_VALUES)
+    return kind, rows, marked, incumbent
+
+
+def _scan_outcome(rows, objective, incumbent):
+    ledger = OracleLedger()
+    with np.errstate(all="ignore"):
+        hit = classical_search_step(rows, objective, incumbent, ledger)
+    if hit is None:
+        return None, ledger.classical_calls
+    return (hit.point.tobytes(), np.float64(hit.value).tobytes()), ledger.classical_calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+@example(("sphere", np.zeros((0, 2)), (), 1.0))  # no candidates
+@example(("planted", np.zeros((0, 3)), (), 0.0))
+@example(("sphere", np.array([[1.0, 2.0], [3.0, 0.0]]), (), 0.5))  # no improvement
+@example(("step", np.array([[0.5, 0.5, 0.5], [2.0, 2.0, 2.0]]), (), 1.0))  # row 0
+# A tie with the incumbent is not an improvement: row 2 is.
+@example(("quadratic100", np.array([[1.0], [2.0], [0.5]]), (), 1.0))
+# NaN and +inf values never improve; -inf does.
+@example(("table", np.arange(5.0)[:, None], (math.nan, math.inf, 1.0, -math.inf, -1.0), 0.0))
+@example(("rosenbrock", np.array([[math.inf, math.inf], [math.nan, 0.0], [1.0, 1.0]]), (), 1.0))
+@example(("sphere", np.array([[0.0, 0.0], [1.0, 1.0]]), (), math.nan))  # NaN incumbent
+@example(("table", np.arange(2.0)[:, None], (-math.inf, 0.0), -math.inf))
+@example(("planted", np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), (1,), 0.0))
+def test_scan_on_rows_equals_the_scan_one_row_at_a_time(case):
+    # The same objective with on_rows hidden takes the row scan: the same
+    # point bytes, value bits and ledger count, from one on_rows call.
+    kind, rows, marked, incumbent = case
+    objective = _scan_objective(kind, rows, marked)
+    calls = []
+    on_rows = objective.on_rows
+
+    def counted(x):
+        calls.append(len(x))
+        return on_rows(x)
+
+    objective.on_rows = counted
+    by_row = _scan_outcome(rows, lambda y: objective(y), incumbent)
+    assert _scan_outcome(rows, objective, incumbent) == by_row
+    assert calls == ([len(rows)] if len(rows) else [])
+
+
+def test_scan_refuses_an_on_rows_result_that_is_not_one_value_per_row():
+    rows = np.zeros((3, 2))
+    for result in (1.0, np.zeros(2), np.zeros((3, 1)), np.zeros(4)):
+        f = _table_objective([0.0] * 3)
+        f.on_rows = lambda x, _r=result: _r
+        ledger = OracleLedger()
+        with pytest.raises(ValueError, match="one value per row"):
+            classical_search_step(rows, f, 1.0, ledger)
+        assert ledger.classical_calls == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 9, None])
+def test_scan_without_on_rows_calls_up_to_the_first_improvement(k):
+    # A plain objective is never evaluated past the first improvement.
+    points = np.arange(10.0).reshape(10, 1)
+    evaluated = []
+
+    def f(y):
+        evaluated.append(float(y[0]))
+        return -1.0 if y[0] == k else 1.0
+
+    ledger = OracleLedger()
+    hit = classical_search_step(points, f, 0.0, ledger)
+    calls = 10 if k is None else k + 1
+    assert evaluated == [float(i) for i in range(calls)]
+    assert ledger.classical_calls == calls
+    assert (hit is None) == (k is None)
 
 
 def quadratic_config(**overrides):
