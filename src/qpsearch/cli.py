@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,7 +261,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     lines = []
     for trial in range(config["trials"]):
-        gps_config = replace(first, rng_seed=first.rng_seed + trial)
+        gps_config = replace(first, rng_seed=first.rng_seed + trial) if trial else first
         sink = None
         if config["emit_rounds"]:
 
@@ -358,7 +358,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     _write_output(
         config["output"],
-        [_line({"type": "trial", **asdict(row)}) for row in report.rows]
+        [_line({"type": "trial", **vars(row)}) for row in report.rows]
         + [_line({"type": "report", "tau": report.tau, **report.summary})],
     )
 
@@ -399,13 +399,13 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys: dict) -> None:
 
 
 @functools.lru_cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    ``main`` call.
+def _parsers() -> tuple:
+    """The argument parser and its subcommands' parsers by name, built once
+    per process and shared by every ``main`` call.
 
-    Parsing does not change the parser: each call gets a fresh namespace.
+    Parsing does not change a parser: each call gets a fresh namespace.
     ``set_defaults(func=...)`` binds the ``cmd_*`` function objects when the
-    parser is first built, so replacing a module-level ``cmd_*`` name later
+    parsers are first built, so replacing a module-level ``cmd_*`` name later
     does not reach ``main``.
     """
     # No prefix matching: the flags accepted are exactly the ones declared.
@@ -451,12 +451,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     ls = sub.add_parser("list-objectives", help="print registry entries")
     ls.set_defaults(func=cmd_list_objectives)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser that ``main`` uses."""
+    return _parsers()[0]
+
+
+def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, or the same
+    output and exit.
+
+    argparse's top-level pass hands everything after a subcommand's name to
+    that subcommand's parser and refuses what it leaves over.  Doing both
+    here skips the top-level pass, which costs as much as the parse itself.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except LIBRARY_ERRORS as exc:

@@ -230,9 +230,13 @@ def encode_point_exact(x: Sequence[float], fmt: FixedPointFormat) -> str:
     and NaN, and FixedPointOverflowError for in-grid values outside the
     range and for infinities.
     """
-    parts = []
     scale, lo, hi = 1 << fmt.frac_bits, fmt.min_units, fmt.max_units
-    for i, v in enumerate(x):
+    d = fmt.total_bits
+    mask = (1 << d) - 1
+    packed = width = 0
+    # An ndarray walked element by element yields numpy scalars, whose
+    # arithmetic costs several times a float's.
+    for i, v in enumerate(x.tolist() if isinstance(x, np.ndarray) else x):
         v = float(v)
         scaled = v * scale
         if math.isnan(scaled) or (
@@ -247,5 +251,8 @@ def encode_point_exact(x: Sequence[float], fmt: FixedPointFormat) -> str:
                 f"[{fmt.min_value}, {fmt.max_value}]",
                 coordinate=i,
             )
-        parts.append(_units_to_bits(int(scaled), fmt.total_bits))
-    return "".join(parts)
+        # The units in one integer, coordinate 0 in the highest bits, so
+        # that one format call writes them all as _units_to_bits writes one.
+        packed = packed << d | (int(scaled) & mask)
+        width += d
+    return format(packed, f"0{width}b") if width else ""

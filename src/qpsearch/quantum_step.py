@@ -272,6 +272,11 @@ def compare_backends(
             )
         )
 
+    return ComparisonReport(rows, params.tau, _summary(rows))
+
+
+def _summary(rows: Sequence[ComparisonRow]) -> dict:
+    """The report's means and rates over the rows; NaN means for no rows."""
     n_rows = len(rows)
     misses = sum(1 for r in rows if r.t > 0 and not r.quantum_success)
     fit_samples = [
@@ -279,18 +284,21 @@ def compare_backends(
         for r in rows
         if r.t > 0 and r.quantum_success
     ]
-    summary = {
+
+    def mean(counts) -> float:
+        # np.mean's float exactly while the sum stays below 2^53, and NaN
+        # for no rows (where np.mean also warns of an empty slice).
+        return sum(counts) / n_rows if n_rows else math.nan
+
+    return {
         "trials": n_rows,
-        "mean_classical_calls": float(np.mean([r.classical_calls for r in rows])),
-        "mean_quantum_calls": float(np.mean([r.quantum_calls for r in rows])),
-        "mean_quantum_total_calls": float(
-            np.mean([r.quantum_calls + r.quantum_recheck_calls for r in rows])
+        "mean_classical_calls": mean(r.classical_calls for r in rows),
+        "mean_quantum_calls": mean(r.quantum_calls for r in rows),
+        "mean_quantum_total_calls": mean(
+            r.quantum_calls + r.quantum_recheck_calls for r in rows
         ),
-        "classical_success_rate": float(
-            np.mean([r.classical_success for r in rows])
-        ),
-        "quantum_success_rate": float(np.mean([r.quantum_success for r in rows])),
+        "classical_success_rate": mean(r.classical_success for r in rows),
+        "quantum_success_rate": mean(r.quantum_success for r in rows),
         "miss_rate": misses / n_rows if n_rows else 0.0,
         "mean_sqrt_ratio_fit": float(np.mean(fit_samples)) if fit_samples else None,
     }
-    return ComparisonReport(rows, params.tau, summary)

@@ -1,7 +1,7 @@
 """The CLI contract, drawn from the key tables: every config that `run` or
 `compare` reads either runs (exit 0) or is refused with one stderr line and
 exit 2, never a traceback or a warning, and `run` gives both search backends
-the same answer."""
+the same answer.  `main`'s parse is that of the full argument parser."""
 import io
 import json
 import math
@@ -10,10 +10,20 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qpsearch.cli import BOOLEAN, COMPARE_KEYS, INTEGER, NUMBER, RUN_KEYS, STRING, main
+from qpsearch.cli import (
+    BOOLEAN,
+    COMPARE_KEYS,
+    INTEGER,
+    NUMBER,
+    RUN_KEYS,
+    STRING,
+    build_parser,
+    main,
+    parse_args,
+)
 
 # Each example stays small, so that it runs in milliseconds: at most these.
 CAPS = {"dimension": 3, "search_points_count": 64, "max_iterations": 5, "trials": 2}
@@ -116,3 +126,66 @@ def test_run_exits_0_or_2_alike_on_both_backends(config):
 @given(configs(COMPARE_KEYS))
 def test_compare_exits_0_or_2(config):
     with_config_file(config, lambda path: invoke(["compare", "--config", path]))
+
+
+# Flag values of each kind, good and bad; a flag may also come without one.
+FLAG_VALUES = {
+    INTEGER: ["3", "-1", "0", "2.5", "x", ""],
+    NUMBER: ["0.5", "-2", "1e308", "nan", "inf", "x"],
+    STRING: ["sphere", "classical", "quantum", "out.jsonl", "-", "--"],
+}
+# Words no command declares, prefixes of declared flags, help, and a stray --.
+STRAY = ["--no-such-flag", "--c", "--max", "--conf", "-h", "--help", "--", "word",
+         "--backend=classical", "--seed=", "-x", "-1"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand's argv from its key table's flags, with stray words mixed in."""
+    command = draw(st.sampled_from(["run", "compare"]))
+    keys = RUN_KEYS if command == "run" else COMPARE_KEYS
+    valued = {"--config": STRING}
+    valued.update(
+        ("--" + key.replace("_", "-"), spec.kind) for key, spec in keys.items() if spec.flag
+    )
+    switches = ["--emit-rounds", "--count-marked"] if command == "run" else []
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        word = draw(st.sampled_from(sorted(valued) + switches + STRAY))
+        argv.append(word)
+        if word in valued and draw(st.sampled_from([True, True, True, False])):
+            argv.append(draw(st.sampled_from(FLAG_VALUES[valued[word]])))
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """parse(argv)'s namespace, or what it printed and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["run", "--no-such-flag"])
+@example(["compare", "--c", "1.7"])
+@example(["run", "--max-iterations", "2.5"])
+@example(["run", "--seed"])
+@example(["run", "-h"])
+@example(["compare", "--trials", "1", "--help"])
+@example([])
+@example(["-h"])
+@example(["no-such-command", "--seed", "1"])
+@example(["run", "--", "--seed", "1"])
+@example(["--", "run"])
+@example(["list-objectives", "extra"])
+@example(["demo-amplify", "--n-points", "x"])
+@example(["compare", "--trials", "3", "--seed", "4", "--planted-t", "1"])
+def test_parse_args_is_the_full_parsers_parse(argv):
+    """main's parse gives the namespace of build_parser().parse_args, or
+    prints the same and exits with the same code."""
+    outcome = parse_outcome(parse_args, argv)
+    assert outcome == parse_outcome(build_parser().parse_args, argv)

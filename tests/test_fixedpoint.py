@@ -168,6 +168,66 @@ def test_non_finite_values_are_not_representable(value):
     assert not is_exactly_representable(value, F42)
 
 
+def exact_outcome(x, fmt):
+    """encode_point_exact's string, or its refusal: type, message, coordinate."""
+    try:
+        return encode_point_exact(x, fmt)
+    except (EncodingError, FixedPointOverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "coordinate", None)
+
+
+@st.composite
+def exact_points(draw):
+    d = draw(st.integers(2, 32))
+    fmt = FixedPointFormat(d, draw(st.integers(0, d - 1)))
+    near = st.integers(4 * fmt.min_units, 4 * fmt.max_units)
+    if draw(st.booleans()):  # integers, which an int ndarray holds as well
+        coordinate = st.one_of(near, st.integers(-(2**63), 2**63 - 1))
+    else:
+        coordinate = st.one_of(
+            near.map(lambda k: math.ldexp(k, -fmt.frac_bits)),
+            near.map(lambda k: math.ldexp(k + 0.5, -fmt.frac_bits)),  # off the grid
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+            st.floats(),
+        )
+    return fmt, draw(st.lists(coordinate, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(exact_points())
+@example((F42, [0.25, -1.75, -0.0]))
+@example((F42, [0.25, math.nan, math.inf]))
+@example((F42, [-0.0, -math.inf, 0.3]))
+@example((F42, [1.0, 0.3, 100.0]))
+@example((F42, [1e308, 0.3]))  # scaled past the largest float
+@example((FixedPointFormat(8, 0), [127, -128, 128]))
+@example((FixedPointFormat(32, 0), [2**63 - 1, -(2**63)]))
+@example((F40, []))
+def test_exact_encoding_is_that_of_a_list_a_float_array_and_an_int_array(case):
+    """One outcome for a point as a list, a float64 ndarray and (when every
+    coordinate is an int64 integer) an int ndarray, and it is the scalar
+    rule's: encode_scalar's bits, or a refusal at the first coordinate that
+    is NaN or off the grid (EncodingError) or out of range (overflow)."""
+    fmt, values = case
+    outcome = exact_outcome(values, fmt)
+    assert exact_outcome(np.array(values, dtype=float), fmt) == outcome
+    if all(math.isfinite(v) and v == int(v) and -(2**63) <= v < 2**63 for v in values):
+        ints = np.array([int(v) for v in values], dtype=np.int64)
+        assert exact_outcome(ints, fmt) == outcome
+    scale = 1 << fmt.frac_bits
+    for i, v in enumerate(map(float, values)):
+        if math.isnan(v) or (math.isfinite(v * scale) and not (v * scale).is_integer()):
+            assert outcome[0] is EncodingError and outcome[2] is None
+            break
+        if not fmt.min_value <= v <= fmt.max_value:
+            assert outcome[0] is FixedPointOverflowError and outcome[2] == i
+            break
+    else:
+        assert outcome == "".join(encode_scalar(v, fmt) for v in values)
+        return
+    assert outcome[1].startswith(f"coordinate {i} = {v} ")
+
+
 def reference_units_saturating(value, fmt):
     """The scalar rule the vectorized encoder replaced: scale, round half
     away from zero, clamp.  Raises where converting to an integer does."""

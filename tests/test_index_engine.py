@@ -410,9 +410,11 @@ def test_search_step_formats_one_point_string_per_round(monkeypatch):
     (problem,) = problems
     assert problem.n_points == 1024 and measured
     wide = [m for m in made if len(m) >= problem.layout.point_bits]
-    assert wide == measured
-    # The rest is the incumbent's encoding: a few scalars, not one per point.
-    assert len(made) - len(measured) < 8
+    # Selection's grid and range check formats the incumbent's point string
+    # (x = 0, two 8-bit zeros) once; each round formats the measured one.
+    assert wide == ["0" * problem.layout.point_bits] + measured
+    # The rest is the incumbent's value: a few scalars, not one per point.
+    assert len(made) - len(wide) < 8
     held = [getattr(problem, name) for name in type(problem).__slots__]
     held += [getattr(problem.spread, name) for name in type(problem.spread).__slots__]
     assert [v for v in held if isinstance(v, (str, list, tuple))] == [

@@ -1,4 +1,7 @@
 """Search-step binding: recheck gate, accounting, backend comparison."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -513,3 +516,68 @@ def test_compare_backends_real_objective_counts_t():
         assert row.classical_success and row.quantum_success
     with pytest.raises(ValueError):
         compare_backends(None, basis, config, PARAMS, seeds=[0])
+
+
+def reference_summary(rows):
+    """The report's summary with every mean taken by np.mean."""
+    ok = [r for r in rows if r.t > 0 and r.quantum_success]
+    fit = [r.quantum_calls / math.sqrt(r.n_points / r.t) for r in ok]
+    return {
+        "trials": len(rows),
+        "mean_classical_calls": float(np.mean([r.classical_calls for r in rows])),
+        "mean_quantum_calls": float(np.mean([r.quantum_calls for r in rows])),
+        "mean_quantum_total_calls": float(
+            np.mean([r.quantum_calls + r.quantum_recheck_calls for r in rows])
+        ),
+        "classical_success_rate": float(np.mean([r.classical_success for r in rows])),
+        "quantum_success_rate": float(np.mean([r.quantum_success for r in rows])),
+        "miss_rate": sum(r.t > 0 and not r.quantum_success for r in rows) / len(rows),
+        "mean_sqrt_ratio_fit": float(np.mean(fit)) if fit else None,
+    }
+
+
+# Counts near 2^40 as well as small ones: a sum stays below 2^53 with up to
+# 2^12 rows of them.
+COUNTS = st.one_of(st.integers(0, 2**20), st.integers(2**40 - 2**20, 2**40 + 2**20))
+
+
+@st.composite
+def comparison_rows(draw):
+    n_points = draw(st.integers(1, 2**20))
+    return quantum_step.ComparisonRow(
+        seed=draw(st.integers(0, 2**31)),
+        n_points=n_points,
+        t=draw(st.integers(0, n_points)),
+        classical_calls=draw(COUNTS),
+        classical_success=draw(st.booleans()),
+        quantum_calls=draw(COUNTS),
+        quantum_recheck_calls=draw(COUNTS),
+        quantum_success=draw(st.booleans()),
+        qsearch_rounds=draw(COUNTS),
+        q_applications=draw(COUNTS),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(comparison_rows(), min_size=1, max_size=20))
+def test_compare_summary_is_np_mean_bit_for_bit(rows):
+    summary = quantum_step._summary(rows)
+    expected = reference_summary(rows)
+    assert summary == expected
+    assert all(type(v) is type(expected[k]) for k, v in summary.items())
+
+
+def test_compare_with_no_seeds_reports_nan_means_without_a_warning():
+    config = step_config(fixed_point_format=FixedPointFormat(8, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare_backends(
+            None, PatternBasis.coordinate(2), config, PARAMS, seeds=[], planted_t=1
+        )
+    assert report.rows == []
+    summary = report.summary
+    assert summary["trials"] == 0 and summary["miss_rate"] == 0.0
+    assert summary["mean_sqrt_ratio_fit"] is None
+    means = [v for k, v in summary.items() if k.startswith("mean_") and k != "mean_sqrt_ratio_fit"]
+    rates = [summary["classical_success_rate"], summary["quantum_success_rate"]]
+    assert len(means) == 3 and all(np.isnan(v) for v in means + rates)
