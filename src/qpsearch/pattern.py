@@ -197,20 +197,13 @@ class PatternBasis:
             raise ValueError("combination matrix must be integer")
         if _memoized(_singular, g):
             raise ValueError("generating matrix is singular")
-        ints = z.astype(int)
-        # G @ Z with G = I (n nonzero entries, n ones on the diagonal) is Z,
-        # bit for bit, without the O(n^2 p) product (0.05 s at n = 1024).
-        # Through int, a -0.0 in a float Z becomes the +0.0 the product gives.
-        if np.count_nonzero(g) == n == np.count_nonzero(g.diagonal() == 1):
-            d = ints.astype(float)
-        else:
-            d = g @ z.astype(float)
+        d = g @ z.astype(float)
         if not positive_spanning_check(d):
             raise NotPositiveSpanningError(
                 "columns of G @ Z do not positively span R^n"
             )
         object.__setattr__(self, "generating", g)
-        object.__setattr__(self, "integer_combinations", ints)
+        object.__setattr__(self, "integer_combinations", z.astype(int))
         object.__setattr__(self, "directions", d)
 
     @classmethod

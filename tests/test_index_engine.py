@@ -413,8 +413,8 @@ def test_search_step_formats_one_point_string_per_round(monkeypatch):
     # Selection's grid and range check formats the incumbent's point string
     # (x = 0, two 8-bit zeros) once; each round formats the measured one.
     assert wide == ["0" * problem.layout.point_bits] + measured
-    # The rest is the incumbent's value: a few scalars, not one per point.
-    assert len(made) - len(wide) < 8
+    # The rest is the incumbent's encoding: a few scalars, not one per point.
+    assert len(made) - len(measured) < 8
     held = [getattr(problem, name) for name in type(problem).__slots__]
     held += [getattr(problem.spread, name) for name in type(problem.spread).__slots__]
     assert [v for v in held if isinstance(v, (str, list, tuple))] == [

@@ -266,22 +266,6 @@ def test_coordinate_bases_share_no_array():
         assert b[0, 0] == 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
-def test_directions_are_the_bytes_of_g_times_z(n, monkeypatch):
-    """A G equal to I takes D from Z without the product: D keeps G @ Z's
-    bytes, signed zeros included, whether the zeros are -0.0 in a float Z
-    (all of a column, or off -I's diagonal) or off G's diagonal.  The
-    spanning check, 0.7 s on each new D at n = 1024, is not under test."""
-    monkeypatch.setattr(pattern, "positive_spanning_check", lambda d: True)
-    eye = np.eye(n)
-    int_z = np.hstack([np.eye(n, dtype=int), -np.eye(n, dtype=int)])
-    float_z = np.hstack([eye, -eye, np.full((n, 1), -0.0)])
-    signed_eye = np.where(eye == 1.0, 1.0, -0.0)
-    for g, z in [(eye, int_z), (eye, float_z), (signed_eye, int_z), (eye[::-1], float_z)]:
-        basis = PatternBasis(g, z)
-        assert basis.directions.tobytes() == (g @ z.astype(float)).tobytes()
-
-
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_pattern_basis_refuses_non_finite_generating_entries(bad):
     # inf used to read as a singular G, and NaN to warn inside det first.
