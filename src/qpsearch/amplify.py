@@ -299,7 +299,7 @@ def _plane(problem: SearchProblem) -> Callable[[int], IndexState]:
     psi1 = apply_Q(start, ops).amplitudes
     x = float(psi0 @ psi1)
     r = psi1 - x * psi0
-    s = float(np.linalg.norm(r))
+    s = math.sqrt(float(r @ r))
     if s <= _NO_PLANE:
         flips = x < 0
         return lambda j: IndexState(problem, -psi0) if flips and j % 2 else start

@@ -108,7 +108,7 @@ def encode_units_saturating(
     """
     x = np.asarray(values, dtype=float)
     finite = np.isfinite(x)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         v = float(x[~finite][0])
         error = ValueError if math.isnan(v) else OverflowError
         raise error(f"cannot encode {v} in {fmt.total_bits}-bit format")
@@ -116,8 +116,9 @@ def encode_units_saturating(
     # clipping them first keeps the scaling finite.
     x = np.maximum(np.minimum(x, fmt.max_value + 1.0), fmt.min_value - 1.0)
     scaled = x * (1 << fmt.frac_bits)
-    # |s| + 0.5 rounds as -(s - 0.5) does for s < 0: ties go away from zero.
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    # Ties go away from zero.  For s < 0, s - 0.5 is exactly -(|s| + 0.5), so
+    # this is the scalar rule's copysign(floor(|s| + 0.5), s), -0.0 included.
+    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
     clamped = np.maximum(np.minimum(rounded, fmt.max_units), fmt.min_units)
     return clamped.astype(np.int64), clamped != rounded
 

@@ -490,21 +490,22 @@ def select_search_points(
             scaled = y * scale
         end = len(z)
         # One test for the common chunk: clamped to the range and floored,
-        # every coordinate is itself (NaN and +-inf are not).  The ufuncs cost
-        # less than np.clip's wrapper.
-        if (np.floor(np.minimum(np.maximum(scaled, lo), hi)) == scaled).all():
+        # no coordinate differs from itself (NaN and +-inf do).  The ufuncs and
+        # count_nonzero cost less than the np.clip and .all() wrappers.
+        if not np.count_nonzero(np.floor(np.minimum(np.maximum(scaled, lo), hi)) != scaled):
             rows = range(end)
         else:
             off_grid = scaled != np.floor(scaled)
             bad = off_grid | (scaled < lo) | (scaled > hi)
-            if off_grid.any():
+            if np.count_nonzero(off_grid):
                 # encode_point_exact stops at a row's first bad coordinate:
                 # off the grid it raises, out of range the row is skipped.
                 raises = off_grid[np.arange(end), bad.argmax(axis=1)]
-                if raises.any():
+                if np.count_nonzero(raises):
                     end = int(raises.argmax())
-            any_column = np.ones(basis.dimension, bool)
-            kept = (~(bad[:end] @ any_column)).nonzero()[0]  # a bool matmul is any(axis=1)
+            # any(axis=1) runs down the columns of a column-major copy; on the
+            # rows of a C-ordered array it loops once per row.
+            kept = (~np.asfortranarray(bad[:end]).any(axis=1)).nonzero()[0]
             rows, scaled = kept.tolist(), scaled[kept]
         keys = scaled.astype(np.int64).view(key_type).ravel().tolist()
         taken = []
@@ -514,7 +515,7 @@ def select_search_points(
                 taken.append(i)
                 if len(seen) > n_wanted:
                     break
-        pieces.append(y[taken])
+        pieces.append(y.take(taken, axis=0))
         if len(seen) <= n_wanted and end < len(z):
             encode_point_exact(y[end], fmt)  # raises the off-grid EncodingError
 
@@ -538,7 +539,7 @@ def select_search_points(
             take(np.array(block))
     if len(seen) <= n_wanted:
         raise _exhausted(len(seen) - 1, n_wanted)
-    # One chunk's y[taken] is already a fresh C-ordered array of its own.
+    # One chunk's y.take(taken) is already a fresh C-ordered array of its own.
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 

@@ -188,7 +188,7 @@ class SearchProblem:
         units = np.asarray(units)
         # Nonzero where a unit is negative or >= 2^d, as in HouseholderPrepare.
         if (units.dtype.kind not in "iu" or units.shape != (n,)
-                or (units >> min(vb, 64)).any()):
+                or np.count_nonzero(units >> min(vb, 64))):
             raise ValueError(f"need one {vb}-bit unsigned value per point")
         self.point_units = spread.rows
         self.incumbent_value_bits = incumbent_value_bits
@@ -341,7 +341,7 @@ class HouseholderPrepare:
             raise EmptyTargetsError("need at least one target point")
         # Nonzero where a unit is negative or >= 2^b: a shift past the width
         # fills with the sign bit, and a count of 64 fits even an int8.
-        if unit_bits < 1 or (rows >> min(unit_bits, 64)).any():
+        if unit_bits < 1 or np.count_nonzero(rows >> min(unit_bits, 64)):
             raise ValueError(f"target units must lie in [0, 2^{unit_bits})")
         self.rows = rows = rows.astype(np.int64, copy=False)
         self.point_width = rows.shape[1] * unit_bits
@@ -349,7 +349,9 @@ class HouseholderPrepare:
         self._strings = None  # the slot strings, once a SparseState needs them
         # Whole units packed into uint64 words, column 0 in the highest bits
         # of the first word, compare as the point strings do; the order of
-        # the strings is then a lexsort of the words, word 0 first.
+        # the strings is then a lexsort of the words, word 0 first.  One word
+        # sorts by argsort: on distinct keys any sort gives lexsort's order,
+        # and equal words only raise below.
         per = max(1, min(64 // unit_bits, rows.shape[1]))
         units = rows.view(np.uint64).T
         words = []
@@ -358,12 +360,15 @@ class HouseholderPrepare:
             for column in units[start + 1 : start + per]:
                 word = word << unit_bits | column
             words.append(word)
-        self.order = order = np.lexsort(words[::-1])
+        if len(words) == 1:
+            self.order = order = words[0].argsort()
+        else:
+            self.order = order = np.lexsort(words[::-1])
         ranked = [word[order] for word in words]
         same = ranked[0][1:] == ranked[0][:-1]
         for word in ranked[1:]:
             same &= word[1:] == word[:-1]
-        if same.any():
+        if np.count_nonzero(same):
             raise ValueError(f"duplicate target point {rows[order[same.argmax()]].tolist()}")
         n = len(rows)
         self.zero_slot = n if any(word[0] for word in ranked) else int(order[0])

@@ -381,6 +381,18 @@ def formats_and_scalar_values(draw):
 @given(formats_and_scalar_values())
 @example((FixedPointFormat(4, 1), [0.25, -0.25, 3.75, -4.25, 4.25, -4.75, 0.0, -0.0]))
 @example((FixedPointFormat(32, 31), [1e308, -1e308, 5e-324, -5e-324, 0.9999999997]))
+# Where the array form's trunc(s + copysign(0.5, s)) could part from the scalar
+# form's floor(|s| + 0.5) with s's sign: ties k + 0.5 on both sides of zero,
+# -0.0, the largest float below 0.5 (which rounds up in both), and one unit
+# past the top of the range, whose negation is the bottom end.
+@example((FixedPointFormat(8, 2), [0.125, -0.125, 0.375, -0.375, 31.625, -31.625,
+                                   -31.875, -32.125, -0.0]))
+@example((FixedPointFormat(16, 4), [math.ldexp(0.49999999999999994, -4),
+                                    math.ldexp(-0.49999999999999994, -4),
+                                    0.49999999999999994, -0.49999999999999994, -0.0]))
+@example((FixedPointFormat(8, 2), [32.75, -32.75]))
+@example((FixedPointFormat(32, 0), [2147483646.5, -2147483647.5, 2147483648.0,
+                                    -2147483648.0]))
 def test_scalar_encoders_equal_the_array_rule(case):
     """encode_scalar_saturating and encode_scalar round one Python float;
     both equal encode_units_saturating on a one-element array, bit for bit."""

@@ -553,8 +553,8 @@ def _mixed_steps_case(scales, iterate, seed):
     return MeshState(np.array(iterate), 1.0, 0.0), basis, config
 
 
-def _coordinate_case(mesh, n_points, radius):
-    # The 2-D coordinate basis around the origin in format 8/0.
+def _coordinate_case(mesh, n_points, radius, dimension=2):
+    # The coordinate basis around the origin in format 8/0.
     config = GpsConfig(
         initial_mesh_size=mesh,
         search_points_count=n_points,
@@ -562,7 +562,8 @@ def _coordinate_case(mesh, n_points, radius):
         fixed_point_format=FixedPointFormat(8, 0),
         rng_seed=5,
     )
-    return MeshState(np.zeros(2), mesh, 0.0), PatternBasis.coordinate(2), config
+    basis = PatternBasis.coordinate(dimension)
+    return MeshState(np.zeros(dimension), mesh, 0.0), basis, config
 
 
 @settings(max_examples=150, deadline=None)
@@ -573,6 +574,9 @@ def _coordinate_case(mesh, n_points, radius):
 @example(_coordinate_case(1.0, 16, 4))
 # Steps of 2^1023: two or more overflow to inf, one leaves the range.
 @example(_coordinate_case(2.0**1023, 1, 2))
+# One dimension, k in [-200, 200] against the register's [-128, 127]: about a
+# third of each chunk's rows leave the range, one column each.
+@example(_coordinate_case(1.0, 64, 200, dimension=1))
 def test_select_search_points_equals_per_point_reference(case):
     state, basis, config = case
     assert _selection_outcome(

@@ -4,13 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpsearch import quantum_step
 from qpsearch.amplify import DomainError, QSearchParams
 from qpsearch.fixedpoint import FixedPointFormat, encode_units_saturating
 from qpsearch.ledger import OracleLedger
+from qpsearch.objectives import make_objective, objective_names
 from qpsearch.pattern import (
     GpsConfig,
     MeshState,
@@ -458,6 +459,89 @@ def test_gps_quantum_backend_ledger_invariants():
         # Every quantum call is attributable to the search loops: polls and
         # rechecks only ever touch the classical counter.
         assert snap.quantum_calls == snap.qsearch_rounds + 2 * snap.q_applications
+
+
+def _shifted_objective(name, dimension, shift):
+    # A registry objective less ``shift``, in both its forms.  Values below 0
+    # let the comparison register wrap: an incumbent far below 0 and a
+    # candidate far above it differ by more than half the register, so the
+    # candidate is marked although it is worse, and only the recheck stops it.
+    f = make_objective(name, dimension)
+    if not shift:
+        return f
+
+    def g(x):
+        return f(x) - shift
+
+    g.on_rows = lambda rows: f.on_rows(rows) - shift
+    return g
+
+
+@st.composite
+def undisturbed_cases(draw):
+    name = draw(st.sampled_from(objective_names()))
+    n = 2 if name == "rosenbrock" else draw(st.integers(1, 3))
+    n_points = 2 ** draw(st.integers(0, 5))
+    frac_bits = draw(st.integers(2, 8))
+    fmt = FixedPointFormat(frac_bits + draw(st.integers(6, 10)), frac_bits)
+    # At least N + 1 mesh points within the radius, the incumbent among them.
+    fewest = next(r for r in range(1, 64) if (2 * r + 1) ** n > n_points)
+    radius = draw(st.integers(fewest, max(fewest, 6)))
+    start = [k / 4 for k in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))]
+    shift = draw(st.sampled_from([0.0, 0.75 * fmt.max_value]))
+    params = QSearchParams(c=draw(st.sampled_from([1.2, 1.5, 1.9])),
+                           tau=draw(st.sampled_from([0.01, 0.05, 0.2])))
+    return name, n, n_points, fmt, radius, start, shift, params, draw(st.integers(0, 2**32))
+
+
+def _trajectory(run):
+    return [(r.iteration, r.iterate.tolist(), r.value, r.mesh_size, r.outcome)
+            for r in run.records]
+
+
+@settings(max_examples=100, deadline=None)
+@given(undisturbed_cases())
+# 16/8 holds values below 128: rosenbrock's 404 at (-1, -1) saturates, and
+# improving candidates that saturate too go unmarked.
+@example(("rosenbrock", 2, 16, FixedPointFormat(16, 8), 4, [-1.0, -1.0], 0.0,
+          QSearchParams(c=1.5, tau=0.05), 7))
+# Less 96: the incumbent is 6.5 - 96, and a candidate 128 or more above it
+# wraps to a negative comparison, a false mark that the recheck rejects.
+@example(("rosenbrock", 2, 16, FixedPointFormat(16, 8), 4, [0.5, 0.5], 96.0,
+          QSearchParams(c=1.5, tau=0.05), 7))
+def test_quantum_search_step_leaves_gps_undisturbed(case):
+    """Both backends draw the same candidates, the quantum step returns only a
+    rechecked strict improvement and the poll is deterministic.  So from the
+    same start and seed the two runs agree up to the first iteration whose
+    classical search step improves, that iteration's inputs included, and to
+    the end, stop reason included, when no classical search step improves."""
+    name, n, n_points, fmt, radius, start, shift, params, seed = case
+    objective = _shifted_objective(name, n, shift)
+    basis = PatternBasis.coordinate(n)
+    config = GpsConfig(
+        initial_mesh_size=0.5, mesh_size_tolerance=2.0**-6, max_iterations=20,
+        search_points_count=n_points, search_radius=radius,
+        fixed_point_format=fmt, rng_seed=seed,
+    )
+    runs = {backend: gps_run(objective, basis, config, backend, start, params)
+            for backend in ("classical", "quantum")}
+    classical, quantum = (_trajectory(runs[b]) for b in ("classical", "quantum"))
+    first = next((i for i, r in enumerate(classical) if r[4] == "search-success"), None)
+    if first is None:
+        assert quantum == classical
+        assert runs["quantum"].stop_reason == runs["classical"].stop_reason
+    else:
+        assert quantum[:first] == classical[:first]
+        assert quantum[first][:4] == classical[first][:4]
+    for run in runs.values():
+        values = [r.value for r in run.records] + [run.final_state.incumbent_value]
+        for record, before, after in zip(run.records, values, values[1:]):
+            if record.outcome == "mesh-local-optimizer":
+                # Evaluated apart from the run: no poll point improves.
+                for d in basis.directions.T:
+                    assert objective(record.iterate + record.mesh_size * d) >= before
+            else:
+                assert after < before, record
 
 
 def test_compare_backends_identical_points_and_planting():
