@@ -13,11 +13,13 @@ spreading reflection, S_chi multiplies by the problem's sign vector and S0
 negates the zero point's slot.  On a SparseState, the reference simulator,
 the same operators act string by string.
 
-Both loops iterate one schedule, built by ``_schedule`` with the tau stop,
-the round cap and the int64 guard.  A search that marks nothing and records
-no rounds simulates no state: no round can succeed or read a slot, so a
-round's measurement is its one rng.random(), on the same schedule and draws,
-and the ledger takes the whole search in one update.
+Both searches run one loop over one schedule, built by ``_schedule`` with
+the tau stop, the round cap and the int64 guard.  That loop is the only code
+that counts a search's cost: round l prepares A|0> afresh and applies Q j
+times, 1 + 2j oracle calls, and the ledger takes the whole search in one
+update after its last round; the operators only transform states.  A search
+that marks nothing and records no rounds simulates no state: no round can
+succeed or read a slot, so a round's measurement is its one rng.random().
 """
 from __future__ import annotations
 
@@ -178,7 +180,7 @@ class PreparationOperator:
 
     Applied to |0>|0>|0>, A yields (1/sqrt(N)) sum_j |x_j>|f_j>|f_j - f_k>
     with the subtraction in d-bit two's complement.  Every application of A
-    or its inverse uses the oracle once and is counted as one quantum call.
+    or its inverse uses the oracle once; the search loop counts those calls.
     On an IndexState, load, oracle and add only relabel the problem's slots;
     on a SparseState they act string by string, as maps built per call from
     the problem's points and units.  The spreading step is the problem's.
@@ -189,7 +191,7 @@ class PreparationOperator:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
 
-    def apply(self, state: State, ledger: Optional[OracleLedger] = None) -> State:
+    def apply(self, state: State) -> State:
         """Apply A."""
         if isinstance(state, IndexState):
             state = self.problem.spread(state)
@@ -199,13 +201,9 @@ class PreparationOperator:
             state = self.problem.spread(state)
             state = apply_basis_map(state, oracle_xor)
             state = apply_basis_map(state, add)
-        if ledger is not None:
-            ledger.quantum_calls += 1
         return state
 
-    def apply_inverse(
-        self, state: State, ledger: Optional[OracleLedger] = None
-    ) -> State:
+    def apply_inverse(self, state: State) -> State:
         """Apply A^-1: the four sub-operators inverted, in reverse order."""
         if isinstance(state, IndexState):
             state = self.problem.spread(state)
@@ -215,13 +213,11 @@ class PreparationOperator:
             state = apply_basis_map(state, oracle_xor)
             state = self.problem.spread(state)
             state = apply_basis_map(state, load)
-        if ledger is not None:
-            ledger.quantum_calls += 1
         return state
 
-    def prepare_from_zero(self, ledger: Optional[OracleLedger] = None) -> SparseState:
+    def prepare_from_zero(self) -> SparseState:
         """A|0>|0>|0> on the reference simulator."""
-        return self.apply(SparseState.zero(self.problem.layout), ledger)
+        return self.apply(SparseState.zero(self.problem.layout))
 
 
 def apply_S0(state: State) -> State:
@@ -254,26 +250,20 @@ def apply_Schi(state: State) -> State:
     return SparseState._raw(state.layout, new)
 
 
-def apply_Q(
-    state: State, ops: PreparationOperator, ledger: Optional[OracleLedger] = None
-) -> State:
+def apply_Q(state: State, ops: PreparationOperator) -> State:
     """One amplification iterate: S_chi, A^-1, S0, A, global phase -1.
 
     ``ops`` is the problem's preparation A.  Assumes the state lies in the
-    subspace reachable from A|0> (not checked).  Counts two quantum calls:
-    one oracle use inside A^-1 and one inside A.
+    subspace reachable from A|0> (not checked).  Uses the oracle twice, once
+    inside A^-1 and once inside A; the search loop counts both.
     """
     state = apply_Schi(state)
-    state = ops.apply_inverse(state, ledger)
+    state = ops.apply_inverse(state)
     state = apply_S0(state)
-    state = ops.apply(state, ledger)
+    state = ops.apply(state)
     if isinstance(state, IndexState):
-        state = IndexState(state.problem, -state.amplitudes)
-    else:
-        state = apply_phase(state, lambda b: True, -1.0)
-    if ledger is not None:
-        ledger.q_applications += 1
-    return state
+        return IndexState(state.problem, -state.amplitudes)
+    return apply_phase(state, lambda b: True, -1.0)
 
 
 # Below this length of Q A|0> - (A|0> . Q A|0>) A|0>, nothing or everything
@@ -325,40 +315,32 @@ def _run_search(
     rounds, stop = _schedule(problem.n_points, params, finite)
     if rng is None:
         rng = np.random.default_rng(0)
-    if ledger is None:
-        ledger = OracleLedger()
     random, integers = rng.random, rng.integers
-
-    if on_round is None and not problem.n_marked:  # see the module docstring
-        # The draws of every round in order, j then measure's one; the
-        # ledger takes all rounds at once, as a sum of j draws.
-        j = 0
-        for l, (m, u) in enumerate(rounds):
-            if l:
-                j += int(integers(1, m + 1))
+    # Without marks or round records no round can succeed or be read, so no
+    # state is simulated; see the module docstring.
+    iterate = None if on_round is None and not problem.n_marked else _plane(problem)
+    result, applied = None, 0
+    for l, (m, u) in enumerate(rounds):
+        # Round 0 measures A|0>; round l measures j iterates, j from [1, M].
+        j = int(integers(1, m + 1)) if l else 0
+        applied += j
+        if iterate is None:
             random()
-        ledger.qsearch_rounds += len(rounds)
-        ledger.quantum_calls += len(rounds) + 2 * j
-        ledger.q_applications += j
-    else:
-        iterate = _plane(problem)
-        for l, (m, u) in enumerate(rounds):
-            # Round 0 measures A|0>; round l applies j iterates, j from [1, M],
-            # and the ledger counts it prepared afresh: two oracle calls per
-            # iterate.
-            j = int(integers(1, m + 1)) if l else 0
-            ledger.qsearch_rounds += 1
-            ledger.quantum_calls += 1 + 2 * j
-            ledger.q_applications += j
-            k = measure(iterate(j), rng)
-            desired = problem.marks.item(k) < 0
-            if on_round is not None:
-                on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
-            if desired:
-                return QSearchOutcome(k, l, u)
-    if stop is None:
-        return QSearchOutcome(None, l, u)
-    raise stop
+            continue
+        k = measure(iterate(j), rng)
+        desired = problem.marks.item(k) < 0
+        if on_round is not None:
+            on_round(RoundRecord(l, m, j, u, problem.basis_string(k), desired))
+        if desired:
+            result = k
+            break
+    if ledger is not None:  # 1 + 2j oracle calls a round
+        ledger.qsearch_rounds += l + 1
+        ledger.quantum_calls += l + 1 + 2 * applied
+        ledger.q_applications += applied
+    if result is None and stop is not None:
+        raise stop
+    return QSearchOutcome(result, l, u)
 
 
 def qsearch(

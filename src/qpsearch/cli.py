@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -482,10 +483,20 @@ def parse_args(argv: Optional[list] = None) -> argparse.Namespace:
 def main(argv: Optional[list] = None) -> int:
     args = parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except LIBRARY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Point stdout at
+        # devnull so the interpreter's final flush stays quiet, and exit as
+        # a process killed by SIGPIPE would (141, as `yes | head` reports).
+        import signal  # only this exit needs it
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

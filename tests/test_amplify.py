@@ -463,7 +463,8 @@ def test_orbit_states_equal_fresh_iterates_search_step(name, problem):
 
 def _recomputing_search(problem, params, rng, finite):
     """The search loop as the paper states it: every round prepares A|0> and
-    applies Q j times to it afresh."""
+    applies Q j times to it afresh.  Each A uses the oracle once, and each Q
+    twice, once inside A^-1 and once inside A."""
     ledger = OracleLedger()
     records = []
     ops = PreparationOperator(problem)
@@ -471,7 +472,9 @@ def _recomputing_search(problem, params, rng, finite):
     sign_idx = problem.layout.comparison_sign_index
     l = u = q_apps = 0
     ledger.qsearch_rounds += 1
-    slot = measure(ops.apply(zero, ledger), rng)
+    state = ops.apply(zero)
+    ledger.quantum_calls += 1
+    slot = measure(state, rng)
     measured = problem.basis_string(slot)
     records.append(amplify.RoundRecord(0, 0, 0, 0, measured, measured[sign_idx] == "1"))
     while not records[-1].desired:
@@ -484,10 +487,13 @@ def _recomputing_search(problem, params, rng, finite):
         if m * m > problem.n_points:
             u += 1
         ledger.qsearch_rounds += 1
-        state = ops.apply(zero, ledger)
+        state = ops.apply(zero)
+        ledger.quantum_calls += 1
         j = int(rng.integers(1, m + 1))
         for _ in range(j):
-            state = apply_Q(state, ops, ledger)
+            state = apply_Q(state, ops)
+            ledger.quantum_calls += 2
+            ledger.q_applications += 1
         q_apps += j
         slot = measure(state, rng)
         measured = problem.basis_string(slot)
@@ -528,6 +534,24 @@ def test_qsearch_safety_cap_equals_recomputing_reference():
     expected = _recomputing_search(problem, params, np.random.default_rng(3), False)
     assert expected[0] == "cap"
     assert ledger == expected[4] and records == expected[5]
+
+
+def test_search_charges_the_ledger_once_after_its_last_round():
+    """The loop charges a search in one update after its last round, so a
+    search whose on_round raises leaves the ledger as it found it."""
+    class Stop(Exception):
+        pass
+
+    def stop_at_round_3(record):
+        if record.l == 3:
+            raise Stop
+
+    problem, _ = make_planted_problem(16, 0)
+    ledger = OracleLedger(classical_calls=3)
+    with pytest.raises(Stop):
+        modified_qsearch(problem, QSearchParams(), rng=np.random.default_rng(0),
+                         ledger=ledger, on_round=stop_at_round_3)
+    assert ledger == OracleLedger(classical_calls=3)
 
 
 def test_search_applies_q_once_per_problem(monkeypatch):

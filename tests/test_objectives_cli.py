@@ -615,6 +615,24 @@ def test_main_calls_in_one_process_print_what_fresh_processes_print(capsys):
     assert (config["tau"], config["emit_rounds"], config["max_iterations"]) == (0.01, False, 3)
 
 
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly():
+    """`qpsearch run | head -1` exits as `yes | head -1` does: status 141
+    (128 + SIGPIPE), with nothing on stderr."""
+    # About 1.4 MB of lines, more than a pipe holds even at the largest size
+    # an unprivileged process may give it (pipe-max-size, 1 MiB by default).
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qpsearch", "run", "--backend", "classical", "--trials", "400"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["type"] == "iteration"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (stderr.decode(), proc.wait()) == ("", 141)
+
+
 MODULES = (amplify, fixedpoint, ledger, objectives, pattern, quantum_step, state)
 
 
