@@ -46,9 +46,9 @@ class ConfigError(Exception):
 
 
 # The first build of a coordinate basis in a process checks its rank in
-# O(n^3): 0.7-0.9 s at n = 1024 and 39 s at n = 4096 on 2 cores.  Later builds
-# of the same basis read the pattern module's memo of that check (0.09 s at
-# n = 1024, mostly the product G @ Z).
+# O(n^3): 0.6-0.8 s at n = 1024 and 39 s at n = 4096 on 2 cores.  Later builds
+# of the same basis read the pattern module's memo of that check, keyed on D
+# alone (0.08-0.09 s at n = 1024, half of it the product G @ Z).
 MAX_DIMENSION = 1024
 
 
@@ -306,8 +306,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_demo_amplify(args: argparse.Namespace) -> int:
     n, t = args.n_points, args.n_marked
-    if not 1 <= n <= 1 << 20 or n & (n - 1):  # search_points_count's cap
-        raise ConfigError(f"point count must be a power of 2 in [1, 2^20], got {n}")
+    if not 1 <= n <= 1 << 13 or n & (n - 1):  # the string-keyed simulator: ~1 s at 2^13
+        raise ConfigError(f"point count must be a power of 2 in [1, 2^13], got {n}")
     if not 0 <= t <= n:
         raise ConfigError(f"marked count must lie in [0, {n}], got {t}")
     if not 1 <= args.trials < 2**63:  # numpy's multinomial takes an int64 count

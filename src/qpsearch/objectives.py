@@ -2,7 +2,8 @@
 
 The registry ships a convex bowl, an ill-conditioned quadratic, the banana
 valley, and a staircase plateau whose flat regions force search steps to
-come up empty.  Each has an ``on_rows(X)`` array form, equal bit for bit.
+come up empty.  Each is defined once, by its ``on_rows(X)`` array form; its
+value at one point is that form's value on the one-row matrix of the point.
 """
 from __future__ import annotations
 
@@ -30,12 +31,20 @@ class UnknownObjectiveError(KeyError):
         )
 
 
-def _sphere(n: int) -> Objective:
-    def f(x: np.ndarray) -> float:
-        return float(np.dot(x, x))
+def _from_rows(on_rows: Callable[[np.ndarray], np.ndarray]) -> Objective:
+    """The objective whose array form is ``on_rows``: its value at a point x
+    is row 0 of ``on_rows`` over the one-row matrix of x."""
 
-    f.on_rows = lambda X: np.vecdot(X, X)  # one BLAS dot per row, as np.dot
+    def f(x: np.ndarray) -> float:
+        return float(on_rows(np.asarray(x, dtype=float)[None, :])[0])
+
+    f.on_rows = on_rows
     return f
+
+
+def _sphere(n: int) -> Objective:
+    # One BLAS dot per row, as the golden traces' np.dot(x, x) took.
+    return _from_rows(lambda X: np.vecdot(X, X))
 
 
 @lru_cache(maxsize=8)
@@ -49,37 +58,26 @@ def _weights(n: int) -> np.ndarray:
 def _quadratic100(n: int) -> Objective:
     # Diagonal quadratic with condition number 100.
     weights = _weights(n)
-
-    def f(x: np.ndarray) -> float:
-        return float(np.dot(weights, np.asarray(x) ** 2))
-
-    # Squared in C order, as each row's square is: a strided dot rounds apart.
-    f.on_rows = lambda X: np.vecdot(weights, np.ascontiguousarray(X) ** 2)
-    return f
+    # Squared into C order, so a row reads the same alone and in a C- or
+    # Fortran-order batch: a strided dot rounds apart.
+    return _from_rows(lambda X: np.vecdot(weights, np.ascontiguousarray(X) ** 2))
 
 
 def _rosenbrock(n: int) -> Objective:
     if n != 2:
         raise ValueError("rosenbrock is defined here for n = 2 only")
-
-    def f(x: np.ndarray) -> float:
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-    # A float64's ** 2 is libm's pow, as np.float_power is per entry; an
+    # libm's pow per entry, as the golden traces' float64 ** 2 took; an
     # array's ** 2 is x * x, which pow rounds apart from now and then.
     pw = np.float_power
-    f.on_rows = lambda X: 100.0 * pw(X[:, 1] - pw(X[:, 0], 2), 2) + pw(1.0 - X[:, 0], 2)
-    return f
+    return _from_rows(
+        lambda X: 100.0 * pw(X[:, 1] - pw(X[:, 0], 2), 2) + pw(1.0 - X[:, 0], 2)
+    )
 
 
 def _step(n: int) -> Objective:
     # Staircase plateau: constant inside unit cells, so search steps over a
     # fine mesh find no strict improvement (t = 0).
-    def f(x: np.ndarray) -> float:
-        return float(np.floor(np.abs(x)).sum())
-
-    f.on_rows = lambda X: np.floor(np.abs(X)).sum(axis=1)  # whole terms: exact in any order
-    return f
+    return _from_rows(lambda X: np.floor(np.abs(X)).sum(axis=1))  # exact below 2^53
 
 
 _REGISTRY: Dict[str, Callable[[int], Objective]] = {

@@ -83,21 +83,16 @@ def positive_spanning_check(directions: np.ndarray) -> bool:
         raise ValueError("direction matrix has a non-finite entry")
     if p < n + 1:
         return False
-    return _memoized(_spans, d)
+    key = (d.shape, d.tobytes())
+    return _spans(*key) if d.size <= MEMO_MAX_ENTRIES else _spans.__wrapped__(*key)
 
 
-# The basis checks are pure in the matrix, and a process builds the same few
-# bases again and again, so each check keeps its last two results, keyed on
-# the matrix's shape and float64 bytes; an exception is not kept.  A matrix
-# past the n = 1024 coordinate D's 2^21 entries (16 MiB) is checked without
-# the memo, so the two memos hold at most 4 x 16 = 64 MiB.
+# The check is pure in the matrix, and a process builds the same few bases
+# again and again, so it keeps its last two results, keyed on the matrix's
+# shape and float64 bytes; an exception is not kept.  A matrix past the
+# n = 1024 coordinate D's 2^21 entries (16 MiB) is checked without the memo,
+# so the memo holds at most 2 x 16 = 32 MiB.
 MEMO_MAX_ENTRIES = 1 << 21
-
-
-def _memoized(check, m: np.ndarray) -> bool:
-    """``check(m.shape, m.tobytes())``, from its memo when m is small enough."""
-    key = (m.shape, m.tobytes())
-    return check(*key) if m.size <= MEMO_MAX_ENTRIES else check.__wrapped__(*key)
 
 
 @lru_cache(maxsize=2)
@@ -111,13 +106,6 @@ def _spans(shape: Tuple[int, int], data: bytes) -> bool:
     # of the others.
     d = d / np.abs(d).max(axis=1, keepdims=True)
     return _nnls_reaches(d, 1e-9 * shape[1])
-
-
-@lru_cache(maxsize=2)
-def _singular(shape: Tuple[int, int], data: bytes) -> bool:
-    """Whether the finite square G of ``shape`` whose C-order float64 bytes
-    are ``data`` has |det G| <= 1e-12."""
-    return abs(np.linalg.det(np.frombuffer(data).reshape(shape))) <= 1e-12
 
 
 def _nnls_reaches(a: np.ndarray, tol: float) -> bool:
@@ -195,8 +183,8 @@ class PatternBasis:
             raise ValueError("direction matrix has a non-finite entry")
         if not (integer or np.array_equal(z, np.round(z))):
             raise ValueError("combination matrix must be integer")
-        if _memoized(_singular, g):
-            raise ValueError("generating matrix is singular")
+        # rank(G @ Z) <= rank G: the spanning check's rank test refuses a
+        # singular G.
         d = g @ z.astype(float)
         if not positive_spanning_check(d):
             raise NotPositiveSpanningError(

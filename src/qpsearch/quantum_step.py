@@ -24,6 +24,7 @@ from .amplify import (
 )
 from .fixedpoint import encode_scalar_saturating, encode_units_saturating
 from .ledger import OracleLedger
+from .objectives import _from_rows
 from .pattern import (
     GpsConfig,
     ImprovedPoint,
@@ -68,17 +69,8 @@ def _planted_objective(marked_rows: np.ndarray) -> Callable[[np.ndarray], float]
     """compare's step objective: -1.0 at the rows ``marked_rows`` and 1.0
     everywhere else, a point matching a row by its float64 coordinate bytes
     (the objective is only ever called with rows of the selected points)."""
-    by_key = {row.tobytes(): -1.0 for row in marked_rows}
-
-    def step_objective(x):
-        return by_key.get(x.tobytes(), 1.0)
-
-    # The same bytes, matched for all rows in one array call.
-    def on_rows(rows, _keys=_row_bytes(marked_rows)):
-        return np.where(np.isin(_row_bytes(rows), _keys), -1.0, 1.0)
-
-    step_objective.on_rows = on_rows
-    return step_objective
+    keys = _row_bytes(marked_rows)
+    return _from_rows(lambda rows: np.where(np.isin(_row_bytes(rows), keys), -1.0, 1.0))
 
 
 def _build_problem(

@@ -269,8 +269,8 @@ def _finalize(amps: Dict[str, complex], width: int) -> Dict[str, complex]:
     for b in pruned:
         del amps[b]
     if pruned and norm_sq > 0:
-        # Renormalization guard: give the pruned mass back so long chains of
-        # operations do not drift.
+        # Give the pruned mass back, so a state built by the constructor has
+        # norm 1 (the operators build theirs through _raw, not here).
         scale = 1.0 / math.sqrt(norm_sq)
         if scale != 1.0:
             for b in amps:

@@ -66,6 +66,8 @@ def objective_rows(draw):
 # libm's pow squares the second difference one unit above x * x.
 @example(("rosenbrock", np.array([[-181.328125, -88.296875], [155.171875, 73.59375]])))
 def test_on_rows_equals_the_row_form_bit_for_bit(case):
+    """A registry objective's value at a point is its array form on that one
+    row: a batch in C or Fortran order equals its one-row calls bit for bit."""
     name, rows = case
     f = make_objective(name, rows.shape[1])
     by_row = np.array([f(x) for x in rows])
@@ -390,6 +392,8 @@ REFUSED = [
     ["demo-amplify", "--seed", "-1"],
     ["demo-amplify", "--trials", "9223372036854775808"],  # 2^63
     ["demo-amplify", "--n-points", "2097152", "--n-marked", "0"],  # 2^21
+    # 2^14: past the string-keyed simulator's time bound.
+    ["demo-amplify", "--n-points", "16384", "--n-marked", "0"],
 ]
 
 

@@ -207,7 +207,7 @@ def test_pattern_basis_construction():
     assert basis.integer_combinations.tolist() == [[2**62, -(2**63)]]
 
 
-# Entries whose spans and determinants vary: signed zeros, whole numbers and
+# Entries whose spans and ranks vary: signed zeros, whole numbers and
 # fractions.
 MEMO_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.5, -0.75])
 
@@ -230,16 +230,36 @@ def test_basis_memos_agree_with_the_uncached_checks(entries):
     assert pattern._spans.cache_info().hits >= hits + 8
     for n in (1, 2, 3):
         g = data[: n * n].reshape(n, n)
-        singular = pattern._singular.__wrapped__(g.shape, g.tobytes())
-        assert pattern._singular(g.shape, g.tobytes()) == singular
+        # [G, -G] spans exactly when G is nonsingular.
+        singular = np.linalg.matrix_rank(g) < n
         eye = np.eye(n, dtype=int)
         for _ in range(2):  # the second build reads the memo
             if singular:
-                with pytest.raises(ValueError, match="generating matrix is singular"):
+                with pytest.raises(NotPositiveSpanningError):
                     PatternBasis(g, np.hstack([eye, -eye]))
             else:
                 basis = PatternBasis(g, np.hstack([eye, -eye]))
                 np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
+
+
+@pytest.mark.parametrize(
+    "g", [2.0**-14 * np.eye(3), 0.5 * np.eye(40)], ids=["2^-14 I3", "0.5 I40"]
+)
+def test_pattern_basis_accepts_a_small_well_conditioned_g(g):
+    # |det G| is 2^-42 and 2^-40: a determinant test of 1e-12 refused both.
+    n = g.shape[0]
+    eye = np.eye(n, dtype=int)
+    basis = PatternBasis(g, np.hstack([eye, -eye]))
+    np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
+
+
+@pytest.mark.parametrize(
+    "g", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])], ids=["zeros", "rank 1"]
+)
+def test_pattern_basis_refuses_a_singular_g_by_its_rank(g):
+    eye = np.eye(2, dtype=int)
+    with pytest.raises(NotPositiveSpanningError):
+        PatternBasis(g, np.hstack([eye, -eye]))
 
 
 @pytest.mark.parametrize("z_dtype", [int, float])
