@@ -51,6 +51,13 @@ class ConfigError(Exception):
 # alone (0.08-0.09 s at n = 1024, half of it the product G @ Z).
 MAX_DIMENSION = 1024
 
+# A run holds its N candidates as n float64 coordinates, then as int64 unit
+# rows, packed uint64 words and one byte key per row: one-iteration runs at
+# n * N = 2^24 peaked at 0.48-0.70 GiB (n = 16, 64 and 256; 27-42 bytes an
+# entry).  Past 2^24 entries a run is refused before it allocates any: the
+# largest n and N accepted one by one, 2^30 entries, would need about 32 GiB.
+MAX_ENTRIES = 1 << 24
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -191,6 +198,11 @@ def _load_config(args: argparse.Namespace, keys: dict) -> dict:
     if not 1 <= config["dimension"] <= MAX_DIMENSION:
         raise ConfigError(
             f"dimension must lie in [1, {MAX_DIMENSION}], got {config['dimension']}"
+        )
+    n, count = config["dimension"], config["search_points_count"]
+    if n * count > MAX_ENTRIES:
+        raise ConfigError(
+            f"dimension x search_points_count must be at most 2^24, got {n} x {count}"
         )
     return config
 

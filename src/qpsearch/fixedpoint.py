@@ -4,6 +4,13 @@ Every quantum register in this package stores numbers as ``d``-bit
 two's-complement strings with ``q`` fractional bits.  Bitstrings are plain
 Python strings of ``'0'``/``'1'``, most significant bit first, which is also
 how they appear in traces and test fixtures.
+
+One rounding rule maps a real value to register units: scale by 2**q, round
+to the nearest integer with ties away from zero, clamp to the range.  Points
+must lie on the grid and in range (``encode_point_exact``); the saturating
+encoders refuse NaN and infinities.  Only the quantum search step's value
+register saturates those, NaN and +inf at the top of the range and -inf at
+the bottom, by the rule's array pass on the raw objective values.
 """
 from __future__ import annotations
 
@@ -62,26 +69,17 @@ class FixedPointFormat:
             raise ValueError(
                 f"frac_bits must be in [0, total_bits), got {self.frac_bits}"
             )
-
-    @property
-    def resolution(self) -> float:
-        return math.ldexp(1.0, -self.frac_bits)
-
-    @property
-    def min_value(self) -> float:
-        return math.ldexp(-1.0, self.total_bits - 1 - self.frac_bits)
-
-    @property
-    def max_value(self) -> float:
-        return math.ldexp(2 ** (self.total_bits - 1) - 1, -self.frac_bits)
-
-    @property
-    def min_units(self) -> int:
-        return -(2 ** (self.total_bits - 1))
-
-    @property
-    def max_units(self) -> int:
-        return 2 ** (self.total_bits - 1) - 1
+        # The range and grid, read on every encode: plain attributes set once,
+        # not fields, so equality, hashing and repr see the two widths alone.
+        top = 2 ** (self.total_bits - 1)
+        for name, value in (
+            ("resolution", math.ldexp(1.0, -self.frac_bits)),
+            ("min_value", math.ldexp(-1.0, self.total_bits - 1 - self.frac_bits)),
+            ("max_value", math.ldexp(top - 1, -self.frac_bits)),
+            ("min_units", -top),
+            ("max_units", top - 1),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def _check_bits(bits: str) -> str:
@@ -94,6 +92,25 @@ def _units_to_bits(units: int, width: int) -> str:
     return format(units & ((1 << width) - 1), f"0{width}b")
 
 
+def _rounded_units(
+    values: np.ndarray, fmt: FixedPointFormat
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The rounding rule on a float64 array: the units rounded from each
+    value, then those units clamped to the format's range.
+
+    NaN and +inf land on the top of the range and -inf on the bottom: the
+    first clip is fmin/fmax, which return the bound where a value is NaN.
+    """
+    # Values more than one unit past the range saturate whatever their size;
+    # clipping them first keeps the scaling finite.
+    x = np.fmax(np.fmin(values, fmt.max_value + 1.0), fmt.min_value - 1.0)
+    scaled = x * (1 << fmt.frac_bits)
+    # Ties go away from zero.  For s < 0, s - 0.5 is exactly -(|s| + 0.5), so
+    # this is the scalar rule's copysign(floor(|s| + 0.5), s), -0.0 included.
+    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
+    return rounded, np.maximum(np.minimum(rounded, fmt.max_units), fmt.min_units)
+
+
 def encode_units_saturating(
     values: Sequence[float], fmt: FixedPointFormat
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,7 +121,10 @@ def encode_units_saturating(
     int64 units and a mask of the values that were clamped.  Finite values
     of any magnitude saturate; an infinity raises OverflowError and NaN
     ValueError, as converting them to an integer does.  The scalar encoders
-    apply the same rule to one Python float.
+    apply the same rule to one Python float.  The quantum search step's
+    value register saturates non-finite values instead: it applies the
+    rule's array pass (``_rounded_units``) to the raw objective values, NaN
+    and +inf at the top of the range and -inf at the bottom.
     """
     x = np.asarray(values, dtype=float)
     finite = np.isfinite(x)
@@ -112,14 +132,7 @@ def encode_units_saturating(
         v = float(x[~finite][0])
         error = ValueError if math.isnan(v) else OverflowError
         raise error(f"cannot encode {v} in {fmt.total_bits}-bit format")
-    # Values more than one unit past the range saturate whatever their size;
-    # clipping them first keeps the scaling finite.
-    x = np.maximum(np.minimum(x, fmt.max_value + 1.0), fmt.min_value - 1.0)
-    scaled = x * (1 << fmt.frac_bits)
-    # Ties go away from zero.  For s < 0, s - 0.5 is exactly -(|s| + 0.5), so
-    # this is the scalar rule's copysign(floor(|s| + 0.5), s), -0.0 included.
-    rounded = np.trunc(scaled + np.copysign(0.5, scaled))
-    clamped = np.maximum(np.minimum(rounded, fmt.max_units), fmt.min_units)
+    rounded, clamped = _rounded_units(x, fmt)
     return clamped.astype(np.int64), clamped != rounded
 
 

@@ -77,7 +77,9 @@ def _rosenbrock(n: int) -> Objective:
 def _step(n: int) -> Objective:
     # Staircase plateau: constant inside unit cells, so search steps over a
     # fine mesh find no strict improvement (t = 0).
-    return _from_rows(lambda X: np.floor(np.abs(X)).sum(axis=1))  # exact below 2^53
+    # Summed along C-ordered rows, so a row reads the same alone and in a C-
+    # or Fortran-order batch: past 2^53 the strided sum rounds apart.
+    return _from_rows(lambda X: np.floor(np.abs(np.ascontiguousarray(X))).sum(axis=1))
 
 
 _REGISTRY: Dict[str, Callable[[int], Objective]] = {

@@ -22,7 +22,7 @@ from .amplify import (
     last_failing_round,
     modified_qsearch,
 )
-from .fixedpoint import encode_scalar_saturating, encode_units_saturating
+from .fixedpoint import _rounded_units, encode_scalar_saturating
 from .ledger import OracleLedger
 from .objectives import _from_rows
 from .pattern import (
@@ -45,12 +45,6 @@ __all__ = [
 
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _finite(values):
-    # NaN and +inf become the largest float and -inf the smallest, which the
-    # saturating encode clamps to the register's ends.
-    return np.fmax(np.fmin(values, _FLOAT_MAX), -_FLOAT_MAX)
 
 
 def _row_bytes(rows: np.ndarray) -> np.ndarray:
@@ -84,20 +78,25 @@ def _build_problem(
     ``points[k] * 2^q`` of each coordinate in two's complement.
 
     The objective's values (``_values``) simulate the oracle F and are not
-    ledgered classical calls.  Values, the incumbent's among them, saturate
-    at the register's ends, NaN and +inf at the top and -inf at the bottom:
-    an improving candidate above the register maximum goes unmarked, and the
-    classical recheck after measurement rejects any mark the saturation or a
-    wrapped difference gets wrong.
+    ledgered classical calls.  They go to the value register in one pass of
+    the package's rounding rule (``fixedpoint._rounded_units``), which
+    saturates every value at the register's ends, NaN and +inf at the top
+    and -inf at the bottom; the incumbent's value takes the scalar form of
+    the same rule.  An improving candidate above the register maximum goes
+    unmarked, and the classical recheck after measurement rejects any mark
+    the saturation or a wrapped difference gets wrong.  ``SearchProblem``
+    then checks the rows and values once.
     """
     fmt = config.fixed_point_format
     mask = (1 << fmt.total_bits) - 1
     units = (points * (1 << fmt.frac_bits)).astype(np.int64) & mask
-    # _finite on one float: min keeps its first argument against NaN.
+    # NaN and +inf to the largest float and -inf to the smallest, so the
+    # scalar rule saturates them where the array pass does: min keeps its
+    # first argument against NaN.
     incumbent = max(-_FLOAT_MAX, min(_FLOAT_MAX, float(incumbent_value)))
     incumbent_bits, _ = encode_scalar_saturating(incumbent, fmt)
-    value_units, _ = encode_units_saturating(_finite(_values(points, objective)), fmt)
-    return SearchProblem(units, incumbent_bits, value_units & mask)
+    _, value_units = _rounded_units(_values(points, objective), fmt)
+    return SearchProblem(units, incumbent_bits, value_units.astype(np.int64) & mask)
 
 
 def quantum_search_step(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping
 
 import numpy as np
@@ -112,6 +113,10 @@ class RegisterLayout:
         return "0" * self.total_bits
 
 
+# Layouts are immutable: the search problems of a run share one per widths.
+_shared_layout = lru_cache(maxsize=8)(RegisterLayout)
+
+
 class SparseState:
     """Normalized sparse amplitude map over full-width basis strings."""
 
@@ -181,7 +186,7 @@ class SearchProblem:
     ):
         vb = len(incumbent_value_bits)
         self.spread = spread = HouseholderPrepare(point_units, vb)
-        self.layout = RegisterLayout(spread.point_width, vb)
+        self.layout = _shared_layout(spread.point_width, vb)
         if incumbent_value_bits.strip("01"):
             raise ValueError(f"incumbent value {incumbent_value_bits!r} is not binary")
         n = len(spread.rows)
@@ -316,6 +321,15 @@ def apply_phase(
     return SparseState._raw(state.layout, new)
 
 
+def _packed(columns: np.ndarray, bits: int) -> np.ndarray:
+    """The rows' ``bits``-bit uint64 units, given as ``columns``, in one
+    word per row, the first column in the highest bits."""
+    word = columns[0]
+    for column in columns[1:]:
+        word = word << bits | column
+    return word
+
+
 class HouseholderPrepare:
     """Self-inverse unitary sending |0...0> on the point register to the
     uniform superposition of the target points.
@@ -349,29 +363,31 @@ class HouseholderPrepare:
         self._strings = None  # the slot strings, once a SparseState needs them
         # Whole units packed into uint64 words, column 0 in the highest bits
         # of the first word, compare as the point strings do; the order of
-        # the strings is then a lexsort of the words, word 0 first.  One word
-        # sorts by argsort: on distinct keys any sort gives lexsort's order,
-        # and equal words only raise below.
+        # the strings is then a lexsort of the words, word 0 first.
         per = max(1, min(64 // unit_bits, rows.shape[1]))
         units = rows.view(np.uint64).T
-        words = []
-        for start in range(0, len(units), per):
-            word = units[start]
-            for column in units[start + 1 : start + per]:
-                word = word << unit_bits | column
-            words.append(word)
-        if len(words) == 1:
-            self.order = order = words[0].argsort()
+        if per == len(units):
+            # One word, as every point of up to 64 bits packs: it sorts by
+            # argsort, since on distinct keys any sort gives lexsort's order
+            # and equal words only raise below.
+            word = _packed(units, unit_bits)
+            self.order = order = word.argsort()
+            ranked = word[order]
+            same = ranked[1:] == ranked[:-1]
+            first = ranked[0]
         else:
+            words = [_packed(units[start : start + per], unit_bits)
+                     for start in range(0, len(units), per)]
             self.order = order = np.lexsort(words[::-1])
-        ranked = [word[order] for word in words]
-        same = ranked[0][1:] == ranked[0][:-1]
-        for word in ranked[1:]:
-            same &= word[1:] == word[:-1]
+            ranked = [word[order] for word in words]
+            same = ranked[0][1:] == ranked[0][:-1]
+            for word in ranked[1:]:
+                same &= word[1:] == word[:-1]
+            first = any(word[0] for word in ranked)
         if np.count_nonzero(same):
             raise ValueError(f"duplicate target point {rows[order[same.argmax()]].tolist()}")
-        n = len(rows)
-        self.zero_slot = n if any(word[0] for word in ranked) else int(order[0])
+        # The all-zeros point sorts first wherever it is a target.
+        self.zero_slot = len(rows) if first else int(order[0])
 
     @property
     def vector(self) -> np.ndarray:
@@ -475,10 +491,11 @@ def measure(state: SparseState | IndexState, rng: np.random.Generator) -> str | 
     the norm, located among the outcomes' running sum in sorted string order,
     so results are reproducible regardless of construction history.
     """
-    outcomes, probs, cumulative = _born(state)
+    outcomes, _, cumulative = _born(state)
+    # For r < 1 and the checked norm^2 c (about 1, so normal), fl(r * c) < c:
+    # the first running sum above it is that of an outcome of positive
+    # probability, the last such outcome at most.
     k = int(cumulative.searchsorted(rng.random() * cumulative[-1], side="right"))
-    if k == len(probs):  # r landed on the floating-point boundary
-        k = int(probs.nonzero()[0][-1])
     return outcomes[k] if isinstance(state, SparseState) else int(outcomes[k])
 
 

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qpsearch
-from qpsearch import amplify, fixedpoint, ledger, objectives, pattern, quantum_step, state
+from qpsearch import (
+    amplify, cli, fixedpoint, ledger, objectives, pattern, quantum_step, state,
+)
 from qpsearch.cli import COMPARE_KEYS, RUN_KEYS, main
 from qpsearch.objectives import UnknownObjectiveError, make_objective, objective_names
 
@@ -73,6 +75,17 @@ def test_on_rows_equals_the_row_form_bit_for_bit(case):
     by_row = np.array([f(x) for x in rows])
     on_rows = f.on_rows(rows)
     assert on_rows.shape == by_row.shape and on_rows.dtype == np.float64
+    assert on_rows.view(np.int64).tolist() == by_row.view(np.int64).tolist()
+
+
+def test_step_reads_a_fortran_order_batch_as_its_rows_past_2_53():
+    """A poll's batch is Fortran-ordered; its rows' sums must still round as
+    the rows alone do where the unit cells' floors add past 2^53."""
+    f = make_objective("step", 8)
+    rows = np.asfortranarray([[2.0**53 + 2 * i, *[1.0] * 7] for i in range(4)]
+                             + [[2.0**54, 2.0**53, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    by_row = np.array([f(x) for x in rows])
+    on_rows = f.on_rows(rows)
     assert on_rows.view(np.int64).tolist() == by_row.view(np.int64).tolist()
 
 
@@ -228,8 +241,12 @@ def test_run_library_error_is_one_line_exit_2(tmp_path, capsys):
         # An integer register: the first contraction below 1 leaves the grid.
         (["--config", '{"total_bits": 8, "frac_bits": 0, "initial_mesh_size": 1, '
           '"initial_point": [3, 3]}'], 5, 0.5),
+        # The same register from sphere's minimum: nothing improves, so the
+        # first contraction, at iteration 1, already leaves the grid.
+        (["--config", '{"total_bits": 8, "frac_bits": 0, "initial_mesh_size": 1, '
+          '"initial_point": [0, 0]}'], 1, 0.5),
     ],
-    ids=["tolerance-1e-4", "integer-register"],
+    ids=["tolerance-1e-4", "integer-register", "integer-register-first-iteration"],
 )
 def test_run_stops_when_the_mesh_leaves_the_register_grid(
     argv, iterations, mesh_size, backend, tmp_path
@@ -304,6 +321,9 @@ REFUSED = [
     # Past 2^20 points; 2^30 would ask for 32 GiB of z draws.
     ["run", "--search-points-count", "2097152"],
     ["compare", "--search-points-count", "2097152"],
+    # Each accepted alone, but 2^30 point entries together: about 32 GiB.
+    ["run", "--dimension", "1024", "--search-points-count", "1048576"],
+    ["compare", "--dimension", "1024", "--search-points-count", "1048576"],
     # Without --emit-rounds no record carries t.
     ["run", "--count-marked", "--max-iterations", "2"],
     ["run", "--objective", "rosenbrock", "--dimension", "3"],
@@ -412,6 +432,30 @@ def test_cli_refuses_bad_value_with_one_line(argv, tmp_path, tmp_path_factory, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # refused before any output is opened
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    "n,count,refused",
+    [(16, 2**20, False), (32, 2**20, True), (1024, 2**14, False), (1024, 2**15, True),
+     (1024, 2**20, True)],
+)
+def test_point_entries_are_bounded_by_the_config_alone(
+    command, n, count, refused, monkeypatch, capsys
+):
+    """n x N past 2^24 is refused from the config: nothing is built, since
+    every accepted config stops where the command would build its basis."""
+    def build(*args):
+        raise cli.ConfigError("would build")
+
+    monkeypatch.setattr(cli, "_gps_settings", build)
+    argv = [command, "--dimension", str(n), "--search-points-count", str(count)]
+    assert run_cli(*argv) == 2
+    expected = (
+        f"dimension x search_points_count must be at most 2^24, got {n} x {count}"
+        if refused else "would build"
+    )
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize(

@@ -272,9 +272,54 @@ def test_build_problem_encodes_the_incumbent_as_the_array_rule_does(fmt):
     for incumbent in [np.nan, np.inf, -np.inf, 1e308, -1e308, 2.5, -0.0, 5e-324,
                       np.float64(-7.25), fmt.max_value + fmt.resolution / 2]:
         problem = quantum_step._build_problem(points, incumbent, lambda x: 0.0, config)
-        units, _ = encode_units_saturating(quantum_step._finite(np.array([incumbent])), fmt)
+        # NaN and +inf to the largest float and -inf to the smallest, then
+        # the array rule.
+        finite = np.fmax(np.fmin(np.array([incumbent]), FLOAT_MAX), -FLOAT_MAX)
+        units, _ = encode_units_saturating(finite, fmt)
         expected = format(int(units[0]) & mask, f"0{fmt.total_bits}b")
         assert problem.incumbent_value_bits == expected, incumbent
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@st.composite
+def formats_and_values(draw):
+    """A register format and one value per candidate that it can hold:
+    floats of every kind, NaN, infinities, signed zeros, subnormals and the
+    largest magnitudes among them."""
+    fmt = draw(st.sampled_from([
+        FixedPointFormat(2, 0), FixedPointFormat(4, 0), FixedPointFormat(8, 0),
+        FixedPointFormat(18, 8), FixedPointFormat(16, 10), FixedPointFormat(32, 0),
+        FixedPointFormat(32, 31),
+    ]))
+    value = st.floats() | st.sampled_from(
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX,
+         fmt.max_value, fmt.min_value, fmt.max_value + fmt.resolution / 2,
+         fmt.min_value - fmt.resolution / 2, -fmt.resolution / 2]
+    )
+    count = min(40, 2 ** (fmt.total_bits - 1))  # points 0, 1, ... units up to max_units
+    return fmt, draw(st.lists(value, min_size=1, max_size=count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(formats_and_values())
+def test_build_problem_saturates_values_as_the_array_rule_on_finite_floats(case):
+    """The value register, built in one pass from the raw values, equals the
+    array rule on the values first clamped to finite floats (NaN and +inf to
+    the largest float, -inf to the smallest), in d-bit two's complement."""
+    fmt, values = case
+    values = np.array(values)
+    points = np.arange(len(values))[:, None] * fmt.resolution  # on grid, in range
+    by_point = dict(zip(points[:, 0].tolist(), values.tolist()))
+    config = step_config(fixed_point_format=fmt)
+    problem = quantum_step._build_problem(
+        points, 0.0, lambda x: by_point[float(x[0])], config
+    )
+    finite = np.fmax(np.fmin(values, FLOAT_MAX), -FLOAT_MAX)
+    expected, _ = encode_units_saturating(finite, fmt)
+    assert problem.units.dtype == np.int64
+    assert problem.units.tolist() == (expected & (1 << fmt.total_bits) - 1).tolist()
 
 
 def test_step_saturates_an_incumbent_above_the_register():

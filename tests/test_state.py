@@ -386,6 +386,33 @@ def test_measure_returns_each_forms_own_label():
     assert measure(state(L1, **{"101": 1.0}), np.random.default_rng(0)) == "101"
 
 
+class TopDraw:
+    """A generator stub whose every draw is the largest float below 1."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+
+def test_the_top_draw_measures_the_last_outcome_of_positive_probability():
+    """r = 1 - 2^-53 scales to below the running sum's end, so the search
+    lands on an outcome, the last one of positive probability, on either
+    form: trailing outcomes of zero (or pruned) probability are skipped."""
+    rng = np.random.default_rng(5)
+    problem = SearchProblem(np.arange(8)[:, None], "0000", np.ones(8, dtype=np.int64))
+    for _ in range(200):
+        amplitudes = rng.standard_normal(problem.size)
+        last = int(rng.integers(problem.size))
+        amplitudes[last + 1 :] = 0.0
+        amplitudes[last + 1 :: 2] = 1e-13  # below the pruning threshold
+        amplitudes /= np.linalg.norm(amplitudes)
+        assert measure(IndexState(problem, amplitudes), TopDraw()) == last
+    for amps, expected in [
+        ({"000": 0.6, "101": 0.8j}, "101"),
+        ({"011": INV_SQRT2, "110": INV_SQRT2, "111": 0.0}, "110"),
+    ]:
+        assert measure(SparseState._raw(L1, amps), TopDraw()) == expected
+
+
 def test_sample_counts_matches_born_rule():
     rng = np.random.default_rng(7)
     s = state(L1, **{"000": 0.6, "111": 0.8j})
