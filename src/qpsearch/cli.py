@@ -46,9 +46,9 @@ class ConfigError(Exception):
 
 
 # The first build of a coordinate basis in a process checks its rank in
-# O(n^3): 0.6-0.8 s at n = 1024 and 39 s at n = 4096 on 2 cores.  Later builds
-# of the same basis read the pattern module's memo of that check, keyed on D
-# alone (0.08-0.09 s at n = 1024, half of it the product G @ Z).
+# O(n^3): 0.65-0.71 s at n = 1024 and 39 s at n = 4096 on 2 cores.  Later
+# builds of the same basis read the pattern module's memo of that check, keyed
+# on D's bytes (0.03-0.04 s at n = 1024: forming D and keying the memo).
 MAX_DIMENSION = 1024
 
 # A run holds its N candidates as n float64 coordinates, then as int64 unit

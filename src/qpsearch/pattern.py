@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "NotPositiveSpanningError",
     "MeshExhaustedError",
     "positive_spanning_check",
-    "mesh_point",
-    "poll_set",
     "poll_step",
     "select_search_points",
     "step_rng",
@@ -154,59 +151,27 @@ def _passive_solution(a: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class PatternBasis:
-    """Direction set D = G @ Z: a nonsingular generating matrix times integer
-    combination columns, required to positively span R^n."""
+    """Coordinate search's direction set D = [I, -I] in R^n, the 2n columns
+    +-e_i, which positively span R^n (Davis 1954)."""
 
-    generating: np.ndarray
-    integer_combinations: np.ndarray
-    directions: np.ndarray = field(init=False)
+    dimension: int
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = np.asarray(self.integer_combinations)
-        # A float, uint64 or Python int entry past int64 would wrap in
-        # astype(int); inf and NaN are left to the non-finite refusal.
-        if z.dtype.kind in "ufO" and (
-            ((z >= 2**63) | (z < -(2**63))) & (abs(z) < math.inf)
-        ).any():
-            raise ValueError("combination matrix has an entry past the int64 range")
-        g = np.array(self.generating, dtype=float)  # owned: the caller's G may change
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatchError(f"generating matrix must be square, got {g.shape}")
-        n = g.shape[0]
-        if z.ndim != 2 or z.shape[0] != n:
-            raise DimensionMismatchError(
-                f"combination matrix must be {n} x p, got {z.shape}"
-            )
-        # An integer Z is finite and integer: only a float or object one is tested.
-        integer = z.dtype.kind in "iu"
-        if not (np.isfinite(g).all() and (integer or np.isfinite(z).all())):
-            raise ValueError("direction matrix has a non-finite entry")
-        if not (integer or np.array_equal(z, np.round(z))):
-            raise ValueError("combination matrix must be integer")
-        # rank(G @ Z) <= rank G: the spanning check's rank test refuses a
-        # singular G.
-        d = g @ z.astype(float)
-        if not positive_spanning_check(d):
-            raise NotPositiveSpanningError(
-                "columns of G @ Z do not positively span R^n"
-            )
-        object.__setattr__(self, "generating", g)
-        object.__setattr__(self, "integer_combinations", z.astype(int))
+        eye = np.eye(self.dimension, dtype=int)  # integer, so -eye holds no -0.0
+        d = np.hstack([eye, -eye]).astype(float)
+        if not positive_spanning_check(d):  # which refuses n < 1
+            raise NotPositiveSpanningError("columns of [I, -I] do not positively span R^n")
         object.__setattr__(self, "directions", d)
 
     @classmethod
     def coordinate(cls, n: int) -> "PatternBasis":
-        """The minimal standard choice: G = I, directions [I, -I]."""
-        eye = np.eye(n, dtype=int)
-        return cls(np.eye(n), np.hstack([eye, -eye]))
-
-    @property
-    def dimension(self) -> int:
-        return self.generating.shape[0]
+        """The basis of coordinate search in R^n."""
+        return cls(n)
 
     @property
     def num_directions(self) -> int:
-        return self.directions.shape[1]
+        return 2 * self.dimension
 
 
 @dataclass(frozen=True)
@@ -321,29 +286,8 @@ class GpsRun:
     ledger: OracleLedger
 
 
-def mesh_point(state: MeshState, basis: PatternBasis, z: Sequence[int]) -> np.ndarray:
-    """The mesh point x_k + mesh_size * D @ z."""
-    z = np.asarray(z)
-    if z.shape != (basis.num_directions,):
-        raise DimensionMismatchError(
-            f"z must have length {basis.num_directions}, got shape {z.shape}"
-        )
-    if np.any(z < 0) or not np.array_equal(z, np.round(z)):
-        raise ValueError("z must be a vector of non-negative integers")
-    return state.iterate + state.mesh_size * (basis.directions @ z.astype(float))
-
-
-def poll_set(state: MeshState, directions: np.ndarray) -> List[np.ndarray]:
-    """Poll candidates x_k + mesh_size * d, one per direction column."""
-    d = np.asarray(directions, dtype=float)
-    if not positive_spanning_check(d):
-        raise NotPositiveSpanningError("poll directions must positively span R^n")
-    return list(_poll_points(state, d))
-
-
-def _poll_points(state: MeshState, d: np.ndarray) -> np.ndarray:
-    # Unchecked: for direction sets already known to span, such as a basis's.
-    return state.iterate + state.mesh_size * d.T
+def _poll_points(state: MeshState, basis: PatternBasis) -> np.ndarray:
+    return state.iterate + state.mesh_size * basis.directions.T
 
 
 def poll_step(
@@ -354,25 +298,8 @@ def poll_step(
 ) -> Optional[ImprovedPoint]:
     """Opportunistic poll: the first-improvement scan over the poll points in
     column order; None declares the iterate a mesh local optimizer."""
-    points = _poll_points(state, basis.directions)  # checked by PatternBasis
+    points = _poll_points(state, basis)
     return classical_search_step(points, objective, state.incumbent_value, ledger)
-
-
-def _small_z_enumeration(p: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    # Nonzero z in {0..cap}^p by increasing 1-norm, lexicographic within.
-    for total in range(1, p * cap + 1):
-        for z in _compositions(total, p, cap):
-            yield z
-
-
-def _compositions(total: int, parts: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(min(total, cap) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
 
 
 def _exhausted(found: int, wanted: int) -> MeshExhaustedError:
@@ -381,39 +308,76 @@ def _exhausted(found: int, wanted: int) -> MeshExhaustedError:
     )
 
 
-def _axis_mesh_count(
-    state: MeshState, basis: PatternBasis, config: GpsConfig
-) -> Optional[int]:
-    """In-range mesh points that z in {0..search_radius}^p reaches, the
-    incumbent among them, or None where they are not counted.
+def _mesh_box(
+    state: MeshState, config: GpsConfig
+) -> Tuple[Optional[int], List[Tuple[int, int]]]:
+    """The in-range mesh points that z in {0..search_radius}^p reaches, the
+    incumbent among them, and each axis's (below, above) range of steps k.
 
-    They are counted when the basis is G [I, -I] with G diagonal and every
-    step mesh_size * g_i is a whole number of register units: axis i then
-    moves by k steps for every k in [-search_radius, search_radius], and the
-    points are the product of the axes' in-range positions.
+    Where the step mesh_size is a whole number of register units, an axis
+    keeps the k in [-search_radius, search_radius] that stay in range (none
+    if it overflows to inf), and the points are counted.  Otherwise they are
+    not (None), and every axis keeps the whole radius.
     """
-    g = basis.generating
-    eye = np.eye(basis.dimension, dtype=int)
-    if not (
-        np.array_equal(basis.integer_combinations, np.hstack([eye, -eye]))
-        and np.array_equal(g, np.diag(np.diag(g)))
-    ):
-        return None
     fmt = config.fixed_point_format
     scale = 1 << fmt.frac_bits
     cap = config.search_radius
-    count = 1
-    for x, g_i in zip(state.iterate.tolist(), np.diag(g).tolist()):
-        step = abs(float(state.mesh_size) * g_i) * scale
-        if step == math.inf:  # every move along the axis leaves the range
-            continue
-        if step < 1 or not step.is_integer():
-            return None
-        s, u = int(step), int(x * scale)
-        above = min(cap, (fmt.max_units - u) // s)
-        below = min(cap, (u - fmt.min_units) // s)
-        count *= above + below + 1
-    return count
+    step = float(state.mesh_size) * scale
+    if step == math.inf:  # every move leaves the range
+        return 1, [(0, 0)] * len(state.iterate)
+    if step < 1 or not step.is_integer():
+        return None, [(cap, cap)] * len(state.iterate)
+    s = int(step)
+    box = [
+        (min(cap, (u - fmt.min_units) // s), min(cap, (fmt.max_units - u) // s))
+        for u in (int(x * scale) for x in state.iterate.tolist())
+    ]
+    return math.prod(below + above + 1 for below, above in box), box
+
+
+def _k_walk(box: Sequence[Tuple[int, int]], block: int) -> Iterator[np.ndarray]:
+    """Every nonzero k with -below_i <= k_i <= above_i, as int64 rows of its
+    first z = (k+, k-): by increasing |k|_1, lexicographic in z within, the
+    order in which a walk of every z by 1-norm first reaches each k.
+
+    A norm's rows grow one entry at a time after their last, the last
+    position first, then by value, where the later positions can hold the
+    rest.  A block whose step would make over ``block`` rows is halved.
+    """
+    n = len(box)
+    below, above = np.array(box, dtype=np.int64).reshape(n, 2).T
+    q = np.arange(2 * n - 1, -1, -1)  # the positions of z, last first
+    for total in range(1, sum(max(b, a) for b, a in box) + 1):
+        lo, hi = np.minimum(below, total), np.minimum(above, total)  # sums fit int64
+        reach = np.maximum(lo, hi)
+        # What the positions after k+_i hold: each later axis on either side,
+        # each earlier one on its negative side unless its k+ is placed.
+        after_plus = reach[::-1].cumsum()[::-1] - reach + lo.cumsum() - lo
+        stack = [np.zeros((1, 2 * n), np.int64)]
+        while stack:
+            z = stack.pop()
+            need = total - z.sum(axis=1)
+            if not need.any():
+                yield z
+                continue
+            open_lo = np.where(z[:, :n] > 0, 0, lo)  # k-_i is closed where k+_i > 0
+            cap = np.hstack([np.broadcast_to(hi, open_lo.shape), open_lo])[:, q]
+            room = np.hstack([after_plus - (lo - open_lo).sum(axis=1, keepdims=True),
+                              open_lo[:, ::-1].cumsum(axis=1)[:, ::-1] - open_lo])[:, q]
+            first = np.maximum(need[:, None] - room, 1)
+            width = np.maximum(np.minimum(need[:, None], cap) - first + 1, 0)
+            width[np.logical_or.accumulate(z[:, q] > 0, axis=1)] = 0
+            width = np.column_stack([need == 0, width]).ravel()  # slot 0: kept as is
+            if len(z) > 1 and width.sum() > block:
+                stack += [z[len(z) // 2 :], z[: len(z) // 2]]
+                continue
+            cell = np.repeat(np.arange(len(width)), width)
+            row, slot = np.divmod(cell, 2 * n + 1)
+            value = first.ravel()[cell - row - 1] + np.arange(len(cell))
+            value -= np.repeat(width.cumsum() - width, width)
+            z, put = z[row], slot > 0
+            z[put, 2 * n - slot[put]] = value[put]
+            stack.append(z)
 
 
 def step_rng(seed: int, iteration: int, stream: int) -> np.random.Generator:
@@ -440,8 +404,9 @@ def select_search_points(
 
     Combination vectors z are drawn uniformly from {0..search_radius}^p
     minus zero, at most 50*N of them, from a generator seeded by
-    (rng_seed, iteration, 0); if they yield fewer than N points, small z are
-    enumerated systematically.  The incumbent itself is excluded.  z is
+    (rng_seed, iteration, 0).  z moves axis i by k_i = z_i - z_(n+i) steps;
+    if the draws yield fewer than N points, each k of the in-range box is
+    then tried once (see _k_walk).  The incumbent itself is excluded.  z is
     drawn in chunks of C = max(64, min(N, DRAW_CHUNK_VALUES // p)) rows,
     except that the second tops up with max(64, min(C, 2 * M)) rows for the
     M points still missing.  numpy's draws do not depend on chunk sizes, and
@@ -519,12 +484,12 @@ def select_search_points(
         size = chunk if draws else max(64, min(chunk, 2 * (n_wanted + 1 - len(seen))))
         draws += k
     if len(seen) <= n_wanted:
-        total = _axis_mesh_count(state, basis, config)
+        total, box = _mesh_box(state, config)
         if total is not None and total - 1 < n_wanted:
             raise _exhausted(total - 1, n_wanted)
-        small_z = _small_z_enumeration(p, cap)
-        while len(seen) <= n_wanted and (block := list(islice(small_z, chunk))):
-            take(np.array(block))
+        walk = _k_walk(box, chunk)
+        while len(seen) <= n_wanted and (z := next(walk, None)) is not None:
+            take(z)
     if len(seen) <= n_wanted:
         raise _exhausted(len(seen) - 1, n_wanted)
     # One chunk's y.take(taken) is already a fresh C-ordered array of its own.
@@ -639,10 +604,6 @@ def gps_run(
         )
     fmt = config.fixed_point_format
     encode_point_exact(x0, fmt)
-    scale = 2**fmt.frac_bits
-    # D's distinct entries as Python floats, whose products overflow to inf
-    # without a warning.
-    entries = set(basis.directions.ravel().tolist())
 
     ledger = OracleLedger()
     ledger.classical_calls += 1
@@ -662,10 +623,9 @@ def gps_run(
         ):
             stop = "budget-exhausted"
             break
-        # Each step mesh_size * d must be whole register units (inf is not).
-        if state.iteration > 0 and not all(
-            (state.mesh_size * scale * d).is_integer() for d in entries
-        ):
+        # The step must be whole register units; a float product overflows
+        # to inf, which is not, without a warning.
+        if state.iteration > 0 and not (state.mesh_size * 2.0**fmt.frac_bits).is_integer():
             stop = "mesh-resolution"
             break
 
@@ -685,7 +645,7 @@ def gps_run(
             label = "search-success"
         else:
             if event_sink is not None:
-                points = _poll_points(state, basis.directions)
+                points = _poll_points(state, basis)
                 event_sink(candidates_record("poll", state.iteration, points))
             outcome = poll_step(state, basis, objective, ledger)
             label = "poll-success" if outcome is not None else "mesh-local-optimizer"

@@ -393,12 +393,12 @@ REFUSED = [
     ["run", "--objective", "step", "--initial-mesh-size", "0.25", "--tau", "1e-14",
      "--max-iterations", "3"],
     # 256 points cannot fit in an 8-bit point register besides the incumbent;
-    # refused before the small-z top-up walks 41^4 combinations.
+    # refused before any k is walked.
     ["run", "--backend", "classical", "--config",
      '{"dimension": 2, "initial_point": [0, 0], "total_bits": 4, "frac_bits": 0, '
      '"initial_mesh_size": 1, "search_radius": 40, "search_points_count": 256}'],
     # A mesh of step 2 reaches only 8 positions per axis in [-8, 7]: refused
-    # by counting them, before the top-up walks 41^4 (or 41^6) combinations.
+    # by counting them, before any k is walked.
     ["run", "--backend", "classical", "--config",
      '{"dimension": 2, "initial_point": [0, 0], "total_bits": 4, "frac_bits": 0, '
      '"initial_mesh_size": 2, "search_radius": 40, "search_points_count": 128}'],

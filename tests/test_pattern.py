@@ -1,4 +1,4 @@
-"""Pattern-search machinery: spanning checks, mesh ops, poll, outer loop."""
+"""Pattern-search machinery: spanning check, basis, selection, poll, outer loop."""
 import itertools
 import json
 import math
@@ -25,12 +25,9 @@ from qpsearch.pattern import (
     ImprovedPoint,
     MeshExhaustedError,
     MeshState,
-    NotPositiveSpanningError,
     PatternBasis,
     classical_search_step,
     gps_run,
-    mesh_point,
-    poll_set,
     poll_step,
     positive_spanning_check,
     select_search_points,
@@ -185,26 +182,14 @@ def test_pattern_basis_construction():
         basis.directions, np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=float)
     )
     assert basis.dimension == 2 and basis.num_directions == 4
-    with pytest.raises(ValueError):
-        PatternBasis(np.zeros((2, 2)), np.hstack([np.eye(2, dtype=int)] * 2))
-    with pytest.raises(NotPositiveSpanningError):
-        PatternBasis(np.eye(2), np.eye(2, dtype=int))
-    with pytest.raises(ValueError):
-        PatternBasis(np.eye(2), np.array([[0.5, 1], [1, 0]]))
-    # Entries int64 cannot hold used to wrap in astype(int), or, as Python
-    # ints past uint64, to raise TypeError; they are refused before the shapes.
-    for z in (
-        np.array([[2.0**63, -(2.0**63)]]),
-        np.array([[2**63, 1]], dtype=np.uint64),
-        [[2**64, -1]],
-        [[-(2**63) - 1, 1]],
-    ):
-        with pytest.raises(ValueError, match="past the int64 range"):
-            PatternBasis(np.eye(1), z)
-        with pytest.raises(ValueError, match="past the int64 range"):
-            PatternBasis(np.ones((2, 3)), z)
-    basis = PatternBasis(np.eye(1), np.array([[2.0**62, -(2.0**63)]]))
-    assert basis.integer_combinations.tolist() == [[2**62, -(2**63)]]
+    assert basis == PatternBasis(2)
+    # No -0.0: only the -1 entries carry a sign bit.
+    assert np.signbit(PatternBasis(5).directions).sum() == 5
+    with pytest.raises(DimensionMismatchError, match="at least one row"):
+        PatternBasis(0)
+    # The basis takes its dimension alone: a G and a Z are refused.
+    with pytest.raises(TypeError):
+        PatternBasis(np.eye(2), np.hstack([np.eye(2, dtype=int), -np.eye(2, dtype=int)]))
 
 
 # Entries whose spans and ranks vary: signed zeros, whole numbers and
@@ -228,118 +213,19 @@ def test_basis_memos_agree_with_the_uncached_checks(entries):
         assert pattern._spans(*key) == pattern._spans(*key) == expected
         assert positive_spanning_check(d) == (shape[1] > shape[0] and expected)
     assert pattern._spans.cache_info().hits >= hits + 8
-    for n in (1, 2, 3):
-        g = data[: n * n].reshape(n, n)
-        # [G, -G] spans exactly when G is nonsingular.
-        singular = np.linalg.matrix_rank(g) < n
-        eye = np.eye(n, dtype=int)
-        for _ in range(2):  # the second build reads the memo
-            if singular:
-                with pytest.raises(NotPositiveSpanningError):
-                    PatternBasis(g, np.hstack([eye, -eye]))
-            else:
-                basis = PatternBasis(g, np.hstack([eye, -eye]))
-                np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
-
-
-@pytest.mark.parametrize(
-    "g", [2.0**-14 * np.eye(3), 0.5 * np.eye(40)], ids=["2^-14 I3", "0.5 I40"]
-)
-def test_pattern_basis_accepts_a_small_well_conditioned_g(g):
-    # |det G| is 2^-42 and 2^-40: a determinant test of 1e-12 refused both.
-    n = g.shape[0]
-    eye = np.eye(n, dtype=int)
-    basis = PatternBasis(g, np.hstack([eye, -eye]))
-    np.testing.assert_array_equal(basis.directions, np.hstack([g, -g]))
-
-
-@pytest.mark.parametrize(
-    "g", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])], ids=["zeros", "rank 1"]
-)
-def test_pattern_basis_refuses_a_singular_g_by_its_rank(g):
-    eye = np.eye(2, dtype=int)
-    with pytest.raises(NotPositiveSpanningError):
-        PatternBasis(g, np.hstack([eye, -eye]))
-
-
-@pytest.mark.parametrize("z_dtype", [int, float])
-def test_pattern_basis_keeps_no_array_of_the_caller(z_dtype):
-    # Writing to the caller's G or Z after the build changes no basis array.
-    g = np.eye(2)
-    z = np.hstack([np.eye(2), -np.eye(2)]).astype(z_dtype)
-    basis = PatternBasis(g, z)
-    names = ("generating", "integer_combinations", "directions")
-    built = {name: getattr(basis, name).copy() for name in names}
-    g[0, 0] = 0.0
-    z[0, 0] = 5
-    for name in names:
-        np.testing.assert_array_equal(getattr(basis, name), built[name])
 
 
 def test_coordinate_bases_share_no_array():
-    first, second = PatternBasis.coordinate(3), PatternBasis.coordinate(3)
-    for name in ("generating", "integer_combinations", "directions"):
-        a, b = getattr(first, name), getattr(second, name)
-        np.testing.assert_array_equal(a, b)
-        assert a.flags.writeable and b.flags.writeable
-        a[0, 0] = 7
-        assert b[0, 0] == 1
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_pattern_basis_refuses_non_finite_generating_entries(bad):
-    # inf used to read as a singular G, and NaN to warn inside det first.
-    g = np.eye(2)
-    g[1, 0] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        PatternBasis(g, np.hstack([np.eye(2, dtype=int), -np.eye(2, dtype=int)]))
-
-
-def test_pattern_basis_refuses_mismatched_shapes():
-    with pytest.raises(DimensionMismatchError, match="must be square"):
-        PatternBasis(np.ones((2, 3)), np.eye(2, dtype=int))
-    with pytest.raises(DimensionMismatchError, match="must be 2 x p"):
-        PatternBasis(np.eye(2), np.eye(3, dtype=int))
+    a, b = PatternBasis.coordinate(3).directions, PatternBasis.coordinate(3).directions
+    np.testing.assert_array_equal(a, b)
+    assert a.flags.writeable and b.flags.writeable
+    a[0, 0] = 7
+    assert b[0, 0] == 1
 
 
 def test_mesh_state_refuses_a_mesh_size_of_zero():
     with pytest.raises(ValueError, match="mesh size must be positive"):
         MeshState(np.zeros(1), 0.0, 0.0)
-
-
-def test_mesh_point_refuses_z_of_the_wrong_length():
-    state = MeshState(np.zeros(2), 1.0, 0.0)
-    with pytest.raises(DimensionMismatchError, match="z must have length 4"):
-        mesh_point(state, PatternBasis.coordinate(2), [1, 0, 0])
-
-
-def test_mesh_point_examples():
-    basis = PatternBasis.coordinate(1)
-    state = MeshState(np.array([2.0]), 0.5, 4.0)
-    np.testing.assert_array_equal(mesh_point(state, basis, [0, 0]), [2.0])
-    np.testing.assert_array_equal(mesh_point(state, basis, [3, 0]), [3.5])
-
-    basis2 = PatternBasis.coordinate(2)
-    state2 = MeshState(np.zeros(2), 1.0, 0.0)
-    np.testing.assert_array_equal(mesh_point(state2, basis2, [1, 0, 0, 2]), [1.0, -2.0])
-    with pytest.raises(ValueError):
-        mesh_point(state2, basis2, [1, 0, 0, -1])
-
-
-def test_poll_set_examples():
-    basis = PatternBasis.coordinate(1)
-    state = MeshState(np.array([0.0]), 0.25, 0.0)
-    pts = poll_set(state, basis.directions)
-    assert [p[0] for p in pts] == [0.25, -0.25]
-
-    basis2 = PatternBasis.coordinate(2)
-    state2 = MeshState(np.zeros(2), 1.0, 0.0)
-    pts = poll_set(state2, basis2.directions)
-    assert [tuple(p) for p in pts] == [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    assert len(pts) == basis2.num_directions
-
-    with pytest.raises(NotPositiveSpanningError):
-        poll_set(state2, np.eye(2))
 
 
 def test_poll_step_first_improvement():
@@ -439,11 +325,11 @@ def reference_select_search_points(state, basis, config):
     """The per-point selection loop that the array version replaced: draw one
     z at a time and encode its point with encode_point_exact.
 
-    Every basis drawn here is G [I, -I], so y depends on z only through
-    k = z+ - z- (exactly, as G is dyadic), and considering a y again changes
-    nothing.  So each k is considered once, and the small z walk visits only
-    each k's first z, (k+, k-), by increasing 1-norm, lexicographic within.
-    Once every k has been considered, no further draw can add a point.
+    The basis is [I, -I], so y depends on z only through k = z+ - z-, and
+    considering a y again changes nothing.  So each k is considered once, and
+    the small z walk visits only each k's first z, (k+, k-), by increasing
+    1-norm, lexicographic within.  Once every k has been considered, no
+    further draw can add a point.
     """
     rng = np.random.default_rng([config.rng_seed, state.iteration, 0])
     fmt = config.fixed_point_format
@@ -451,7 +337,7 @@ def reference_select_search_points(state, basis, config):
     cap = config.search_radius
     n, p = basis.dimension, basis.num_directions
     eye = np.eye(n, dtype=int)
-    assert np.array_equal(basis.integer_combinations, np.hstack([eye, -eye]))
+    assert np.array_equal(basis.directions, np.hstack([eye, -eye]))
     xk_bits = encode_point_exact(state.iterate, fmt)
     found = {}
     tried = set()
@@ -518,21 +404,15 @@ def selection_cases(draw):
     d = draw(st.just(32) | st.integers(2, 32))  # n >= 2 at 32 bits: n*d > 63
     q = draw(st.integers(0, d - 1))
     fmt = FixedPointFormat(d, q)
-    if draw(st.booleans()):
-        basis = PatternBasis.coordinate(n)
-    else:  # dyadic, not the identity: powers of 2 on and below the diagonal
-        g = np.diag([2.0 ** draw(st.integers(-2, 2)) for _ in range(n)])
-        for i in range(1, n):
-            g[i, i - 1] = draw(st.sampled_from([-0.5, 0.25, 1.0]))
-        eye = np.eye(n, dtype=int)
-        basis = PatternBasis(g, np.hstack([eye, -eye]))
+    basis = PatternBasis.coordinate(n)
     p = basis.num_directions
-    # (cap + 1)^p <= 2e5 keeps the reference's walk of every small z short.
+    # (cap + 1)^p <= 2e5 keeps the reference's walk of every k short.
     cap = draw(st.integers(1, max(c for c in range(1, 450) if (c + 1) ** p <= 2e5)))
     capacity = 2 ** (n * d) - 1
     n_points = 2 ** draw(st.integers(0, min(8, capacity.bit_length() - 1)))
     # Dyadic meshes land on the grid unless finer than 2^-q; 0.375 and 0.3
-    # times a power of 2 can leave it.
+    # times a power of 2 can leave it, and reach the walk of k the mesh does
+    # not count.
     mesh = draw(st.sampled_from([1.0, 1.0, 0.375, 0.3])) * 2.0 ** draw(
         st.integers(-q - 2, 3)
     )
@@ -558,19 +438,18 @@ def selection_cases(draw):
     return state, basis, config
 
 
-def _mixed_steps_case(scales, iterate, seed):
-    # Steps of 0.25 leave the 0.5 grid and unit steps from 63.5 leave the
-    # range, so rows can break both ways: encode_point_exact stops at a row's
-    # first bad coordinate, raising off the grid and skipping out of range.
-    eye = np.eye(2, dtype=int)
+def _mixed_steps_case(iterate, seed):
+    # Odd steps of 0.25 leave the 0.5 grid, and even ones up from 63.5 stay on
+    # it but leave the range, so rows can break both ways: encode_point_exact
+    # stops at a row's first bad coordinate, raising off the grid and skipping
+    # out of range.
     config = GpsConfig(
-        initial_mesh_size=1.0,
+        initial_mesh_size=0.25,
         search_radius=8,
         fixed_point_format=FixedPointFormat(8, 1),
         rng_seed=seed,
     )
-    basis = PatternBasis(np.diag(scales), np.hstack([eye, -eye]))
-    return MeshState(np.array(iterate), 1.0, 0.0), basis, config
+    return MeshState(np.array(iterate), 0.25, 0.0), PatternBasis.coordinate(2), config
 
 
 def _coordinate_case(mesh, n_points, radius, dimension=2):
@@ -588,8 +467,11 @@ def _coordinate_case(mesh, n_points, radius, dimension=2):
 
 @settings(max_examples=150, deadline=None)
 @given(selection_cases())
-@example(_mixed_steps_case((0.25, 1.0), (0.0, 63.5), seed=3))
-@example(_mixed_steps_case((1.0, 0.25), (63.5, 0.0), seed=0))
+# Row 0 leaves the range on axis 0, on the grid, and the grid on axis 1: it
+# is skipped, and a later row raises.
+@example(_mixed_steps_case((63.5, 0.0), seed=19))
+# A row off the grid on axis 0 raises, out of range on axis 1 as well.
+@example(_mixed_steps_case((0.0, 63.5), seed=31))
 # Every coordinate of every chunk on the grid and in range.
 @example(_coordinate_case(1.0, 16, 4))
 # Steps of 2^1023: two or more overflow to inf, one leaves the range.
@@ -597,6 +479,9 @@ def _coordinate_case(mesh, n_points, radius, dimension=2):
 # One dimension, k in [-200, 200] against the register's [-128, 127]: about a
 # third of each chunk's rows leave the range, one column each.
 @example(_coordinate_case(1.0, 64, 200, dimension=1))
+# k in [-2000, 2000]^2 against [-128, 127]^2: few draws land in range, and
+# the walk of k supplies most points.
+@example(_coordinate_case(1.0, 256, 2000))
 def test_select_search_points_equals_per_point_reference(case):
     state, basis, config = case
     assert _selection_outcome(
@@ -672,8 +557,8 @@ def test_select_search_points_equals_reference_when_the_draw_budget_cuts_the_top
     monkeypatch,
 ):
     # N = 2 draws at most 100 z: the first chunk's 64, then 36 of the top-up's
-    # 64.  Steps of up to 10^6 rarely land in [-128, 127], so the small z
-    # enumeration supplies the points.
+    # 64.  Steps of up to 10^6 rarely land in [-128, 127], so the walk of k
+    # supplies the points.
     config = GpsConfig(
         initial_mesh_size=1.0,
         search_points_count=2,
@@ -792,10 +677,10 @@ def test_select_search_points_at_the_cap_returns_one_owned_array():
 def test_select_search_points_refuses_more_points_than_the_register_holds(
     monkeypatch,
 ):
-    def no_top_up(p, cap):
-        raise AssertionError("walked the small-z top-up")
+    def no_top_up(box, block):
+        raise AssertionError("walked the k top-up")
 
-    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    monkeypatch.setattr(pattern, "_k_walk", no_top_up)
     basis = PatternBasis.coordinate(3)
     config = GpsConfig(
         initial_mesh_size=1.0,
@@ -832,10 +717,10 @@ def test_select_search_points_refuses_past_the_register_before_drawing(
 def test_select_search_points_refuses_a_too_coarse_mesh_without_walking(
     monkeypatch, n, n_points, reachable
 ):
-    def no_top_up(p, cap):
-        raise AssertionError("walked the small-z top-up")
+    def no_top_up(box, block):
+        raise AssertionError("walked the k top-up")
 
-    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    monkeypatch.setattr(pattern, "_k_walk", no_top_up)
     # Steps of 2 from 0 reach 8 positions per axis in [-8, 7], the register
     # could hold more.
     config = GpsConfig(
@@ -855,15 +740,61 @@ def test_select_search_points_refuses_a_too_coarse_mesh_without_walking(
 
 def test_select_search_points_refuses_an_infinite_step_without_walking(monkeypatch):
     # mesh_size * 2^q overflows: no move stays in range, so the axes count
-    # one position each, where the top-up would walk 9^6 combinations in 3-D.
-    def no_top_up(p, cap):
-        raise AssertionError("walked the small-z top-up")
+    # one position each, where the top-up would walk 17^3 - 1 steps in 3-D.
+    def no_top_up(box, block):
+        raise AssertionError("walked the k top-up")
 
-    monkeypatch.setattr(pattern, "_small_z_enumeration", no_top_up)
+    monkeypatch.setattr(pattern, "_k_walk", no_top_up)
     config = GpsConfig(initial_mesh_size=1e308)
     state = MeshState(np.full(3, 0.75), 1e308, 0.0)
     with pytest.raises(MeshExhaustedError, match="only 0 distinct .* 16 requested"):
         select_search_points(state, PatternBasis.coordinate(3), config)
+
+
+def test_the_walk_of_k_stays_in_the_box_and_tries_each_k_once(monkeypatch):
+    # Radius 2000 in 3-D against the 8/0 register, from an iterate near two
+    # of its edges: the draws land few points, and the walk of k supplies the
+    # rest.  Counts the k it tries; times nothing.
+    walked = []
+    walk = pattern._k_walk
+
+    def recording(box, block):
+        for z in walk(box, block):
+            walked.append(z)
+            yield z
+
+    monkeypatch.setattr(pattern, "_k_walk", recording)
+    config = GpsConfig(
+        initial_mesh_size=1.0,
+        search_points_count=4096,
+        search_radius=2000,
+        fixed_point_format=FixedPointFormat(8, 0),
+        rng_seed=3,
+    )
+    iterate = np.array([120.0, -128.0, 3.0])
+    points = select_search_points(
+        MeshState(iterate, 1.0, 0.0), PatternBasis.coordinate(3), config
+    )
+    assert points.shape == (4096, 3)
+    z = np.concatenate(walked)
+    k = z[:, :3] - z[:, 3:]
+    assert np.array_equal(z, np.hstack([np.maximum(k, 0), np.maximum(-k, 0)]))
+    # Each axis's steps that stay in [-128, 127]: [-248, 7], [0, 255], [-131, 124].
+    low, high = (-128 - iterate).astype(int), (127 - iterate).astype(int)
+    assert np.all((k >= low) & (k <= high))
+    assert len(np.unique(k, axis=0)) == len(k)
+    norms = np.abs(k).sum(axis=1)
+    assert norms[0] == 1 and np.all(np.diff(norms) >= 0)
+    # Every k of the box below the last norm walked, and none past it: the
+    # box's k counted by 1-norm, as the product of the axes' counts.
+    by_norm = np.ones(1, dtype=np.int64)
+    for lo, hi in zip(low.tolist(), high.tolist()):
+        axis = np.zeros(max(-lo, hi) + 1, dtype=np.int64)
+        np.add.at(axis, np.abs(np.arange(lo, hi + 1)), 1)
+        by_norm = np.convolve(by_norm, axis)
+    last = norms[-1]
+    assert np.count_nonzero(norms < last) == by_norm[1:last].sum()
+    assert np.count_nonzero(norms == last) <= by_norm[last]
 
 
 def test_update_mesh():
@@ -1122,6 +1053,28 @@ def test_gps_run_budget_exhausted():
     assert run.stop_reason == "budget-exhausted"
 
 
+@pytest.mark.parametrize("i", [0, 3, 7])
+def test_gps_run_stops_when_the_calls_reach_the_budget(i):
+    # A budget equal to the calls spent through iteration i is spent: the run
+    # stops before iteration i + 1, not after it.
+    basis = PatternBasis.coordinate(2)
+    config = quadratic_config(mesh_size_tolerance=1e-9)
+
+    def objective(x):
+        return float(np.dot(x, x))
+
+    full = gps_run(objective, basis, config, "classical", [0.75, -0.5])
+    assert len(full.records) > i + 1
+    budget = full.records[i].ledger_snapshot.total_calls
+    run = gps_run(
+        objective, basis, replace(config, max_oracle_calls=budget), "classical",
+        [0.75, -0.5],
+    )
+    assert run.stop_reason == "budget-exhausted"
+    assert len(run.records) == i + 1
+    assert run.ledger.total_calls == budget
+
+
 def test_gps_run_deterministic():
     basis = PatternBasis.coordinate(2)
     runs = [
@@ -1193,7 +1146,7 @@ def test_gps_config_refuses_more_than_2_to_the_20_points():
     [
         (2, 256, 8, 0.5),  # draws only
         (3, 1024, 40, 1.0),  # draws only, 1024-row chunks become 64
-        (1, 128, 64, 1.0),  # every reachable point: seeds 1 and 2 enumerate small z
+        (1, 128, 64, 1.0),  # every reachable point: seeds 1 and 2 walk k
         (2, 256, 8, 0.3),  # the first drawn point is off the grid
     ],
 )

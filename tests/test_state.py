@@ -413,6 +413,28 @@ def test_the_top_draw_measures_the_last_outcome_of_positive_probability():
         assert measure(SparseState._raw(L1, amps), TopDraw()) == expected
 
 
+class ZeroDraw:
+    """A generator stub whose every draw is 0.0."""
+
+    def random(self):
+        return 0.0
+
+
+def test_the_bottom_draw_skips_a_pruned_first_outcome():
+    """An IndexState probability below the pruning threshold counts as 0, as
+    a SparseState of the same amplitudes drops it: the draw r = 0 measures
+    the first outcome kept on either form."""
+    problem = SearchProblem(np.arange(1, 9)[:, None], "0000", np.ones(8, dtype=np.int64))
+    first, kept, last = problem.order[:3].tolist()
+    amplitudes = np.zeros(problem.size)
+    amplitudes[[first, kept, last]] = [1e-13, 0.6, 0.8]
+    sparse = SparseState(problem.layout, {
+        problem.basis_string(slot): amplitudes[slot] for slot in (first, kept, last)
+    })
+    assert measure(IndexState(problem, amplitudes), ZeroDraw()) == kept
+    assert measure(sparse, ZeroDraw()) == problem.basis_string(kept)
+
+
 def test_sample_counts_matches_born_rule():
     rng = np.random.default_rng(7)
     s = state(L1, **{"000": 0.6, "111": 0.8j})
