@@ -223,6 +223,35 @@ def test_coordinate_bases_share_no_array():
     assert b[0, 0] == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_pattern_basis_is_the_minimal_coordinate_set(n):
+    basis = PatternBasis(n)
+    eye = np.eye(n)
+    assert basis.directions.dtype == np.float64
+    np.testing.assert_array_equal(basis.directions, np.hstack([eye, -eye]))
+    assert basis.num_directions == basis.directions.shape[1] == 2 * n
+    assert positive_spanning_check(basis.directions)
+    # Every column is needed: without +-e_i nothing points that way on axis i.
+    for j in range(2 * n):
+        assert not positive_spanning_check(np.delete(basis.directions, j, axis=1))
+
+
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_pattern_basis_refuses_a_dimension_below_one(n):
+    with pytest.raises(ValueError):
+        PatternBasis(n)
+
+
+def test_pattern_basis_is_frozen_and_compares_by_dimension():
+    basis = PatternBasis(3)
+    assert basis == PatternBasis.coordinate(3) and basis != PatternBasis(2)
+    assert hash(basis) == hash(PatternBasis(3))
+    with pytest.raises(AttributeError):
+        basis.dimension = 4
+    with pytest.raises(AttributeError):
+        basis.directions = np.eye(3)
+
+
 def test_mesh_state_refuses_a_mesh_size_of_zero():
     with pytest.raises(ValueError, match="mesh size must be positive"):
         MeshState(np.zeros(1), 0.0, 0.0)
@@ -249,6 +278,26 @@ def test_poll_step_mesh_local_optimizer():
     # Constant objective: strict inequality means never an improvement.
     state = MeshState(np.zeros(2), 1.0, 5.0)
     assert poll_step(state, PatternBasis.coordinate(2), lambda x: 5.0, ledger) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poll_step_visits_plus_then_minus_each_axis(n):
+    # A failing poll evaluates x + delta e_1, ..., x + delta e_n, then
+    # x - delta e_1, ..., x - delta e_n: the columns of [I, -I] in order.
+    seen = []
+
+    def constant(x):
+        seen.append(x.copy())
+        return 1.0
+
+    iterate = np.arange(1.0, n + 1)
+    ledger = OracleLedger()
+    state = MeshState(iterate, 0.25, 1.0)
+    assert poll_step(state, PatternBasis(n), constant, ledger) is None
+    eye = np.eye(n)
+    expected = [iterate + 0.25 * e for e in eye] + [iterate - 0.25 * e for e in eye]
+    np.testing.assert_array_equal(np.array(seen), np.array(expected))
+    assert ledger.classical_calls == 2 * n and ledger.quantum_calls == 0
 
 
 def recover_z_coordinate_basis(y, state):
